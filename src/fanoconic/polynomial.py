@@ -6,6 +6,12 @@ deliberately plain: a polynomial is a dict mapping exponent tuples to nonzero
 int or Fraction coefficients.  All arithmetic is exact, nothing here ever
 touches floats.
 
+Point evaluation is the hot path of the instance audit, so each polynomial
+compiles its terms once, on first evaluation, into a plan: a table of the
+leading-variable monomials, built one multiplication per entry, and one
+coefficient/index list per trailing-variable pattern, evaluated as dot
+products (see _build_plan).
+
 A ring is just an ordered tuple of variable names.  Two rings with the same
 names are interchangeable; rings whose names extend another ring's names
 accept lifted elements (used to append fiber coordinates to the base ring).
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import mul
 
 Scalar = int | Fraction
 
@@ -89,18 +96,18 @@ class Poly:
     """Immutable sparse polynomial: {exponent tuple: coefficient}.
 
     Construction normalizes nothing beyond dropping explicit zeros, so always
-    go through PolyRing factories or arithmetic.  The compact term list
-    (coefficient plus the nonzero (index, exponent) pairs) is cached lazily;
-    evaluation, gradients and line restriction all iterate over it instead of
-    the full exponent tuples.
+    go through PolyRing factories or arithmetic.  The evaluation plan is
+    built on the first eval or eval_with_gradient call and cached on the
+    object; both share it, and the gradient reads its leading partials from
+    the same monomial table as the value.
     """
 
-    __slots__ = ("ring", "terms", "_compact_cache")
+    __slots__ = ("ring", "terms", "_plan")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if c != 0}
-        self._compact_cache = None
+        self._plan = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -112,14 +119,6 @@ class Poly:
 
     def __len__(self):
         return len(self.terms)
-
-    def _compact(self):
-        if self._compact_cache is None:
-            self._compact_cache = [
-                (c, tuple((i, e) for i, e in enumerate(exps) if e))
-                for exps, c in self.terms.items()
-            ]
-        return self._compact_cache
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -218,24 +217,21 @@ class Poly:
             out[key] = out.get(key, 0) + c
         return Poly(self.ring, out)
 
+    def _eval_plan(self):
+        if self._plan is None:
+            self._plan = _build_plan(self.terms, self.ring.n)
+        return self._plan
+
     def eval(self, values) -> Scalar:
         if len(values) != self.ring.n:
             raise ValueError("wrong number of values")
-        cache = {}
+        levels, groups = self._eval_plan()
+        get = _monomial_table(levels, values).__getitem__
         total = 0
-        for c, factors in self._compact():
-            acc = c
-            for i, e in factors:
-                key = (i, e)
-                p = cache.get(key)
-                if p is None:
-                    p = values[i] ** e
-                    cache[key] = p
-                if p == 0:
-                    acc = 0
-                    break
-                acc *= p
-            total += acc
+        for tail, coeffs, idx, _ in groups:
+            s = sum(map(mul, coeffs, map(get, idx)))
+            if s:
+                total += s * _tail_value(tail, values)
         return total
 
     def eval_with_gradient(self, values):
@@ -246,37 +242,20 @@ class Poly:
         """
         if len(values) != self.ring.n:
             raise ValueError("wrong number of values")
-        cache = {}
-
-        def pw(i, e):
-            if e == 0:
-                return 1
-            key = (i, e)
-            p = cache.get(key)
-            if p is None:
-                p = values[i] ** e
-                cache[key] = p
-            return p
-
+        levels, groups = self._eval_plan()
+        get = _monomial_table(levels, values).__getitem__
         value = 0
         grad = [0] * self.ring.n
-        for c, factors in self._compact():
-            acc = c
-            for i, e in factors:
-                p = pw(i, e)
-                if p == 0:
-                    acc = 0
-                    break
-                acc *= p
-            value += acc
-            for i, e in factors:
-                part = c * e
-                for j, ej in factors:
-                    part *= pw(j, ej - 1) if j == i else pw(j, ej)
-                    if part == 0:
-                        break
-                if part != 0:
-                    grad[i] += part
+        for tail, coeffs, idx, partials in groups:
+            s = sum(map(mul, coeffs, map(get, idx)))
+            y = _tail_value(tail, values)
+            if y:
+                value += s * y
+                for i, dcoeffs, didx in partials:
+                    grad[i] += y * sum(map(mul, dcoeffs, map(get, didx)))
+            if s:
+                for j, e in tail:
+                    grad[j] += s * e * _tail_value(tail, values, j)
         return value, grad
 
     def restrict_line(self, point, direction) -> list:
@@ -288,9 +267,11 @@ class Poly:
             raise ValueError("wrong number of coordinates")
         cache = {}
         out = [0]
-        for c, factors in self._compact():
+        for exps, c in self.terms.items():
             term = [c]
-            for i, e in factors:
+            for i, e in enumerate(exps):
+                if not e:
+                    continue
                 key = (i, e)
                 f = cache.get(key)
                 if f is None:
@@ -350,6 +331,100 @@ class Poly:
 
     def __repr__(self):
         return f"<Poly {self}>"
+
+
+# -- evaluation plans --------------------------------------------------------
+#
+# A plan splits the variables into a leading block and a trailing block and
+# groups the terms by their trailing exponents.  Per call, the leading
+# monomials that the terms need, together with everything dividing them,
+# are computed into one table, level by level in total degree, each entry
+# one multiplication of a parent entry by one variable.  Each group is then
+# a dot product of its coefficients with table entries, times its trailing
+# monomial.  Divisor-closing the table means that every leading partial
+# x^(alpha - e_i) is an entry too, so gradients reuse the same table.
+
+
+def _trailing_split(exponents, n: int) -> int:
+    """Start of the longest trailing block of variables on which the terms
+    show at most n distinct exponent patterns."""
+    start = n
+    while start > 0 and len({e[start - 1:] for e in exponents}) <= n:
+        start -= 1
+    return start
+
+
+def _build_plan(terms: dict, n: int):
+    """(levels, groups) for the evaluation of a term dict in n variables.
+
+    levels lists, per total degree from 1 up, the table indices of the
+    parents and the variables they are multiplied by.  groups holds one
+    (tail, coeffs, idx, partials) record per trailing pattern: tail is the
+    (variable, exponent) pairs of the trailing monomial, coeffs and idx the
+    term coefficients and the table indices of their leading monomials, and
+    partials one (variable, alpha_i * coeffs, idx of alpha - e_i) triple per
+    leading variable.
+    """
+    lead = _trailing_split(terms, n)
+    by_degree = {}
+    for exps in terms:
+        head = exps[:lead]
+        by_degree.setdefault(sum(head), set()).add(head)
+    top = max(by_degree, default=0)
+    for d in range(top, 0, -1):
+        below = by_degree.setdefault(d - 1, set())
+        for head in by_degree[d]:
+            for i, e in enumerate(head):
+                if e:
+                    below.add(head[:i] + (e - 1,) + head[i + 1:])
+    index = {(0,) * lead: 0}
+    levels = []
+    for d in range(1, top + 1):
+        parents, variables = [], []
+        for head in sorted(by_degree[d]):
+            i = next(i for i, e in enumerate(head) if e)
+            parents.append(index[head[:i] + (head[i] - 1,) + head[i + 1:]])
+            variables.append(i)
+            index[head] = len(index)
+        levels.append((parents, variables))
+
+    grouped = {}
+    for exps, c in terms.items():
+        grouped.setdefault(exps[lead:], []).append((exps[:lead], c))
+    groups = []
+    for pattern, members in grouped.items():
+        tail = tuple((lead + k, e) for k, e in enumerate(pattern) if e)
+        partials = {}
+        for head, c in members:
+            for i, e in enumerate(head):
+                if e:
+                    dcoeffs, didx = partials.setdefault(i, ([], []))
+                    dcoeffs.append(e * c)
+                    didx.append(index[head[:i] + (e - 1,) + head[i + 1:]])
+        groups.append((tail, [c for _, c in members],
+                       [index[head] for head, _ in members],
+                       [(i, *partials[i]) for i in sorted(partials)]))
+    return levels, groups
+
+
+def _monomial_table(levels, values) -> list:
+    table = [1]
+    for parents, variables in levels:
+        table.extend(list(map(mul, map(table.__getitem__, parents),
+                              map(values.__getitem__, variables))))
+    return table
+
+
+def _tail_value(tail, values, lower=None):
+    """The trailing monomial at values; with lower, its exponent of that
+    variable reduced by one."""
+    out = 1
+    for i, e in tail:
+        if i == lower:
+            e -= 1
+        if e:
+            out *= values[i] ** e
+    return out
 
 
 def _linear_power(a, b, e: int) -> list:

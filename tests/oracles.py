@@ -4,9 +4,10 @@ Everything here deliberately avoids the package's own algorithms and
 shortcuts: counting walks the exponent lattice recursively instead of
 using binomial closed forms, ranks come from textbook fraction Gaussian
 elimination instead of fraction-free elimination, symmetric functions are
-built from their recursion, and the chart gradient is assembled from
-naive differentiate-then-evaluate calls at the rescaled point instead of
-the integer-weighted fast path.
+built from their recursion, polynomial values are summed term by term
+instead of through the compiled evaluation plan, and the chart gradient is
+assembled from naive differentiate-then-evaluate calls at the rescaled
+point instead of the integer-weighted fast path.
 """
 
 from fractions import Fraction
@@ -65,6 +66,25 @@ def enumerate_monomials(a: int, b: int, twist: int, n_x: int) -> list:
             tail = (k0, k1, k2)
             fill_x(0, d, [])
     return out
+
+
+# -- polynomial evaluation --------------------------------------------------
+
+
+def eval_terms(poly, values):
+    """sum(c * prod(v ** e)) over the terms, one power at a time."""
+    total = 0
+    for exps, c in poly.terms.items():
+        term = c
+        for v, e in zip(values, exps, strict=True):
+            term *= v ** e
+        total += term
+    return total
+
+
+def eval_gradient_terms(poly, values):
+    """Every partial derivative by Poly.diff, each summed term by term."""
+    return [eval_terms(poly.diff(i), values) for i in range(poly.ring.n)]
 
 
 # -- linear algebra ---------------------------------------------------------

@@ -18,6 +18,8 @@ from fanoconic.polynomial import (
     u_trim,
 )
 
+from .oracles import eval_gradient_terms, eval_terms
+
 R3 = PolyRing(["x", "y", "z"])
 X, Y, Z = R3.gens()
 
@@ -119,9 +121,55 @@ point3 = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
 @given(small_poly, point3)
 def test_eval_with_gradient_matches_diff(p, pt):
     value, grad = p.eval_with_gradient(pt)
-    assert value == p.eval(pt)
-    for i in range(3):
-        assert grad[i] == p.diff(i).eval(pt)
+    assert value == p.eval(pt) == eval_terms(p, pt)
+    assert grad == eval_gradient_terms(p, pt)
+
+
+R5 = PolyRing(["a", "b", "c", "d", "e"])
+
+scalar = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+
+# more terms than variables, so the plans split the ring at varying places
+wide_poly = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 5),
+    scalar,
+    max_size=14,
+).map(lambda d: Poly(R5, d))
+
+point5 = st.tuples(*[st.one_of(st.just(0), scalar)] * 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_poly, point5)
+def test_eval_matches_term_oracle(p, pt):
+    value, grad = p.eval_with_gradient(pt)
+    assert p.eval(pt) == value == eval_terms(p, pt)
+    assert grad == eval_gradient_terms(p, pt)
+    # the cached plan gives the same answers on a second point
+    shifted = tuple(v + 1 for v in pt)
+    assert p.eval(list(shifted)) == eval_terms(p, shifted)
+
+
+@pytest.mark.parametrize("p", [
+    R5.zero(),
+    R5.constant(7),
+    R5.constant(Fraction(-2, 3)),
+    R5.monomial((0, 0, 0, 0, 3), 5),
+    R5.monomial((2, 0, 1, 0, 0), Fraction(1, 4)),
+    R5.monomial((1, 1, 1, 1, 1), -1),
+], ids=["zero", "int", "fraction", "trailing", "leading", "all"])
+@pytest.mark.parametrize("pt", [
+    (0, 0, 0, 0, 0),
+    (2, -1, 0, 3, 1),
+    (Fraction(1, 2), 3, Fraction(-4, 3), 0, 2),
+], ids=["origin", "int", "fraction"])
+def test_eval_edge_polynomials(p, pt):
+    value, grad = p.eval_with_gradient(pt)
+    assert p.eval(pt) == value == eval_terms(p, pt)
+    assert grad == eval_gradient_terms(p, pt)
 
 
 @settings(max_examples=100, deadline=None)

@@ -32,9 +32,10 @@ from fanoconic.verifier import (
     _entry_evals,
     _interpolate_newton,
     _nodes,
+    _sample_chart_line,
 )
 
-from .oracles import chart_gradient
+from .oracles import chart_gradient, eval_terms
 
 M2 = ConstructionParams(2)
 
@@ -189,6 +190,26 @@ def test_form_restricted_to_V_is_sigma_z2_squared(
     ring = conic_ring(M2)
     restricted = matrix.quadratic_form.subs({"y1": 0, "y2": 0})
     assert restricted == ring.var("y0") ** 2 * ring.var("z2") ** 2
+
+
+@pytest.mark.parametrize("perturb", [False, True])
+def test_entry_evaluation_matches_term_oracle(
+    default_matrix, perturbed_matrix, perturb
+):
+    matrix = perturbed_matrix if perturb else default_matrix
+    rng = random.Random(5)
+    points = [sample_v_point(M2, rng, coeff_range=30).coords,
+              sample_generic_point(M2, rng, coeff_range=30).coords,
+              (0,) * M2.n_x + (0, 1, 0)]
+    point, direction = _sample_chart_line(M2, rng, 9)
+    points += [tuple(p + t * d for p, d in zip(point, direction))
+               for t in _nodes(3)]
+    for name, poly in matrix.named_entries():
+        partials = [poly.diff(i) for i in range(poly.ring.n)]
+        for pt in points:
+            value, grad = poly.eval_with_gradient(pt)
+            assert poly.eval(pt) == value == eval_terms(poly, pt), name
+            assert grad == [eval_terms(d, pt) for d in partials], name
 
 
 # -- fibers -----------------------------------------------------------------
