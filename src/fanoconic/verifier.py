@@ -185,6 +185,11 @@ class ConicMatrix:
         return [[s1, s2, l1], [s2, s3, l2], [l1, l2, sg]]
 
     @cached_property
+    def _line_bounds(self) -> dict:
+        """Per-slot line degree bounds, memoized by the direction support."""
+        return {}
+
+    @cached_property
     def quadratic_form(self) -> Poly:
         """F = z^T S z in the extended ring."""
         ring = conic_ring(self.params)
@@ -503,8 +508,11 @@ def discriminant_on_line(matrix: ConicMatrix, point, direction) -> LineProbe:
         raise ValueError("line lies inside the locus y = 0")
 
     support = tuple(i for i, d in enumerate(direction) if d != 0)
-    bounds = {name: _line_degree_bound(poly, support)
-              for name, poly in matrix.named_entries()}
+    bounds = matrix._line_bounds.get(support)
+    if bounds is None:
+        bounds = matrix._line_bounds[support] = {
+            name: _line_degree_bound(poly, support)
+            for name, poly in matrix.named_entries()}
 
     def product_bound(*names):
         total = 0

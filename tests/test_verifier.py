@@ -31,6 +31,7 @@ from fanoconic.verifier import (
     _audit_gradient,
     _entry_evals,
     _interpolate_newton,
+    _line_degree_bound,
     _nodes,
     _sample_chart_line,
 )
@@ -479,6 +480,25 @@ def test_fiber_line_is_sextic(default_matrix):
     probe = discriminant_on_line(default_matrix, point, direction)
     assert probe.degree == 6
     assert not probe.identically_zero
+
+
+def test_line_degree_bounds_are_memoized_per_support():
+    matrix = instantiate_sections(M2, seed=3, coeff_range=20)
+    nx = M2.n_x
+    lines = [
+        ((1, 2, -1, 3, 1, -2, 1, 1, 2, -1), (0,) * nx + (2, 1, 3)),
+        ((1, 2, -1, 3, 1, -2, 1, 1, 2, -1), (0,) * nx + (0, 1, 0)),
+        ((1,) * nx + (1, 2, 3), (0, 1, 2, 3, 4, 5, 6, 0, 1, 1)),
+        ((2,) * nx + (1, 0, 3), (0, 6, 5, 4, 3, 2, 1, 0, 2, 1)),
+    ]
+    for point, direction in lines:
+        discriminant_on_line(matrix, point, direction)
+    supports = {(7, 8, 9), (8,), (1, 2, 3, 4, 5, 6, 8, 9)}
+    assert set(matrix._line_bounds) == supports
+    for support in supports:
+        assert matrix._line_bounds[support] == {
+            name: _line_degree_bound(poly, support)
+            for name, poly in matrix.named_entries()}
 
 
 # -- samplers ---------------------------------------------------------------
