@@ -50,7 +50,8 @@ def bareiss_rank(rows) -> int:
             for j in range(c + 1, nc):
                 num = a[r][c] * a[i][j] - a[i][c] * a[r][j]
                 q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss divisibility broken"
+                if rem:
+                    raise AssertionError("Bareiss divisibility broken")
                 a[i][j] = q
             a[i][c] = 0
         prev = a[r][c]

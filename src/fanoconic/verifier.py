@@ -33,7 +33,13 @@ from functools import cached_property, lru_cache
 
 from fractions import Fraction
 
-from .coxring import CoxGrading, cox_ring, random_section, y_indices
+from .coxring import (
+    CoxGrading,
+    count_sections,
+    cox_ring,
+    random_section,
+    y_indices,
+)
 from .linalg import bareiss_rank, clear_denominators, det3, kernel_vector_3x3
 from .picard import ConstructionParams, DivisorClassY
 from .polynomial import (
@@ -49,6 +55,11 @@ from .polynomial import (
 Z_GRID = ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (1, -2, 0))
 
 LINE_RESAMPLE_CAP = 25
+
+# Sections are drawn dense, one coefficient per basis monomial.  A draw whose
+# bases add up to more monomials than this is refused before anything is
+# drawn: at m = 4 each lam entry alone would have 8.1 million terms.
+MAX_SECTION_TERMS = 1_000_000
 
 
 @lru_cache(maxsize=None)
@@ -221,30 +232,39 @@ def instantiate_sections(params: ConstructionParams, seed: int,
     )
 
 
+def _section_draws(params, perturb):
+    """(class, min_y_order) of each random section an instance draws, in
+    draw order: lam1, lam2, then in perturb mode the corrections to sigma',
+    s1, s2 and sigma."""
+    t, m = params.twist, params.m
+    draws = [(DivisorClassY(2, -m), 0)] * 2
+    if perturb:
+        draws += [(DivisorClassY(1, 0), 1), (DivisorClassY(2, -t), 2),
+                  (DivisorClassY(2, -t), 2), (DivisorClassY(2, 0), 1)]
+    return draws
+
+
 def _instantiate_from_rng(params, rng, coeff_range, perturb):
+    draws = _section_draws(params, perturb)
+    size = sum(count_sections(cls_, params) for cls_, _ in draws)
+    if size > MAX_SECTION_TERMS:
+        raise ValueError(
+            f"the {'perturbed ' if perturb else ''}sections at m = {params.m} "
+            f"span {size} monomials, above the limit of {MAX_SECTION_TERMS}")
     ring = cox_ring(params)
     iy0, iy1, iy2 = y_indices(params)
     y0, y1, y2 = ring.var(iy0), ring.var(iy1), ring.var(iy2)
-    t, m = params.twist, params.m
-
-    lam1 = random_section(DivisorClassY(2, -m), params, rng=rng, coeff_range=coeff_range)
-    lam2 = random_section(DivisorClassY(2, -m), params, rng=rng, coeff_range=coeff_range)
+    lam1, lam2, *extra = [
+        random_section(cls_, params, rng=rng, coeff_range=coeff_range,
+                       min_y_order=order)
+        for cls_, order in draws
+    ]
 
     sigma_prime = y0
     r1 = r2 = w = ring.zero()
     if perturb:
-        sigma_prime = y0 + random_section(
-            DivisorClassY(1, 0), params, rng=rng, coeff_range=coeff_range, min_y_order=1
-        )
-        r1 = random_section(
-            DivisorClassY(2, -t), params, rng=rng, coeff_range=coeff_range, min_y_order=2
-        )
-        r2 = random_section(
-            DivisorClassY(2, -t), params, rng=rng, coeff_range=coeff_range, min_y_order=2
-        )
-        w = random_section(
-            DivisorClassY(2, 0), params, rng=rng, coeff_range=coeff_range, min_y_order=1
-        )
+        sigma_extra, r1, r2, w = extra
+        sigma_prime = y0 + sigma_extra
 
     s1 = sigma_prime * y1 + r1
     s2 = sigma_prime * y2 + r2

@@ -1,16 +1,37 @@
 """Command-line behavior: exit codes, document shapes, determinism."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import fanoconic
 from fanoconic.cli import main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(fanoconic.__file__)))
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _cap_memory():
+    # 1 GiB of address space: an unguarded draw fails fast instead of
+    # exhausting the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_cli_process(*argv, python_flags=(), timeout=60):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "fanoconic.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+        preexec_fn=_cap_memory)
 
 
 # -- exit codes -------------------------------------------------------------
@@ -56,6 +77,14 @@ def test_rejects_bad_coeff_range(capsys):
         capsys, "verify", "--m", "2", "--samples", "1", "--coeff-range", "0"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [("--m", "4"), ("--m", "3", "--perturb")])
+def test_rejects_oversize_section_draw(argv):
+    proc = run_cli_process("verify", *argv, timeout=30)
+    assert proc.returncode == 2
+    assert "above the limit" in proc.stderr
+    assert proc.stdout == ""
 
 
 # -- documents --------------------------------------------------------------
@@ -171,3 +200,13 @@ def test_verify_output_is_reproducible(capsys, fmt):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second
+
+
+def test_verify_output_survives_optimized_mode():
+    # python -O strips assert statements; no invariant may hang on one
+    argv = ("verify", "--m", "2", "--samples", "2", "--seed", "7",
+            "--format", "json")
+    plain = run_cli_process(*argv)
+    optimized = run_cli_process(*argv, python_flags=("-O",))
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout

@@ -12,6 +12,7 @@ from fanoconic.picard import ConstructionParams, DivisorClassY
 from fanoconic.polynomial import u_add, u_degree, u_is_squarefree, u_mul, u_trim
 from fanoconic.verifier import (
     LINE_RESAMPLE_CAP,
+    MAX_SECTION_TERMS,
     Z_GRID,
     ConicMatrix,
     CoxPointY,
@@ -34,6 +35,7 @@ from fanoconic.verifier import (
     _line_degree_bound,
     _nodes,
     _sample_chart_line,
+    _section_draws,
 )
 
 from .oracles import chart_gradient, eval_terms
@@ -153,6 +155,20 @@ def test_default_matrix_shape(default_matrix):
     for i in range(3):
         for j in range(3):
             assert rows[i][j] == rows[j][i]
+
+
+def test_section_draw_size_limit():
+    def size(m, perturb):
+        params = ConstructionParams(m)
+        return sum(count_sections(cls_, params)
+                   for cls_, _ in _section_draws(params, perturb))
+
+    assert size(2, False) == 2 * 2828
+    assert size(3, False) == 292_600
+    assert size(2, True) < size(3, False) < MAX_SECTION_TERMS
+    assert MAX_SECTION_TERMS < size(3, True) < size(4, False)
+    with pytest.raises(ValueError, match="above the limit"):
+        run_instance(ConstructionParams(3), seed=1, n_samples=1, perturb=True)
 
 
 def test_instantiation_deterministic():
