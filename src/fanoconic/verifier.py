@@ -19,9 +19,9 @@ sigma' y2, sigma = sigma'^2 with sigma' = y0) forces the boundary identity
     dF restricted to {y1 = y2 = z2 = 0}  =  sigma' (z0^2 dy1 + z1(2 z0 + z1) dy2),
 
 which is checked symbolically, not numerically.  Perturbation mode adds
-random sections vanishing on V to second order to the s-block and V-
-vanishing corrections to sigma' and sigma; the identity survives because
-the extra terms never contribute first-order terms along V.
+independent random sections vanishing on V to second order to s1, s2 and
+s3, and V-vanishing corrections to sigma' and sigma; the identity survives
+because the extra terms never contribute first-order terms along V.
 """
 
 from __future__ import annotations
@@ -235,12 +235,13 @@ def instantiate_sections(params: ConstructionParams, seed: int,
 def _section_draws(params, perturb):
     """(class, min_y_order) of each random section an instance draws, in
     draw order: lam1, lam2, then in perturb mode the corrections to sigma',
-    s1, s2 and sigma."""
+    s1, s2, sigma and s3."""
     t, m = params.twist, params.m
     draws = [(DivisorClassY(2, -m), 0)] * 2
     if perturb:
         draws += [(DivisorClassY(1, 0), 1), (DivisorClassY(2, -t), 2),
-                  (DivisorClassY(2, -t), 2), (DivisorClassY(2, 0), 1)]
+                  (DivisorClassY(2, -t), 2), (DivisorClassY(2, 0), 1),
+                  (DivisorClassY(2, -t), 2)]
     return draws
 
 
@@ -261,14 +262,14 @@ def _instantiate_from_rng(params, rng, coeff_range, perturb):
     ]
 
     sigma_prime = y0
-    r1 = r2 = w = ring.zero()
+    r1 = r2 = r3 = w = ring.zero()
     if perturb:
-        sigma_extra, r1, r2, w = extra
+        sigma_extra, r1, r2, w, r3 = extra
         sigma_prime = y0 + sigma_extra
 
     s1 = sigma_prime * y1 + r1
     s2 = sigma_prime * y2 + r2
-    s3 = s2
+    s3 = sigma_prime * y2 + r3
     sigma = sigma_prime * sigma_prime + w
     return (s1, s2, s3, lam1, lam2, sigma, sigma_prime)
 

@@ -186,6 +186,17 @@ def test_perturbed_matrix_shares_lambda_draws(default_matrix, perturbed_matrix):
     assert len(perturbed_matrix.sigma) > 1
 
 
+def test_perturbed_s_block_is_drawn_independently(perturbed_matrix):
+    ring = cox_ring(M2)
+    iy1, iy2 = ring.names.index("y1"), ring.names.index("y2")
+    base = perturbed_matrix.sigma_prime * ring.var("y2")
+    assert perturbed_matrix.s3 != perturbed_matrix.s2
+    for entry in (perturbed_matrix.s2, perturbed_matrix.s3):
+        correction = entry - base
+        assert len(correction) > 1
+        assert all(e[iy1] + e[iy2] >= 2 for e in correction.terms)
+
+
 def test_quadratic_form_evaluates_like_matrix(default_matrix):
     rng = random.Random(1)
     F = default_matrix.quadratic_form
