@@ -408,10 +408,12 @@ def _build_plan(terms: dict, n: int):
 
 
 def _monomial_table(levels, values) -> list:
+    # every parent lies on an earlier level, so the table may be read while
+    # a level is appended to it
     table = [1]
     for parents, variables in levels:
-        table.extend(list(map(mul, map(table.__getitem__, parents),
-                              map(values.__getitem__, variables))))
+        table.extend(map(mul, map(table.__getitem__, parents),
+                         map(values.__getitem__, variables)))
     return table
 
 
