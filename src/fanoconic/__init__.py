@@ -39,7 +39,6 @@ from .cones import (
     classify,
     effective_cone,
     movable_cone,
-    nef_by_duality,
     nef_cone,
 )
 from .conicbundle import (
@@ -114,7 +113,6 @@ __all__ = [
     "instantiate_sections",
     "is_effective",
     "movable_cone",
-    "nef_by_duality",
     "nef_cone",
     "pair",
     "parse_divisor_class",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from math import gcd
 
-from .picard import ConstructionParams, DivisorClassY, ELL_F, ELL_V, pair
+from .picard import ConstructionParams, DivisorClassY
 
 NEF_LABEL = "NEF_Y"
 FLIP_LABEL = "FLIP_CHAMBER"
@@ -169,8 +169,3 @@ def chamber_decomposition(degrees, params: ConstructionParams) -> ChamberDecompo
     nef = nef_cone(params)
     labels = tuple(NEF_LABEL if c == nef else FLIP_LABEL for c in chambers)
     return ChamberDecomposition(walls, chambers, labels)
-
-
-def nef_by_duality(cls_: DivisorClassY, params: ConstructionParams) -> bool:
-    """Nefness via intersection numbers, the oracle side of the cone test."""
-    return pair(cls_, ELL_F) >= 0 and pair(cls_, ELL_V) >= 0

@@ -1,7 +1,7 @@
 """Sparse exact polynomial arithmetic over the rationals.
 
 Everything downstream (section sampling, conic matrices, gradient audits,
-line restrictions) runs on these polynomials, so the representation is kept
+the boundary identity) runs on these polynomials, so the representation is kept
 deliberately plain: a polynomial is a dict mapping exponent tuples to nonzero
 int or Fraction coefficients.  All arithmetic is exact, nothing here ever
 touches floats.
@@ -13,28 +13,26 @@ coefficient/index list per trailing-variable pattern, evaluated as dot
 products (see _build_plan).
 
 A ring is just an ordered tuple of variable names.  Two rings with the same
-names are interchangeable; rings whose names extend another ring's names
-accept lifted elements (used to append fiber coordinates to the base ring).
+names are interchangeable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 
 Scalar = int | Fraction
 
 
 class PolyRing:
-    __slots__ = ("names", "n", "_vars")
+    __slots__ = ("names", "n")
 
     def __init__(self, names):
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")
         self.n = len(self.names)
-        self._vars = None
 
     def var(self, which) -> "Poly":
         """The variable given by index or name, as a polynomial."""
@@ -43,11 +41,6 @@ class PolyRing:
         exps = [0] * self.n
         exps[which] = 1
         return Poly(self, {tuple(exps): 1})
-
-    def gens(self) -> tuple["Poly", ...]:
-        if self._vars is None:
-            self._vars = tuple(self.var(i) for i in range(self.n))
-        return self._vars
 
     def constant(self, c: Scalar) -> "Poly":
         if c == 0:
@@ -69,18 +62,6 @@ class PolyRing:
         if coeff == 0:
             return self.zero()
         return Poly(self, {exps: coeff})
-
-    def from_pairs(self, pairs) -> "Poly":
-        """Inverse of Poly.to_pairs."""
-        terms = {}
-        for coeff, exps in pairs:
-            if isinstance(coeff, str):
-                coeff = Fraction(coeff)
-            exps = tuple(exps)
-            if len(exps) != self.n:
-                raise ValueError("exponent tuple has wrong length")
-            terms[exps] = terms.get(exps, 0) + coeff
-        return Poly(self, {e: c for e, c in terms.items() if c != 0})
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.names == other.names
@@ -258,53 +239,7 @@ class Poly:
                     grad[j] += s * e * _tail_value(tail, values, j)
         return value, grad
 
-    def restrict_line(self, point, direction) -> list:
-        """Coefficients of p(point + t*direction) as a univariate in t.
-
-        Ascending order, trailing zeros trimmed; [] is the zero polynomial.
-        """
-        if len(point) != self.ring.n or len(direction) != self.ring.n:
-            raise ValueError("wrong number of coordinates")
-        cache = {}
-        out = [0]
-        for exps, c in self.terms.items():
-            term = [c]
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                key = (i, e)
-                f = cache.get(key)
-                if f is None:
-                    f = _linear_power(point[i], direction[i], e)
-                    cache[key] = f
-                term = u_mul(term, f)
-                if term == [0] or not term:
-                    break
-            out = u_add(out, term)
-        return u_trim(out)
-
-    def lift(self, big: PolyRing) -> "Poly":
-        """Reinterpret in a ring whose names start with this ring's names."""
-        if big.names[: self.ring.n] != self.ring.names:
-            raise ValueError("target ring does not extend this ring")
-        pad = (0,) * (big.n - self.ring.n)
-        return Poly(big, {exps + pad: c for exps, c in self.terms.items()})
-
-    # -- serialization and display -----------------------------------------
-
-    def to_pairs(self) -> list:
-        """Canonical serialization: (coefficient, exponent list) pairs.
-
-        Sorted by exponent tuple.  Fraction coefficients come out as "p/q"
-        strings so the result is JSON safe; ints stay ints.
-        """
-        out = []
-        for exps in sorted(self.terms):
-            c = self.terms[exps]
-            if isinstance(c, Fraction):
-                c = int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-            out.append((c, list(exps)))
-        return out
+    # -- display -----------------------------------------------------------
 
     def __str__(self):
         if not self.terms:
@@ -427,13 +362,6 @@ def _tail_value(tail, values, lower=None):
         if e:
             out *= values[i] ** e
     return out
-
-
-def _linear_power(a, b, e: int) -> list:
-    # (a + b t)^e by the binomial theorem
-    if e == 0:
-        return [1]
-    return [comb(e, k) * a ** (e - k) * b ** k for k in range(e + 1)]
 
 
 # -- univariate helpers ----------------------------------------------------

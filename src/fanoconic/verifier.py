@@ -18,10 +18,12 @@ sigma' y2, sigma = sigma'^2 with sigma' = y0) forces the boundary identity
 
     dF restricted to {y1 = y2 = z2 = 0}  =  sigma' (z0^2 dy1 + z1(2 z0 + z1) dy2),
 
-which is checked symbolically, not numerically.  Perturbation mode adds
-independent random sections vanishing on V to second order to s1, s2 and
-s3, and V-vanishing corrections to sigma' and sigma; the identity survives
-because the extra terms never contribute first-order terms along V.
+which is checked symbolically, not numerically, as the equivalent
+conditions on the Cox-ring entries restricted to V = {y1 = y2 = 0} (see
+boundary_identity_verdict).  Perturbation mode adds independent random
+sections vanishing on V to second order to s1, s2 and s3, and V-vanishing
+corrections to sigma' and sigma; the identity survives because the extra
+terms never contribute first-order terms along V.
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
-
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from .coxring import (
     CoxGrading,
+    _nonzero_draw,
     count_sections,
     cox_ring,
     random_section,
@@ -44,7 +47,6 @@ from .linalg import bareiss_rank, clear_denominators, det3, kernel_vector_3x3
 from .picard import ConstructionParams, DivisorClassY
 from .polynomial import (
     Poly,
-    PolyRing,
     u_add,
     u_degree,
     u_is_squarefree,
@@ -60,17 +62,6 @@ LINE_RESAMPLE_CAP = 25
 # bases add up to more monomials than this is refused before anything is
 # drawn: at m = 4 each lam entry alone would have 8.1 million terms.
 MAX_SECTION_TERMS = 1_000_000
-
-
-@lru_cache(maxsize=None)
-def _conic_ring(m: int) -> PolyRing:
-    names = [f"x{i}" for i in range(3 * m + 1)] + ["y0", "y1", "y2", "z0", "z1", "z2"]
-    return PolyRing(names)
-
-
-def conic_ring(params: ConstructionParams) -> PolyRing:
-    """Cox ring of Y extended by the fiber coordinates z0, z1, z2."""
-    return _conic_ring(params.m)
 
 
 @dataclass(frozen=True)
@@ -137,6 +128,11 @@ def diagnose_conic(rows) -> FiberDiagnosis:
 _SLOT_NAMES = ("s1", "s2", "s3", "lam1", "lam2", "sigma")
 
 
+def _s_rows(s1, s2, s3, lam1, lam2, sigma):
+    """The rows of S from its six entries, given in _SLOT_NAMES order."""
+    return [[s1, s2, lam1], [s2, s3, lam2], [lam1, lam2, sigma]]
+
+
 def _slot_degrees(params: ConstructionParams) -> dict:
     t, m = params.twist, params.m
     return {
@@ -182,37 +178,14 @@ class ConicMatrix:
     def named_entries(self):
         return tuple((name, getattr(self, name)) for name in _SLOT_NAMES)
 
-    def rows(self):
-        return (
-            (self.s1, self.s2, self.lam1),
-            (self.s2, self.s3, self.lam2),
-            (self.lam1, self.lam2, self.sigma),
-        )
-
     def evaluate(self, point: CoxPointY):
         c = point.coords
-        s1, s2, s3 = self.s1.eval(c), self.s2.eval(c), self.s3.eval(c)
-        l1, l2, sg = self.lam1.eval(c), self.lam2.eval(c), self.sigma.eval(c)
-        return [[s1, s2, l1], [s2, s3, l2], [l1, l2, sg]]
+        return _s_rows(*(poly.eval(c) for _, poly in self.named_entries()))
 
     @cached_property
     def _line_bounds(self) -> dict:
         """Per-slot line degree bounds, memoized by the direction support."""
         return {}
-
-    @cached_property
-    def quadratic_form(self) -> Poly:
-        """F = z^T S z in the extended ring."""
-        ring = conic_ring(self.params)
-        nz = ring.n - 3
-        z = [ring.var(nz + k) for k in range(3)]
-        rows = self.rows()
-        F = ring.zero()
-        for i in range(3):
-            for j in range(i, 3):
-                mult = 1 if i == j else 2
-                F = F + mult * rows[i][j].lift(ring) * z[i] * z[j]
-        return F
 
 
 def instantiate_sections(params: ConstructionParams, seed: int,
@@ -224,12 +197,7 @@ def instantiate_sections(params: ConstructionParams, seed: int,
     s-block, sigma' and sigma.  The lam draws come first so both modes
     share them at equal seeds.
     """
-    rng = random.Random(seed)
-    drawn = _instantiate_from_rng(params, rng, coeff_range, perturb)
-    return ConicMatrix(
-        params, *drawn[:6], sigma_prime=drawn[6],
-        seed=seed, perturb=perturb, coeff_range=coeff_range,
-    )
+    return _draw_matrix(params, random.Random(seed), seed, coeff_range, perturb)
 
 
 def _section_draws(params, perturb):
@@ -245,7 +213,8 @@ def _section_draws(params, perturb):
     return draws
 
 
-def _instantiate_from_rng(params, rng, coeff_range, perturb):
+def _draw_matrix(params, rng, seed, coeff_range, perturb) -> ConicMatrix:
+    """Draw the section matrix from rng; seed is only recorded on it."""
     draws = _section_draws(params, perturb)
     size = sum(count_sections(cls_, params) for cls_, _ in draws)
     if size > MAX_SECTION_TERMS:
@@ -267,11 +236,11 @@ def _instantiate_from_rng(params, rng, coeff_range, perturb):
         sigma_extra, r1, r2, w, r3 = extra
         sigma_prime = y0 + sigma_extra
 
-    s1 = sigma_prime * y1 + r1
-    s2 = sigma_prime * y2 + r2
-    s3 = sigma_prime * y2 + r3
-    sigma = sigma_prime * sigma_prime + w
-    return (s1, s2, s3, lam1, lam2, sigma, sigma_prime)
+    return ConicMatrix(
+        params, sigma_prime * y1 + r1, sigma_prime * y2 + r2,
+        sigma_prime * y2 + r3, lam1, lam2, sigma_prime * sigma_prime + w,
+        sigma_prime=sigma_prime, seed=seed, perturb=perturb,
+        coeff_range=coeff_range)
 
 
 def fiber_at(matrix: ConicMatrix, point: CoxPointY) -> FiberDiagnosis:
@@ -321,39 +290,39 @@ def _entry_evals(matrix: ConicMatrix, point: CoxPointY):
             for name, poly in matrix.named_entries()}
 
 
+def _chart_values(matrix, point, jx, evals):
+    """(nu_weights, values): the weight nu^{-b} of each entry of bidegree
+    (2, b), nu = x_{jx}^m, and the entry values times their weights, both
+    in _SLOT_NAMES order."""
+    nu = point.x[jx] ** matrix.params.m
+    nu_w = (nu * nu,) * 3 + (nu, nu, 1)
+    return nu_w, [w * evals[name][0] for w, name in zip(nu_w, _SLOT_NAMES)]
+
+
 def _audit_gradient(matrix, point, z, evals=None):
     """Return (lies_on_fibration, gradient_nonzero) for the chart audit."""
     params = matrix.params
     jx, kz = _chart_frame(point, z)
     if evals is None:
         evals = _entry_evals(matrix, point)
-    num = point.x[jx] ** params.m
-    nut = num * num
-    nu_w = {"s1": nut, "s2": nut, "s3": nut,
-            "lam1": num, "lam2": num, "sigma": 1}
+    nu_w, values = _chart_values(matrix, point, jx, evals)
     z0, z1, z2 = z
-    zw = {"s1": z0 * z0, "s2": 2 * z0 * z1, "s3": z1 * z1,
-          "lam1": 2 * z0 * z2, "lam2": 2 * z1 * z2, "sigma": z2 * z2}
-    weights = [(name, zw[name] * nu_w[name]) for name in _SLOT_NAMES
-               if zw[name] != 0]
-
-    value = sum(w * evals[name][0] for name, w in weights)
+    zw = (z0 * z0, 2 * z0 * z1, z1 * z1, 2 * z0 * z2, 2 * z1 * z2, z2 * z2)
+    value = sum(map(mul, zw, values))
 
     ncox = params.n_x + 3
     iy0 = params.n_x
     base = [0] * ncox
-    for name, w in weights:
+    for name, a, b in zip(_SLOT_NAMES, zw, nu_w):
+        if a == 0:
+            continue
+        w = a * b
         grad = evals[name][1]
         for v in range(ncox):
             g = grad[v]
             if g:
                 base[v] += w * g
-    val = {name: evals[name][0] for name in _SLOT_NAMES}
-    zgrad = (
-        nut * (val["s1"] * z0 + val["s2"] * z1) + num * val["lam1"] * z2,
-        nut * (val["s2"] * z0 + val["s3"] * z1) + num * val["lam2"] * z2,
-        num * (val["lam1"] * z0 + val["lam2"] * z1) + val["sigma"] * z2,
-    )
+    zgrad = [sum(map(mul, row, z)) for row in _s_rows(*values)]
     nonzero = any(base[v] for v in range(ncox) if v != jx and v != iy0) \
         or any(zgrad[k] for k in range(3) if k != kz)
     return value == 0, nonzero
@@ -387,18 +356,10 @@ def check_smooth_at_node(matrix: ConicMatrix, point: CoxPointY,
     """
     if diagnosis is not None and diagnosis.rank != 2:
         raise ValueError("node check needs a rank-2 fiber")
-    params = matrix.params
     jx, _ = _chart_frame(point, (1, 1, 1))
     evals = _entry_evals(matrix, point)
-    val = {name: evals[name][0] for name in _SLOT_NAMES}
-    num = point.x[jx] ** params.m
-    nut = num * num
-    chart_rows = [
-        [nut * val["s1"], nut * val["s2"], num * val["lam1"]],
-        [nut * val["s2"], nut * val["s3"], num * val["lam2"]],
-        [num * val["lam1"], num * val["lam2"], val["sigma"]],
-    ]
-    node = kernel_vector_3x3(clear_denominators(chart_rows))
+    _, values = _chart_values(matrix, point, jx, evals)
+    node = kernel_vector_3x3(clear_denominators(_s_rows(*values)))
     if node is None:
         raise ValueError("fiber does not have rank 2 at this point")
     on_x, nonzero = _audit_gradient(matrix, point, node, evals=evals)
@@ -413,30 +374,29 @@ def check_smooth_at_node(matrix: ConicMatrix, point: CoxPointY,
 def boundary_identity_verdict(matrix: ConicMatrix) -> str:
     """Check dF|_W = sigma'(z0^2 dy1 + z1(2 z0 + z1) dy2) exactly.
 
-    All partial derivatives of F are restricted to {y1 = y2 = z2 = 0} as
-    polynomials and compared against the stated right-hand side, which is
-    the chart identity in homogeneous form (each z-chart version follows
-    by setting the corresponding z to 1).  Returns PASS, FAIL, or SKIPPED
-    when the matrix does not carry a sigma'.
+    The right-hand side is the chart identity in homogeneous form (each
+    z-chart version follows by setting the corresponding z to 1).  On W =
+    {y1 = y2 = z2 = 0} the monomials z0^2, z0 z1 and z1^2 are independent,
+    so the identity holds iff, restricted to V = {y1 = y2 = 0} as Cox-ring
+    polynomials, s1, s2, s3, lam1 and lam2 vanish, the y1-partials of
+    (s1, s2, s3) are (sigma', 0, 0), the y2-partials are (0, sigma',
+    sigma'), and every other partial of s1, s2, s3 vanishes (sigma only
+    meets W through z2^2).  Returns PASS, FAIL, or SKIPPED when the matrix
+    does not carry a sigma'.
     """
     if matrix.sigma_prime is None:
         return "SKIPPED"
-    params = matrix.params
-    ring = conic_ring(params)
-    iy0, iy1, iy2 = y_indices(params)
-    iz0, iz1, iz2 = ring.n - 3, ring.n - 2, ring.n - 1
-    F = matrix.quadratic_form
-    wall = {iy1: 0, iy2: 0, iz2: 0}
-    sp = matrix.sigma_prime.subs({iy1: 0, iy2: 0}).lift(ring)
-    z0, z1 = ring.var(iz0), ring.var(iz1)
-    expected = {
-        iy1: sp * z0 * z0,
-        iy2: sp * z1 * (2 * z0 + z1),
-    }
-    for v in range(ring.n):
-        got = F.diff(v).subs(wall)
-        want = expected.get(v, ring.zero())
-        if got != want:
+    _, iy1, iy2 = y_indices(matrix.params)
+    on_v = {iy1: 0, iy2: 0}
+    sp = matrix.sigma_prime.subs(on_v)
+    zero = sp.ring.zero()
+    expected = {iy1: (sp, zero, zero), iy2: (zero, sp, sp)}
+    s_block = (matrix.s1, matrix.s2, matrix.s3)
+    if any(entry.subs(on_v) for entry in s_block + (matrix.lam1, matrix.lam2)):
+        return "FAIL"
+    for v in range(sp.ring.n):
+        got = tuple(entry.diff(v).subs(on_v) for entry in s_block)
+        if got != expected.get(v, (zero,) * 3):
             return "FAIL"
     return "PASS"
 
@@ -560,12 +520,7 @@ def discriminant_on_line(matrix: ConicMatrix, point, direction) -> LineProbe:
     vals = []
     for t in ts:
         coords = tuple(p + t * d for p, d in zip(point, direction))
-        e = {name: poly.eval(coords) for name, poly in entries}
-        vals.append(det3([
-            [e["s1"], e["s2"], e["lam1"]],
-            [e["s2"], e["s3"], e["lam2"]],
-            [e["lam1"], e["lam2"], e["sigma"]],
-        ]))
+        vals.append(det3(_s_rows(*(poly.eval(coords) for _, poly in entries))))
     det = _interpolate_newton(ts, vals)
     deg = u_degree(det)
     if deg < 0:
@@ -574,11 +529,6 @@ def discriminant_on_line(matrix: ConicMatrix, point, direction) -> LineProbe:
 
 
 # -- sampling ---------------------------------------------------------------
-
-
-def _draw_nonzero(rng, bound):
-    v = rng.randint(1, 2 * bound)
-    return v - bound - 1 if v <= bound else v - bound
 
 
 def _sample_x(params, rng, bound):
@@ -592,7 +542,7 @@ def sample_v_point(params: ConstructionParams, rng: random.Random,
                    coeff_range: int = 100) -> CoxPointY:
     """A random point of V: random x, y = (y0, 0, 0) with y0 nonzero."""
     return CoxPointY(_sample_x(params, rng, coeff_range),
-                     (_draw_nonzero(rng, coeff_range), 0, 0))
+                     (_nonzero_draw(rng, coeff_range), 0, 0))
 
 
 def sample_generic_point(params: ConstructionParams, rng: random.Random,
@@ -600,7 +550,7 @@ def sample_generic_point(params: ConstructionParams, rng: random.Random,
     """A random point off V with y0 != 0 (both exceptional loci are thin,
     and the y0 chart is where the gradient audits live)."""
     xs = _sample_x(params, rng, coeff_range)
-    y0 = _draw_nonzero(rng, coeff_range)
+    y0 = _nonzero_draw(rng, coeff_range)
     while True:
         y1 = rng.randint(-coeff_range, coeff_range)
         y2 = rng.randint(-coeff_range, coeff_range)
@@ -687,12 +637,8 @@ def run_instance(params: ConstructionParams, seed: int, n_samples: int,
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     rng = random.Random(seed)
-    if sections is None:
-        drawn = _instantiate_from_rng(params, rng, coeff_range, perturb)
-        matrix = ConicMatrix(params, *drawn[:6], sigma_prime=drawn[6],
-                             seed=seed, perturb=perturb, coeff_range=coeff_range)
-    else:
-        matrix = sections
+    matrix = sections if sections is not None else \
+        _draw_matrix(params, rng, seed, coeff_range, perturb)
 
     failures: list[dict] = []
 
@@ -702,12 +648,7 @@ def run_instance(params: ConstructionParams, seed: int, n_samples: int,
     for i in range(n_samples):
         p = sample_v_point(params, rng, coeff_range)
         evals = _entry_evals(matrix, p)
-        rows = [
-            [evals["s1"][0], evals["s2"][0], evals["lam1"][0]],
-            [evals["s2"][0], evals["s3"][0], evals["lam2"][0]],
-            [evals["lam1"][0], evals["lam2"][0], evals["sigma"][0]],
-        ]
-        diag = diagnose_conic(rows)
+        diag = diagnose_conic(_s_rows(*(evals[name][0] for name in _SLOT_NAMES)))
         ok_type = diag.fiber_type is FiberType.DOUBLE_LINE
         n_double += ok_type
         if not ok_type:
@@ -771,53 +712,41 @@ def run_instance(params: ConstructionParams, seed: int, n_samples: int,
     if verdict == "FAIL":
         failures.append({"check": "boundary_identity"})
 
-    # chart lines: det S restricted to a general line stays squarefree
-    c_samples = []
-    n_sqfree = c_resampled = 0
-    for i in range(n_samples):
-        probe = None
-        for _ in range(LINE_RESAMPLE_CAP):
-            u, v = _sample_chart_line(params, rng, coeff_range)
-            probe = discriminant_on_line(matrix, u, v)
-            if not probe.identically_zero:
-                break
-            c_resampled += 1
-        else:
-            failures.append({"check": "chart_line_resample_exhausted", "index": i})
-            c_samples.append({"degree": -1, "squarefree": None})
-            continue
-        n_sqfree += bool(probe.squarefree)
-        if not probe.squarefree:
-            failures.append({
-                "check": "chart_line_squarefree", "index": i,
-                "point": list(u), "direction": list(v), "degree": probe.degree,
-            })
-        c_samples.append({"degree": probe.degree, "squarefree": probe.squarefree})
+    def probe_lines(sampler, count, kind, check, passes):
+        # draw count lines, redrawing each up to LINE_RESAMPLE_CAP times
+        # while det S vanishes on it identically
+        samples = []
+        n_ok = resampled = 0
+        for i in range(count):
+            for _ in range(LINE_RESAMPLE_CAP):
+                u, v = sampler(params, rng, coeff_range)
+                probe = discriminant_on_line(matrix, u, v)
+                if not probe.identically_zero:
+                    break
+                resampled += 1
+            else:
+                failures.append({"check": f"{kind}_resample_exhausted", "index": i})
+                samples.append({"degree": -1, "squarefree": None})
+                continue
+            ok = passes(probe)
+            n_ok += ok
+            if not ok:
+                failures.append({
+                    "check": f"{kind}_{check}", "index": i,
+                    "point": list(u), "direction": list(v), "degree": probe.degree,
+                })
+            samples.append({"degree": probe.degree, "squarefree": probe.squarefree})
+        return n_ok, resampled, samples
 
+    # chart lines: det S restricted to a general line stays squarefree
+    n_sqfree, c_resampled, c_samples = probe_lines(
+        _sample_chart_line, n_samples, "chart_line", "squarefree",
+        lambda probe: bool(probe.squarefree))
     # fiber lines: the restriction of det S to a fiber is a sextic
-    f_samples = []
-    n_deg6 = f_resampled = 0
     n_fiber_lines = max(1, n_samples // 5)
-    for i in range(n_fiber_lines):
-        probe = None
-        for _ in range(LINE_RESAMPLE_CAP):
-            u, v = _sample_fiber_line(params, rng, coeff_range)
-            probe = discriminant_on_line(matrix, u, v)
-            if not probe.identically_zero:
-                break
-            f_resampled += 1
-        else:
-            failures.append({"check": "fiber_line_resample_exhausted", "index": i})
-            f_samples.append({"degree": -1, "squarefree": None})
-            continue
-        ok = probe.degree == 6
-        n_deg6 += ok
-        if not ok:
-            failures.append({
-                "check": "fiber_line_degree", "index": i,
-                "point": list(u), "direction": list(v), "degree": probe.degree,
-            })
-        f_samples.append({"degree": probe.degree, "squarefree": probe.squarefree})
+    n_deg6, f_resampled, f_samples = probe_lines(
+        _sample_fiber_line, n_fiber_lines, "fiber_line", "degree",
+        lambda probe: probe.degree == 6)
 
     passed = not failures
 

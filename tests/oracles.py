@@ -5,13 +5,24 @@ shortcuts: counting walks the exponent lattice recursively instead of
 using binomial closed forms, ranks come from textbook fraction Gaussian
 elimination instead of fraction-free elimination, symmetric functions are
 built from their recursion, polynomial values are summed term by term
-instead of through the compiled evaluation plan, and the chart gradient is
-assembled from naive differentiate-then-evaluate calls at the rescaled
-point instead of the integer-weighted fast path.
+instead of through the compiled evaluation plan, lines are restricted by
+binomial expansion, the chart gradient is assembled from naive
+differentiate-then-evaluate calls at the rescaled point instead of the
+integer-weighted fast path, the boundary identity is checked on the
+quadratic form F = z^T S z in a ring extended by the fiber coordinates,
+and nefness comes from pairings with curves instead of cone membership.
+
+The polynomial helpers at the end (generators, lifting, serialization)
+exist only for the tests.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
+
+from fanoconic.coxring import y_indices
+from fanoconic.picard import ELL_F, ELL_V, pair
+from fanoconic.polynomial import Poly, PolyRing, u_add, u_mul, u_trim
 
 
 # -- monomial counting and enumeration --------------------------------------
@@ -87,6 +98,14 @@ def eval_gradient_terms(poly, values):
     return [eval_terms(poly.diff(i), values) for i in range(poly.ring.n)]
 
 
+# -- nefness ----------------------------------------------------------------
+
+
+def nef_by_duality(cls_, params) -> bool:
+    """Nefness via intersection numbers, the oracle side of the cone test."""
+    return pair(cls_, ELL_F) >= 0 and pair(cls_, ELL_V) >= 0
+
+
 # -- linear algebra ---------------------------------------------------------
 
 
@@ -137,12 +156,18 @@ def elementary_symmetric(k: int, values: tuple) -> int:
 # -- chart gradient ---------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _partials(poly):
+    return tuple(poly.diff(v) for v in range(poly.ring.n))
+
+
 def chart_gradient(matrix, point, z):
     """(on_fibration, gradient_nonzero) by rescaling into the chart.
 
     The point is moved to the x_{j*} = 1, y0 = 1 representative with
     Fraction arithmetic, z to its z_{k*} = 1 representative, and every
-    partial derivative is taken the slow way: Poly.diff then eval.
+    partial derivative is taken the slow way: Poly.diff then eval.  The
+    partials of each entry are computed once and reused across calls.
     """
     params = matrix.params
     xs, ys = point.x, point.y
@@ -164,12 +189,13 @@ def chart_gradient(matrix, point, z):
     vals = {name: entries[name].eval(coords) for name in entries}
     value = sum(vals[name] * w for name, w in weights.items())
 
+    partials = {name: _partials(poly) for name, poly in entries.items()}
     grads = []
     ncox = params.n_x + 3
     for v in range(ncox):
         if v == jx or v == params.n_x:
             continue
-        grads.append(sum(entries[name].diff(v).eval(coords) * w
+        grads.append(sum(partials[name][v].eval(coords) * w
                          for name, w in weights.items()))
     zgrad = [
         2 * (vals["s1"] * zn[0] + vals["s2"] * zn[1] + vals["lam1"] * zn[2]),
@@ -178,3 +204,124 @@ def chart_gradient(matrix, point, z):
     ]
     grads += [zgrad[k] for k in range(3) if k != kz]
     return value == 0, any(g != 0 for g in grads)
+
+
+# -- the boundary identity on the quadratic form ----------------------------
+
+
+@lru_cache(maxsize=None)
+def _conic_ring(m: int) -> PolyRing:
+    names = [f"x{i}" for i in range(3 * m + 1)] + ["y0", "y1", "y2", "z0", "z1", "z2"]
+    return PolyRing(names)
+
+
+def conic_ring(params) -> PolyRing:
+    """Cox ring of Y extended by the fiber coordinates z0, z1, z2."""
+    return _conic_ring(params.m)
+
+
+def quadratic_form(matrix) -> Poly:
+    """F = z^T S z in the extended ring."""
+    ring = conic_ring(matrix.params)
+    z = [ring.var(f"z{k}") for k in range(3)]
+    e = {name: lift(poly, ring) for name, poly in matrix.named_entries()}
+    rows = ((e["s1"], e["s2"], e["lam1"]),
+            (e["s2"], e["s3"], e["lam2"]),
+            (e["lam1"], e["lam2"], e["sigma"]))
+    F = ring.zero()
+    for i in range(3):
+        for j in range(i, 3):
+            F = F + (1 if i == j else 2) * rows[i][j] * z[i] * z[j]
+    return F
+
+
+def boundary_identity_by_form(matrix) -> str:
+    """dF|_W = sigma'(z0^2 dy1 + z1(2 z0 + z1) dy2), checked by
+    differentiating F in every one of its variables and restricting each
+    partial to W = {y1 = y2 = z2 = 0}."""
+    if matrix.sigma_prime is None:
+        return "SKIPPED"
+    ring = conic_ring(matrix.params)
+    _, iy1, iy2 = y_indices(matrix.params)
+    iz0, iz1, iz2 = ring.n - 3, ring.n - 2, ring.n - 1
+    F = quadratic_form(matrix)
+    wall = {iy1: 0, iy2: 0, iz2: 0}
+    sp = lift(matrix.sigma_prime.subs({iy1: 0, iy2: 0}), ring)
+    z0, z1 = ring.var(iz0), ring.var(iz1)
+    expected = {iy1: sp * z0 * z0, iy2: sp * z1 * (2 * z0 + z1)}
+    for v in range(ring.n):
+        if F.diff(v).subs(wall) != expected.get(v, ring.zero()):
+            return "FAIL"
+    return "PASS"
+
+
+# -- polynomial helpers -----------------------------------------------------
+
+
+def gens(ring) -> tuple:
+    return tuple(ring.var(i) for i in range(ring.n))
+
+
+def lift(poly, big) -> Poly:
+    """Reinterpret poly in a ring whose names start with poly's ring names."""
+    if big.names[: poly.ring.n] != poly.ring.names:
+        raise ValueError("target ring does not extend this ring")
+    pad = (0,) * (big.n - poly.ring.n)
+    return Poly(big, {exps + pad: c for exps, c in poly.terms.items()})
+
+
+def to_pairs(poly) -> list:
+    """Canonical serialization: (coefficient, exponent list) pairs.
+
+    Sorted by exponent tuple.  Fraction coefficients come out as "p/q"
+    strings so the result is JSON safe; ints stay ints.
+    """
+    out = []
+    for exps in sorted(poly.terms):
+        c = poly.terms[exps]
+        if isinstance(c, Fraction):
+            c = int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+        out.append((c, list(exps)))
+    return out
+
+
+def from_pairs(ring, pairs) -> Poly:
+    """Inverse of to_pairs."""
+    terms = {}
+    for coeff, exps in pairs:
+        if isinstance(coeff, str):
+            coeff = Fraction(coeff)
+        exps = tuple(exps)
+        if len(exps) != ring.n:
+            raise ValueError("exponent tuple has wrong length")
+        terms[exps] = terms.get(exps, 0) + coeff
+    return Poly(ring, {e: c for e, c in terms.items() if c != 0})
+
+
+def _linear_power(a, b, e: int) -> list:
+    # (a + b t)^e by the binomial theorem
+    return [comb(e, k) * a ** (e - k) * b ** k for k in range(e + 1)]
+
+
+def restrict_line(poly, point, direction) -> list:
+    """Coefficients of poly(point + t*direction) as a univariate in t.
+
+    Ascending order, trailing zeros trimmed; [] is the zero polynomial.
+    """
+    if len(point) != poly.ring.n or len(direction) != poly.ring.n:
+        raise ValueError("wrong number of coordinates")
+    cache = {}
+    out = [0]
+    for exps, c in poly.terms.items():
+        term = [c]
+        for i, e in enumerate(exps):
+            if not e:
+                continue
+            f = cache.get((i, e))
+            if f is None:
+                f = cache[(i, e)] = _linear_power(point[i], direction[i], e)
+            term = u_mul(term, f)
+            if not any(term):
+                break
+        out = u_add(out, term)
+    return u_trim(out)

@@ -13,12 +13,13 @@ from fanoconic.cones import (
     cross,
     effective_cone,
     movable_cone,
-    nef_by_duality,
     nef_cone,
     primitive_ray,
 )
 from fanoconic.coxring import generator_degrees, is_effective
 from fanoconic.picard import ConstructionParams, DivisorClassY, anticanonical_class
+
+from .oracles import nef_by_duality
 
 M2 = ConstructionParams(2)
 

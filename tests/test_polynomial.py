@@ -18,10 +18,18 @@ from fanoconic.polynomial import (
     u_trim,
 )
 
-from .oracles import eval_gradient_terms, eval_terms
+from .oracles import (
+    eval_gradient_terms,
+    eval_terms,
+    from_pairs,
+    gens,
+    lift,
+    restrict_line,
+    to_pairs,
+)
 
 R3 = PolyRing(["x", "y", "z"])
-X, Y, Z = R3.gens()
+X, Y, Z = gens(R3)
 
 
 # -- ring construction ------------------------------------------------------
@@ -175,7 +183,7 @@ def test_eval_edge_polynomials(p, pt):
 @settings(max_examples=100, deadline=None)
 @given(small_poly, point3, point3)
 def test_restrict_line_matches_eval(p, pt, direction):
-    coeffs = p.restrict_line(pt, direction)
+    coeffs = restrict_line(p, pt, direction)
     for t in (-2, -1, 0, 1, 3):
         expected = p.eval(tuple(a + t * b for a, b in zip(pt, direction)))
         assert sum(c * t**k for k, c in enumerate(coeffs)) == expected
@@ -183,27 +191,27 @@ def test_restrict_line_matches_eval(p, pt, direction):
 
 def test_restrict_line_validates_lengths():
     with pytest.raises(ValueError):
-        X.restrict_line((1, 2), (0, 1, 0))
+        restrict_line(X, (1, 2), (0, 1, 0))
 
 
-# -- lift and serialization -------------------------------------------------
+# -- test-only helpers: lift and serialization ------------------------------
 
 
 def test_lift():
     big = PolyRing(["x", "y", "z", "w"])
     p = (X + Y) ** 2
-    lifted = p.lift(big)
+    lifted = lift(p, big)
     assert lifted.ring is big
     assert lifted.eval((1, 2, 9, 9)) == 9
     with pytest.raises(ValueError):
-        p.lift(PolyRing(["a", "x", "y"]))
+        lift(p, PolyRing(["a", "x", "y"]))
 
 
 def test_to_pairs_round_trip():
     p = Fraction(1, 3) * X - 2 * Y * Z + 7
-    pairs = p.to_pairs()
+    pairs = to_pairs(p)
     assert ("1/3", [1, 0, 0]) in pairs
-    assert R3.from_pairs(pairs) == p
+    assert from_pairs(R3, pairs) == p
 
 
 def test_str():

@@ -1,0 +1,48 @@
+"""The public API: every exported name is package code, and the helpers
+that only the tests use live in tests/oracles.py, not in the package."""
+
+import inspect
+import os
+
+import pytest
+
+import fanoconic
+from fanoconic import cones, polynomial, verifier
+
+PACKAGE_DIR = os.path.dirname(os.path.abspath(fanoconic.__file__))
+
+# (owner, attribute) of each helper that moved to tests/oracles.py
+MOVED = [
+    (polynomial.Poly, "restrict_line"),
+    (polynomial.Poly, "lift"),
+    (polynomial.Poly, "to_pairs"),
+    (polynomial.PolyRing, "from_pairs"),
+    (polynomial.PolyRing, "gens"),
+    (polynomial.PolyRing, "_vars"),
+    (polynomial, "_linear_power"),
+    (cones, "nef_by_duality"),
+    (verifier, "conic_ring"),
+    (verifier, "_conic_ring"),
+    (verifier.ConicMatrix, "quadratic_form"),
+    (verifier.ConicMatrix, "rows"),
+]
+
+
+def test_all_names_are_unique():
+    assert len(set(fanoconic.__all__)) == len(fanoconic.__all__)
+
+
+@pytest.mark.parametrize("name", fanoconic.__all__)
+def test_exported_name_is_defined_in_the_package(name):
+    obj = getattr(fanoconic, name)
+    if not (inspect.isclass(obj) or inspect.isfunction(obj)):
+        obj = type(obj)
+    source = os.path.abspath(inspect.getsourcefile(obj))
+    assert os.path.dirname(source) == PACKAGE_DIR, (name, source)
+
+
+@pytest.mark.parametrize("owner, attr", MOVED,
+                         ids=[f"{getattr(o, '__name__', o)}.{a}" for o, a in MOVED])
+def test_moved_helper_is_gone(owner, attr):
+    assert not hasattr(owner, attr)
+    assert attr not in fanoconic.__all__

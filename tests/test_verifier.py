@@ -21,7 +21,6 @@ from fanoconic.verifier import (
     boundary_identity_verdict,
     check_smooth_at_V_point,
     check_smooth_at_node,
-    conic_ring,
     diagnose_conic,
     discriminant_on_line,
     fiber_at,
@@ -35,10 +34,18 @@ from fanoconic.verifier import (
     _line_degree_bound,
     _nodes,
     _sample_chart_line,
+    _s_rows,
     _section_draws,
 )
 
-from .oracles import chart_gradient, eval_terms
+from .oracles import (
+    boundary_identity_by_form,
+    chart_gradient,
+    conic_ring,
+    eval_terms,
+    quadratic_form,
+    restrict_line,
+)
 
 M2 = ConstructionParams(2)
 
@@ -151,7 +158,7 @@ def test_default_matrix_shape(default_matrix):
     n_lam = count_sections(DivisorClassY(2, -2), M2)
     assert len(default_matrix.lam1) == n_lam == 2828
     assert len(default_matrix.lam2) == n_lam
-    rows = default_matrix.rows()
+    rows = _s_rows(*(poly for _, poly in default_matrix.named_entries()))
     for i in range(3):
         for j in range(3):
             assert rows[i][j] == rows[j][i]
@@ -199,7 +206,7 @@ def test_perturbed_s_block_is_drawn_independently(perturbed_matrix):
 
 def test_quadratic_form_evaluates_like_matrix(default_matrix):
     rng = random.Random(1)
-    F = default_matrix.quadratic_form
+    F = quadratic_form(default_matrix)
     for _ in range(4):
         p = sample_generic_point(M2, rng, coeff_range=9)
         z = (rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3))
@@ -216,7 +223,7 @@ def test_form_restricted_to_V_is_sigma_z2_squared(
 ):
     matrix = perturbed_matrix if perturb else default_matrix
     ring = conic_ring(M2)
-    restricted = matrix.quadratic_form.subs({"y1": 0, "y2": 0})
+    restricted = quadratic_form(matrix).subs({"y1": 0, "y2": 0})
     assert restricted == ring.var("y0") ** 2 * ring.var("z2") ** 2
 
 
@@ -372,6 +379,17 @@ def test_audit_matches_rescaling_oracle(default_matrix, perturbed_matrix):
         assert _audit_gradient(matrix, p, z) == chart_gradient(matrix, p, z)
 
 
+def test_audit_counts_the_fiber_direction_gradient():
+    # s2 = y0 y2 is the only nonzero entry: at z = (1, 0, 0) the form and
+    # all its Cox-ring partials vanish, and only dF/dz1 = 2 s2 z0 is nonzero
+    ring = cox_ring(M2)
+    z = ring.zero()
+    matrix = ConicMatrix(M2, z, ring.var("y0") * ring.var("y2"), z, z, z, z)
+    p = CoxPointY((1,) * 7, (1, 1, 1))
+    assert _audit_gradient(matrix, p, (1, 0, 0)) == \
+        chart_gradient(matrix, p, (1, 0, 0)) == (True, True)
+
+
 def test_audit_batched_evals_match_fresh(default_matrix):
     rng = random.Random(13)
     p = sample_v_point(M2, rng, coeff_range=25)
@@ -405,6 +423,53 @@ def test_boundary_identity_fails_on_broken_shape():
         M2, y0 * y1, z, z, z, z, y0 * y0, sigma_prime=y0
     )
     assert boundary_identity_verdict(matrix) == "FAIL"
+
+
+def _boundary_variants():
+    # the grading already makes s1, s2, s3, lam1 and lam2 vanish on V and
+    # leaves the y-partials of the s-block as multiples of y0 there, so what
+    # can break the identity is a wrong multiple; each variant changes one
+    # entry, or sigma', of the default shape
+    ring = cox_ring(M2)
+    x0, x1 = ring.var("x0"), ring.var("x1")
+    y0, y1, y2 = ring.var("y0"), ring.var("y1"), ring.var("y2")
+    z = ring.zero()
+    good = dict(s1=y0 * y1, s2=y0 * y2, s3=y0 * y2, lam1=z, lam2=z,
+                sigma=y0 * y0, sigma_prime=y0)
+    x4 = x0 ** 4
+    variants = {
+        "default": {},
+        "s1 has a dy2 term": {"s1": y0 * y1 + y0 * y2},
+        "s2 has a dy1 term": {"s2": y0 * y2 - y0 * y1},
+        "s3 scaled": {"s3": 2 * y0 * y2},
+        "sigma prime scaled": {"sigma_prime": 3 * y0},
+        "s block second order": {"s1": y0 * y1 + x4 * y1 * y1,
+                                 "s3": y0 * y2 + x4 * y1 * y2},
+        "lam block": {"lam1": x0 * x0 * y0 * y1, "lam2": x1 * x1 * y0 * y2},
+        "sigma": {"sigma": 5 * y0 * y0 + x4 * x1 ** 4 * y1 * y2},
+    }
+    names = ("s1", "s2", "s3", "lam1", "lam2", "sigma")
+    for label, change in variants.items():
+        e = dict(good, **change)
+        yield label, ConicMatrix(M2, *(e[n] for n in names),
+                                 sigma_prime=e["sigma_prime"])
+
+
+@pytest.mark.parametrize("label", [label for label, _ in _boundary_variants()])
+def test_boundary_identity_matches_form_oracle(label):
+    matrix = dict(_boundary_variants())[label]
+    verdict = boundary_identity_verdict(matrix)
+    assert verdict == boundary_identity_by_form(matrix)
+    assert (verdict == "PASS") == (label in {
+        "default", "s block second order", "lam block", "sigma"})
+
+
+@pytest.mark.parametrize("seed", [5, 7, 42])
+@pytest.mark.parametrize("perturb", [False, True])
+def test_drawn_boundary_identity_matches_form_oracle(seed, perturb):
+    matrix = instantiate_sections(M2, seed=seed, coeff_range=9, perturb=perturb)
+    assert boundary_identity_verdict(matrix) == boundary_identity_by_form(matrix) \
+        == "PASS"
 
 
 # -- line probes ------------------------------------------------------------
@@ -464,7 +529,7 @@ def _direct_restriction(matrix, point, direction):
     # restrict each entry to the line first, then expand the symmetric
     # determinant at the univariate level; doing det3 on the full polynomial
     # matrix would square the perturbed sigma before ever restricting
-    e = {name: poly.restrict_line(point, direction)
+    e = {name: restrict_line(poly, point, direction)
          for name, poly in matrix.named_entries()}
 
     def mul3(a, b, c):
