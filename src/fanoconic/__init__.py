@@ -19,7 +19,7 @@ from .picard import (
     parse_divisor_class,
     standard_classes,
 )
-from .chow import ChowRing, SplitBundleOnP, bundle_of_G, bundle_of_Y
+from .chow import SplitBundleOnP, bundle_of_G, bundle_of_Y
 from .coxring import (
     BaseLocusResult,
     CoxGrading,
@@ -73,7 +73,6 @@ __all__ = [
     "ELL_V",
     "BaseLocusResult",
     "ChamberDecomposition",
-    "ChowRing",
     "Cone2D",
     "ConicMatrix",
     "ConstructionParams",

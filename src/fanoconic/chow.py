@@ -1,15 +1,14 @@
-"""Chow ring arithmetic for split projective bundles over projective space.
+"""Top intersection numbers on split projective bundles over projective space.
 
 For a bundle P(O(t_1) + ... + O(t_r)) -> P^n in the hyperplane-class
-convention, the Chow ring is generated by the base hyperplane class H and
-the tautological class D, subject to H^{n+1} = 0 and the tautological
-relation
+convention, with H the pulled-back hyperplane class and D the tautological
+class, every top intersection number is a Segre degree:
 
-    sum_{k=0}^{r} (-1)^k c_k D^{r-k} = 0,    c_k = e_k(t_1..t_r) H^k,
+    deg(D^{r-1+i} H^{n-i}) = h_i(t_1, ..., t_r),    0 <= i <= n,
 
-with e_k the elementary symmetric polynomials.  Elements are reduced to the
-normal form span{ H^i D^j : i <= n, j <= r-1 } by eliminating the highest
-D power first; the degree map is normalized by deg(H^n D^{r-1}) = 1.
+with h_i the complete homogeneous symmetric polynomial (Fulton,
+Intersection Theory, 3.1-3.2), and D^j H^{n+r-1-j} has degree 0 for
+j < r - 1.
 
 The base family Y_m is the case n = 3m, twists (0, 2m, 2m); the divisors
 G_i inside it are the rank-2 case with twists (0, 2m).
@@ -18,10 +17,8 @@ G_i inside it are the rank-2 case with twists (0, 2m).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import prod
 
-from .picard import ConstructionParams, DivisorClassY
+from .picard import ConstructionParams
 
 
 @dataclass(frozen=True)
@@ -39,9 +36,6 @@ class SplitBundleOnP:
     def rank(self) -> int:
         return len(self.twists)
 
-    def elementary_symmetric(self, k: int) -> int:
-        return sum(prod(c) for c in combinations(self.twists, k))
-
 
 def bundle_of_Y(params: ConstructionParams) -> SplitBundleOnP:
     """The defining bundle O + O(2m) + O(2m) of the base family."""
@@ -53,190 +47,30 @@ def bundle_of_G(params: ConstructionParams) -> SplitBundleOnP:
     return SplitBundleOnP((0, params.twist))
 
 
-class ChowRing:
-    """Reduced Chow ring of one split projective bundle."""
+def intersection_number(n_base: int, bundle: SplitBundleOnP, factors: dict) -> int:
+    """deg of the product of cls^e over {cls: e} on P(bundle) -> P^{n_base}.
 
-    def __init__(self, n_base: int, bundle: SplitBundleOnP):
-        if n_base < 1:
-            raise ValueError("base dimension must be positive")
-        self.n_base = n_base
-        self.bundle = bundle
-        self.rank = bundle.rank
-        self._e = [bundle.elementary_symmetric(k) for k in range(self.rank + 1)]
-
-    @classmethod
-    def of_Y(cls, params: ConstructionParams) -> "ChowRing":
-        return cls(params.n_base, bundle_of_Y(params))
-
-    @property
-    def top_dimension(self) -> int:
-        return self.n_base + self.rank - 1
-
-    # -- element construction ----------------------------------------------
-
-    def element(self, coeffs: dict) -> "ChowElement":
-        """Element from {(i, j): c} meaning sum c * H^i D^j, then reduced."""
-        return ChowElement(self, self._reduce(coeffs))
-
-    def zero(self) -> "ChowElement":
-        return ChowElement(self, {})
-
-    def one(self) -> "ChowElement":
-        return self.element({(0, 0): 1})
-
-    def H(self, power: int = 1) -> "ChowElement":
-        return self.element({(power, 0): 1})
-
-    def D(self, power: int = 1) -> "ChowElement":
-        return self.element({(0, power): 1})
-
-    def monomial(self, i: int, j: int, c: int = 1) -> "ChowElement":
-        return self.element({(i, j): c})
-
-    def from_divisor(self, cls_: DivisorClassY) -> "ChowElement":
-        return self.element({(0, 1): cls_.a, (1, 0): cls_.b})
-
-    # -- the relation -------------------------------------------------------
-
-    def grothendieck_relation(self) -> "ChowElement":
-        """The reduced form of D^rank, i.e. the tautological relation solved
-        for its leading term."""
-        return self.D(self.rank)
-
-    def chern_classes(self) -> list["ChowElement"]:
-        """[c_0, ..., c_r] of the bundle, as classes pulled back upstairs."""
-        return [self.monomial(k, 0, self._e[k]) for k in range(self.rank + 1)]
-
-    def _reduce(self, coeffs: dict) -> dict:
-        n, r = self.n_base, self.rank
-        out: dict = {}
-        stack = list(coeffs.items())
-        while stack:
-            (i, j), c = stack.pop()
-            if not c or i > n:
-                continue
-            if j < r:
-                key = (i, j)
-                out[key] = out.get(key, 0) + c
-                continue
-            # D^j = sum_{k=1}^{r} (-1)^{k+1} e_k H^k D^{j-k}
-            for k in range(1, r + 1):
-                if self._e[k]:
-                    sign = 1 if k % 2 else -1
-                    stack.append(((i + k, j - k), sign * c * self._e[k]))
-        return {key: c for key, c in out.items() if c}
-
-    # -- the degree map ------------------------------------------------------
-
-    def degree(self, e: "ChowElement") -> int:
-        """Top intersection number, normalized by deg(H^n D^{r-1}) = 1.
-
-        The element must be homogeneous of top degree; zero is accepted and
-        maps to 0.
-        """
-        if e.ring is not self and e.ring.key() != self.key():
-            raise ValueError("element of a different ring")
-        if not e.coeffs:
-            return 0
-        top = self.top_dimension
-        if any(i + j != top for i, j in e.coeffs):
-            raise ValueError("degree needs a homogeneous top-degree element")
-        return e.coeffs.get((self.n_base, self.rank - 1), 0)
-
-    def key(self):
-        return (self.n_base, self.bundle.twists)
-
-    def __eq__(self, other):
-        return isinstance(other, ChowRing) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return f"ChowRing(P^{self.n_base}, twists={self.bundle.twists})"
-
-
-class ChowElement:
-    """Reduced element, coeffs = {(H exponent, D exponent): int}."""
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: ChowRing, coeffs: dict):
-        self.ring = ring
-        self.coeffs = dict(coeffs)
-
-    def _check(self, other: "ChowElement"):
-        if self.ring.key() != other.ring.key():
-            raise ValueError("elements of different Chow rings")
-
-    def __add__(self, other: "ChowElement") -> "ChowElement":
-        self._check(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0) + c
-        return ChowElement(self.ring, {k: c for k, c in out.items() if c})
-
-    def __neg__(self):
-        return ChowElement(self.ring, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return ChowElement(
-                self.ring, {k: c * other for k, c in self.coeffs.items() if c * other}
-            )
-        self._check(other)
-        raw: dict = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                key = (i1 + i2, j1 + j2)
-                raw[key] = raw.get(key, 0) + c1 * c2
-        return self.ring.element(raw)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = self.ring.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, ChowElement):
-            return NotImplemented
-        return self.ring.key() == other.ring.key() and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.ring.key(), frozenset(self.coeffs.items())))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        chunks = []
-        for i, j in sorted(self.coeffs):
-            c = self.coeffs[(i, j)]
-            factors = []
-            if i:
-                factors.append("H" if i == 1 else f"H^{i}")
-            if j:
-                factors.append("D" if j == 1 else f"D^{j}")
-            mono = "*".join(factors)
-            if not mono:
-                chunks.append(str(c))
-            elif c == 1:
-                chunks.append(mono)
-            elif c == -1:
-                chunks.append(f"-{mono}")
-            else:
-                chunks.append(f"{c}*{mono}")
-        return " + ".join(chunks).replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"<ChowElement {self}>"
+    Each class aD + bH is multiplied out as a polynomial in D, the H power
+    being fixed by the degree; classes with a = 0 only scale the result, so
+    the cost does not grow with the power of H.
+    """
+    rank = bundle.rank
+    exponents = factors.values()
+    if sum(exponents) != n_base + rank - 1 or min(exponents, default=0) < 0:
+        raise ValueError("the factors must be a product of top degree")
+    scale = 1
+    coeffs = [1]  # coeffs[j] multiplies D^j
+    for cls_, e in factors.items():
+        if cls_.a == 0:
+            scale *= cls_.b**e
+            continue
+        for _ in range(e):
+            coeffs = [cls_.a * lo + cls_.b * hi
+                      for lo, hi in zip([0] + coeffs, coeffs + [0])]
+    # segre[i] = h_i(twists): multiply out the series prod 1 / (1 - t x)
+    segre = [1] + [0] * (len(coeffs) - rank)
+    for t in bundle.twists:
+        for i in range(1, len(segre)):
+            segre[i] += t * segre[i - 1]
+    return scale * sum(c * segre[j - rank + 1]
+                       for j, c in enumerate(coeffs) if j >= rank - 1)

@@ -18,18 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chow import SplitBundleOnP, bundle_of_G, bundle_of_Y
+from .chow import SplitBundleOnP, bundle_of_G, bundle_of_Y, intersection_number
 from .cones import chamber_decomposition, classify, effective_cone, movable_cone, nef_cone
 from .coxring import base_locus, generator_degrees, is_effective
-from .picard import (
-    ConstructionParams,
-    DivisorClassY,
-    ELL_F,
-    ELL_V,
-    anticanonical_class,
-    pair,
-    standard_classes,
-)
+from .picard import ConstructionParams, DivisorClassY, anticanonical_class, standard_classes
 
 
 @dataclass(frozen=True)
@@ -290,6 +282,14 @@ def build_certificate(params: ConstructionParams) -> ExampleCertificate:
 
     checks: list[CheckRecord] = []
 
+    # a line in a fiber is D H^{3m}; a line in V = G_1 G_2 is G^2 H^{3m-1}
+    ell_f = {d_cls: 1, h_cls: params.n_base}
+    ell_v = {g_cls: 2, h_cls: params.n_base - 1}
+
+    def dot(cls_, cycle):
+        factors = {**cycle, cls_: cycle.get(cls_, 0) + 1}
+        return intersection_number(params.n_base, bundle_of_Y(params), factors)
+
     def chk(name, expected, computed):
         checks.append(CheckRecord(name, expected, computed, expected == computed))
 
@@ -299,8 +299,8 @@ def build_certificate(params: ConstructionParams) -> ExampleCertificate:
         str(antiK_Y),
         str(antiK_of_projectivization_over_base(params, bundle_of_Y(params))),
     )
-    chk("antiK_Y_dot_ell_V", 1 - m, pair(antiK_Y, ELL_V))
-    chk("antiK_Y_dot_ell_f", 3, pair(antiK_Y, ELL_F))
+    chk("antiK_Y_dot_ell_V", 1 - m, dot(antiK_Y, ell_v))
+    chk("antiK_Y_dot_ell_f", 3, dot(antiK_Y, ell_f))
     flags = classify(antiK_Y, params).as_dict()
     flags.pop("class")
     chk(
@@ -377,8 +377,8 @@ def build_certificate(params: ConstructionParams) -> ExampleCertificate:
     chk("discriminant_class", str(delta), str(delta_computed))
     chk("discriminant_equals_twice_3D_minus_2mH", True,
         delta_computed == 2 * DivisorClassY(3, -t))
-    chk("discriminant_dot_ell_V", -2 * t, pair(delta_computed, ELL_V))
-    chk("discriminant_dot_ell_f", 6, pair(delta_computed, ELL_F))
+    chk("discriminant_dot_ell_V", -2 * t, dot(delta_computed, ell_v))
+    chk("discriminant_dot_ell_f", 6, dot(delta_computed, ell_f))
     chk(
         "discriminant_effective_both_tests",
         True,

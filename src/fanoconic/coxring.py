@@ -94,7 +94,10 @@ def is_effective(cls_: DivisorClassY, params: ConstructionParams) -> bool:
     return cls_.a >= 0 and cls_.b + params.twist * cls_.a >= 0
 
 
-def count_sections(cls_: DivisorClassY, params: ConstructionParams) -> int:
+def count_sections(cls_: DivisorClassY, params: ConstructionParams,
+                   limit: int | None = None) -> int:
+    """h^0 of the class.  With a limit, each binomial stops growing once it
+    passes the limit, so a result above the limit is only a lower bound."""
     a, b = cls_.a, cls_.b
     if a < 0:
         return 0
@@ -103,8 +106,21 @@ def count_sections(cls_: DivisorClassY, params: ConstructionParams) -> int:
     for s in range(a + 1):
         d = b + params.twist * s
         if d >= 0:
-            total += (s + 1) * comb(d + n, n)
+            total += (s + 1) * (comb(d + n, n) if limit is None
+                                else _capped_comb(d + n, n, limit))
     return total
+
+
+def _capped_comb(n: int, k: int, cap: int) -> int:
+    """C(n, k) if it is at most cap, else some integer above cap, within
+    log2(cap) + 1 steps: the value after i steps is C(n - k + i, i) >= 2^i."""
+    k = min(k, n - k)
+    c = 1
+    for i in range(1, k + 1):
+        c = c * (n - k + i) // i
+        if c > cap:
+            break
+    return c
 
 
 def y_patterns(cls_: DivisorClassY, params: ConstructionParams, min_y_order: int = 0):

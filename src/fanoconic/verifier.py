@@ -60,7 +60,8 @@ LINE_RESAMPLE_CAP = 25
 
 # Sections are drawn dense, one coefficient per basis monomial.  A draw whose
 # bases add up to more monomials than this is refused before anything is
-# drawn: at m = 4 each lam entry alone would have 8.1 million terms.
+# drawn: at m = 4 each lam entry alone would have 8.1 million terms.  Each
+# count stops at the limit, so the refusal is immediate for every m.
 MAX_SECTION_TERMS = 1_000_000
 
 
@@ -216,11 +217,11 @@ def _section_draws(params, perturb):
 def _draw_matrix(params, rng, seed, coeff_range, perturb) -> ConicMatrix:
     """Draw the section matrix from rng; seed is only recorded on it."""
     draws = _section_draws(params, perturb)
-    size = sum(count_sections(cls_, params) for cls_, _ in draws)
+    size = sum(count_sections(cls_, params, limit=MAX_SECTION_TERMS) for cls_, _ in draws)
     if size > MAX_SECTION_TERMS:
         raise ValueError(
             f"the {'perturbed ' if perturb else ''}sections at m = {params.m} "
-            f"span {size} monomials, above the limit of {MAX_SECTION_TERMS}")
+            f"span above the limit of {MAX_SECTION_TERMS} monomials")
     ring = cox_ring(params)
     iy0, iy1, iy2 = y_indices(params)
     y0, y1, y2 = ring.var(iy0), ring.var(iy1), ring.var(iy2)

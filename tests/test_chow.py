@@ -1,11 +1,13 @@
-"""Chow ring arithmetic checked against independent symmetric-function
-recursions and the curve pairing."""
+"""Closed-form intersection numbers checked against independent
+symmetric-function recursions, the curve pairing and section counts."""
+
+import time
+from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from fanoconic.chow import ChowRing, SplitBundleOnP, bundle_of_G, bundle_of_Y
+from fanoconic.chow import SplitBundleOnP, bundle_of_G, bundle_of_Y, intersection_number
+from fanoconic.coxring import count_sections
 from fanoconic.picard import (
     ELL_F,
     ELL_V,
@@ -16,10 +18,22 @@ from fanoconic.picard import (
 
 from .oracles import complete_homogeneous, elementary_symmetric
 
+D = DivisorClassY(1, 0)
+H = DivisorClassY(0, 1)
+M2 = ConstructionParams(2)
 
-@pytest.fixture
-def ring2():
-    return ChowRing.of_Y(ConstructionParams(2))
+
+def pairing_classes(m):
+    return [DivisorClassY(a, b) for a, b in [(1, 0), (0, 1), (3, 1 - m), (2, -2 * m), (-5, 7)]]
+
+
+def monomial_degree(params, bundle, i, j):
+    """deg(H^i D^j) on P(bundle) over P^{3m}."""
+    return intersection_number(params.n_base, bundle, {H: i, D: j})
+
+
+def times(cls_, cycle):
+    return {**cycle, cls_: cycle.get(cls_, 0) + 1}
 
 
 def test_bundle_rejects_empty():
@@ -27,112 +41,104 @@ def test_bundle_rejects_empty():
         SplitBundleOnP(())
 
 
-def test_base_dimension_must_be_positive():
+def test_degree_rejects_wrong_dimension():
+    bundle = bundle_of_Y(M2)
     with pytest.raises(ValueError):
-        ChowRing(0, SplitBundleOnP((0, 2)))
+        intersection_number(6, bundle, {H: 1})
+    with pytest.raises(ValueError):
+        intersection_number(6, bundle, {H: 6, D: 3})
+    # the right total, but not from a product of divisors
+    with pytest.raises(ValueError):
+        intersection_number(6, bundle, {H: 10, D: -2})
+
+
+def test_degree_of_zero():
+    assert intersection_number(6, bundle_of_Y(M2), {DivisorClassY(0, 0): 1, D: 7}) == 0
+    # a zero class to the power 0 is the unit: D^8 = h_6(0, 4, 4) = 7 * 4^6
+    assert intersection_number(6, bundle_of_Y(M2), {DivisorClassY(0, 0): 0, D: 8}) == 28672
+
+
+def test_normalization():
+    for bundle in (bundle_of_Y(M2), bundle_of_G(M2)):
+        assert monomial_degree(M2, bundle, M2.n_base, bundle.rank - 1) == 1
+
+
+def test_base_hyperplane_truncates():
+    n = M2.n_base
+    bundle = bundle_of_Y(M2)
+    assert monomial_degree(M2, bundle, n + 1, 1) == 0
+    assert monomial_degree(M2, bundle, n + 2, 0) == 0
+    assert intersection_number(n, bundle, {H: n + 1, DivisorClassY(7, 3): 1}) == 0
+
+
+def test_grothendieck_relation_m2():
+    # twists (0, 4, 4): e_1 = 8, e_2 = 16, e_3 = 0, so D^3 = 8HD^2 - 16H^2D
+    # against every complementary monomial.
+    bundle = bundle_of_Y(M2)
+    for j in range(M2.n_base):
+        i = M2.n_base - 1 - j
+        assert monomial_degree(M2, bundle, i, 3 + j) == (
+            8 * monomial_degree(M2, bundle, i + 1, 2 + j)
+            - 16 * monomial_degree(M2, bundle, i + 2, 1 + j))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
-def test_elementary_symmetric_matches_oracle(m):
+def test_relation_annihilates_chern_alternating_sum(m):
+    # D^3 = e_1 H D^2 - e_2 H^2 D + e_3 H^3 with e_k from the oracle, at every
+    # degree: on Y it is the tautological relation, on G (e_3 = 0) it is D
+    # times the rank-2 one.
     params = ConstructionParams(m)
     for bundle in (bundle_of_Y(params), bundle_of_G(params)):
-        for k in range(bundle.rank + 1):
-            assert bundle.elementary_symmetric(k) == elementary_symmetric(
-                k, bundle.twists
-            )
+        e = [elementary_symmetric(k, bundle.twists) for k in range(4)]
+        top = params.n_base + bundle.rank - 1
+        for j in range(top - 2):
+            i = top - 3 - j
 
+            def deg(h, d):
+                return monomial_degree(params, bundle, i + h, j + d)
 
-def test_grothendieck_relation_m2(ring2):
-    # twists (0, 4, 4): e_1 = 8, e_2 = 16, e_3 = 0, so D^3 = 8HD^2 - 16H^2D.
-    expected = 8 * ring2.monomial(1, 2) - 16 * ring2.monomial(2, 1)
-    assert ring2.grothendieck_relation() == expected
-    assert (ring2.D(3) - expected).is_zero()
-
-
-@pytest.mark.parametrize("m", [2, 3])
-def test_relation_annihilates_chern_alternating_sum(m):
-    ring = ChowRing.of_Y(ConstructionParams(m))
-    cherns = ring.chern_classes()
-    total = ring.zero()
-    for k, ck in enumerate(cherns):
-        sign = 1 if k % 2 == 0 else -1
-        total = total + sign * (ck * ring.D(ring.rank - k))
-    assert total.is_zero()
-
-
-def test_base_hyperplane_truncates(ring2):
-    n = ring2.n_base
-    assert ring2.H(n + 1).is_zero()
-    assert ring2.element({(n + 5, 2): 7}).is_zero()
-    assert not ring2.H(n).is_zero()
-
-
-def test_normalization(ring2):
-    n, r = ring2.n_base, ring2.rank
-    assert ring2.degree(ring2.H(n) * ring2.D(r - 1)) == 1
+            assert deg(0, 3) == e[1] * deg(1, 2) - e[2] * deg(2, 1) + e[3] * deg(3, 0)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_segre_degrees_match_complete_homogeneous(m):
     params = ConstructionParams(m)
-    ring = ChowRing.of_Y(params)
     n = params.n_base
-    twists = bundle_of_Y(params).twists
+    bundle = bundle_of_Y(params)
     for k in range(n + 1):
-        value = ring.degree(ring.H(n - k) * ring.D(2 + k))
-        assert value == complete_homogeneous(k, twists)
+        value = monomial_degree(params, bundle, n - k, 2 + k)
+        assert value == complete_homogeneous(k, bundle.twists)
         assert value == (k + 1) * params.twist**k
 
 
-def test_segre_degrees_m2_spot_values(ring2):
-    assert ring2.degree(ring2.H(5) * ring2.D(3)) == 8
-    assert ring2.degree(ring2.H(4) * ring2.D(4)) == 48
-    assert ring2.degree(ring2.H(3) * ring2.D(5)) == 256
+def test_segre_degrees_m2_spot_values():
+    bundle = bundle_of_Y(M2)
+    assert monomial_degree(M2, bundle, 5, 3) == 8
+    assert monomial_degree(M2, bundle, 4, 4) == 48
+    assert monomial_degree(M2, bundle, 3, 5) == 256
+    assert intersection_number(6, bundle, {DivisorClassY(1, 1): 8}) == 131836
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4])
 def test_segre_degrees_on_divisor_bundle(m):
     params = ConstructionParams(m)
-    ring = ChowRing(params.n_base, bundle_of_G(params))
     n = params.n_base
+    bundle = bundle_of_G(params)
     for k in range(n + 1):
-        value = ring.degree(ring.H(n - k) * ring.D(1 + k))
-        assert value == complete_homogeneous(k, (0, params.twist))
+        value = monomial_degree(params, bundle, n - k, 1 + k)
+        assert value == complete_homogeneous(k, bundle.twists)
         assert value == params.twist**k
-
-
-def test_degree_rejects_inhomogeneous(ring2):
-    with pytest.raises(ValueError):
-        ring2.degree(ring2.one() + ring2.H())
-
-
-def test_degree_rejects_wrong_dimension(ring2):
-    with pytest.raises(ValueError):
-        ring2.degree(ring2.H())
-
-
-def test_degree_of_zero(ring2):
-    assert ring2.degree(ring2.zero()) == 0
-
-
-def test_mixed_ring_arithmetic_rejected(ring2):
-    other = ChowRing.of_Y(ConstructionParams(3))
-    with pytest.raises(ValueError):
-        ring2.H() + other.H()
-    with pytest.raises(ValueError):
-        ring2.degree(other.H(other.n_base) * other.D(2))
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_fiber_line_pairing_matches_curve_pairing(m):
     # A line in a fiber is H^n * D; intersecting with aD + bH picks out a.
     params = ConstructionParams(m)
-    ring = ChowRing.of_Y(params)
-    fiber_line = ring.H(params.n_base) * ring.D()
-    for a, b in [(1, 0), (0, 1), (3, 1 - m), (2, -2 * m), (-5, 7)]:
-        cls_ = DivisorClassY(a, b)
-        value = ring.degree(ring.from_divisor(cls_) * fiber_line)
-        assert value == pair(cls_, ELL_F) == a
+    fiber_line = {D: 1, H: params.n_base}
+    for cls_ in pairing_classes(m):
+        value = intersection_number(params.n_base, bundle_of_Y(params),
+                                    times(cls_, fiber_line))
+        assert value == pair(cls_, ELL_F) == cls_.a
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -140,59 +146,41 @@ def test_section_line_pairing_matches_curve_pairing(m):
     # The section V is cut by the two twisted coordinates, so its class is
     # (D - 2mH)^2 and a line inside it is (D - 2mH)^2 * H^{n-1}.
     params = ConstructionParams(m)
-    ring = ChowRing.of_Y(params)
-    v_class = ring.from_divisor(DivisorClassY(1, -params.twist)) ** 2
-    v_line = v_class * ring.H(params.n_base - 1)
-    for a, b in [(1, 0), (0, 1), (3, 1 - m), (2, -2 * m), (-5, 7)]:
-        cls_ = DivisorClassY(a, b)
-        value = ring.degree(ring.from_divisor(cls_) * v_line)
-        assert value == pair(cls_, ELL_V) == b
+    v_line = {DivisorClassY(1, -params.twist): 2, H: params.n_base - 1}
+    for cls_ in pairing_classes(m):
+        value = intersection_number(params.n_base, bundle_of_Y(params),
+                                    times(cls_, v_line))
+        assert value == pair(cls_, ELL_V) == cls_.b
 
 
-def test_anticanonical_against_section_line(ring2):
+def test_anticanonical_against_section_line():
     # -K = 3D - H at m = 2 meets a line of V in 1 - m = -1 points.
-    anti = ring2.from_divisor(DivisorClassY(3, -1))
-    v_line = ring2.from_divisor(DivisorClassY(1, -4)) ** 2 * ring2.H(5)
-    assert ring2.degree(anti * v_line) == -1
+    v_line = {DivisorClassY(1, -4): 2, H: 5, DivisorClassY(3, -1): 1}
+    assert intersection_number(6, bundle_of_Y(M2), v_line) == -1
 
 
-small_elements = st.dictionaries(
-    st.tuples(st.integers(0, 4), st.integers(0, 4)),
-    st.integers(-9, 9),
-    max_size=4,
-)
+def test_cost_does_not_grow_with_the_power_of_H():
+    params = ConstructionParams(100_000)
+    n, bundle = params.n_base, bundle_of_Y(params)
+    cls_ = DivisorClassY(3, 1 - params.m)
+    start = time.perf_counter()
+    on_f = intersection_number(n, bundle, times(cls_, {D: 1, H: n}))
+    on_v = intersection_number(n, bundle, times(cls_, {DivisorClassY(1, -params.twist): 2,
+                                                      H: n - 1}))
+    assert time.perf_counter() - start < 0.5
+    assert (on_f, on_v) == (3, 1 - params.m)
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_elements, small_elements)
-def test_multiplication_commutes(ca, cb):
-    ring = ChowRing.of_Y(ConstructionParams(2))
-    x, y = ring.element(ca), ring.element(cb)
-    assert x * y == y * x
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_elements, small_elements, small_elements)
-def test_multiplication_associates_and_distributes(ca, cb, cc):
-    ring = ChowRing.of_Y(ConstructionParams(2))
-    x, y, z = ring.element(ca), ring.element(cb), ring.element(cc)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_elements, st.integers(0, 3))
-def test_power_matches_repeated_product(coeffs, k):
-    ring = ChowRing.of_Y(ConstructionParams(2))
-    x = ring.element(coeffs)
-    expected = ring.one()
-    for _ in range(k):
-        expected = expected * x
-    assert x**k == expected
-
-
-def test_str_rendering(ring2):
-    e = ring2.element({(1, 2): 8, (2, 1): -16})
-    assert str(e) == "8*H*D^2 - 16*H^2*D"
-    assert str(ring2.zero()) == "0"
-    assert str(ring2.one()) == "1"
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("a, b", [(1, 0), (0, 1), (1, 1), (2, 1)])
+def test_top_power_matches_section_count_differences(m, a, b):
+    # For nef L on the toric Y, Demazure vanishing makes k -> h^0(kL) equal
+    # to chi(kL), a polynomial of degree <= N = 3m + 2 with leading
+    # coefficient L^N / N!, so its N-th finite difference is L^N.
+    params = ConstructionParams(m)
+    top = params.dim_Y
+    difference = sum(
+        (-1) ** (top - k) * comb(top, k) * count_sections(DivisorClassY(k * a, k * b), params)
+        for k in range(top + 1))
+    cls_ = DivisorClassY(a, b)
+    assert intersection_number(params.n_base, bundle_of_Y(params), {cls_: top}) == difference

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -79,12 +80,23 @@ def test_rejects_bad_coeff_range(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [("--m", "4"), ("--m", "3", "--perturb")])
+@pytest.mark.parametrize("argv", [("--m", "4"), ("--m", "3", "--perturb"),
+                                  ("--m", "100000")])
 def test_rejects_oversize_section_draw(argv):
     proc = run_cli_process("verify", *argv, timeout=30)
     assert proc.returncode == 2
     assert "above the limit" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_oversize_refusal_does_not_count_every_section(capsys):
+    # the exact count at m = 100000 has hundreds of thousands of digits
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--m", "100000", "--samples", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "above the limit" in err
+    assert out == ""
 
 
 # -- documents --------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fanoconic import conicbundle
 from fanoconic.chow import bundle_of_Y
 from fanoconic.conicbundle import (
     DivisorClassZ,
@@ -208,6 +209,18 @@ def test_certificate_spot_values_m2():
     assert doc["cones"]["nef"] == [[1, 0], [0, 1]]
     assert doc["cones"]["effective"] == [[1, -4], [0, 1]]
     assert doc["cones"]["walls"] == [[0, 1], [1, 0], [1, -4]]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_curve_pairings_come_from_intersection_numbers(m, monkeypatch):
+    real = conicbundle.intersection_number
+    monkeypatch.setattr(conicbundle, "intersection_number",
+                        lambda *args: real(*args) + 1)
+    cert = build_certificate(ConstructionParams(m))
+    failed = {c.name for c in cert.checks if not c.passed}
+    assert failed == {"antiK_Y_dot_ell_f", "antiK_Y_dot_ell_V",
+                      "discriminant_dot_ell_f", "discriminant_dot_ell_V"}
+    assert not cert.valid
 
 
 @pytest.mark.parametrize("m", [2, 5])

@@ -123,6 +123,20 @@ def test_count_sections_matches_oracle(m, a_range, b_range):
             ), (a, b)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_count_with_limit_is_exact_up_to_the_limit(m):
+    params = ConstructionParams(m)
+    for a in range(-1, 4):
+        for b in range(-2 * m * a - 1, 6):
+            cls_ = DivisorClassY(a, b)
+            exact = count_sections(cls_, params)
+            for limit in (0, 1, exact - 1, exact, exact + 1, 10**6):
+                if limit < 0:
+                    continue
+                bounded = count_sections(cls_, params, limit=limit)
+                assert bounded == exact if exact <= limit else bounded > limit
+
+
 def test_count_zero_iff_ineffective():
     for a in range(-2, 4):
         for b in range(-10, 6):

@@ -7,7 +7,7 @@ import os
 import pytest
 
 import fanoconic
-from fanoconic import cones, polynomial, verifier
+from fanoconic import chow, cones, polynomial, verifier
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(fanoconic.__file__))
 
@@ -27,6 +27,13 @@ MOVED = [
     (verifier.ConicMatrix, "rows"),
 ]
 
+# (owner, attribute) of each name that was deleted outright
+REMOVED = [
+    (chow, "ChowRing"),
+    (chow, "ChowElement"),
+    (chow.SplitBundleOnP, "elementary_symmetric"),
+]
+
 
 def test_all_names_are_unique():
     assert len(set(fanoconic.__all__)) == len(fanoconic.__all__)
@@ -41,8 +48,11 @@ def test_exported_name_is_defined_in_the_package(name):
     assert os.path.dirname(source) == PACKAGE_DIR, (name, source)
 
 
-@pytest.mark.parametrize("owner, attr", MOVED,
-                         ids=[f"{getattr(o, '__name__', o)}.{a}" for o, a in MOVED])
+GONE = MOVED + REMOVED
+
+
+@pytest.mark.parametrize("owner, attr", GONE,
+                         ids=[f"{getattr(o, '__name__', o)}.{a}" for o, a in GONE])
 def test_moved_helper_is_gone(owner, attr):
     assert not hasattr(owner, attr)
     assert attr not in fanoconic.__all__
