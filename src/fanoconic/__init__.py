@@ -9,13 +9,9 @@ section V, chart smoothness, discriminant probes along lines).
 """
 
 from .picard import (
-    ELL_F,
-    ELL_V,
     ConstructionParams,
-    CurveClassY,
     DivisorClassY,
     anticanonical_class,
-    pair,
     parse_divisor_class,
     standard_classes,
 )
@@ -69,8 +65,6 @@ from .verifier import (
 )
 
 __all__ = [
-    "ELL_F",
-    "ELL_V",
     "BaseLocusResult",
     "ChamberDecomposition",
     "Cone2D",
@@ -78,7 +72,6 @@ __all__ = [
     "ConstructionParams",
     "CoxGrading",
     "CoxPointY",
-    "CurveClassY",
     "DivisorClassY",
     "DivisorClassZ",
     "ExampleCertificate",
@@ -113,7 +106,6 @@ __all__ = [
     "is_effective",
     "movable_cone",
     "nef_cone",
-    "pair",
     "parse_divisor_class",
     "random_section",
     "run_instance",

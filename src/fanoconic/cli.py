@@ -206,8 +206,15 @@ def cmd_classify(args) -> tuple[int, dict, str]:
 def cmd_h0(args) -> tuple[int, dict, str]:
     params = ConstructionParams(args.m)
     cls_ = parse_divisor_class(args.cls)
-    doc = {"m": params.m, "class": str(cls_),
-           "h0": count_sections(cls_, params)}
+    # the count is printed, so it may have at most as many digits as str()
+    # converts; count_sections gives up early on a count far past that
+    digits = sys.get_int_max_str_digits()
+    limit = 10 ** digits - 1 if digits else None
+    h0 = count_sections(cls_, params, limit=limit)
+    if limit is not None and h0 > limit:
+        raise ValueError(f"h0({cls_}) at m = {params.m} has more than {digits} "
+                         "digits, the limit for printing an integer")
+    doc = {"m": params.m, "class": str(cls_), "h0": h0}
     return 0, doc, _render_h0(doc)
 
 

@@ -96,18 +96,22 @@ def is_effective(cls_: DivisorClassY, params: ConstructionParams) -> bool:
 
 def count_sections(cls_: DivisorClassY, params: ConstructionParams,
                    limit: int | None = None) -> int:
-    """h^0 of the class.  With a limit, each binomial stops growing once it
-    passes the limit, so a result above the limit is only a lower bound."""
+    """h^0 of the class.  With a limit, a result above the limit is only a
+    lower bound: the largest binomial, capped, when it alone passes it."""
     a, b = cls_.a, cls_.b
     if a < 0:
         return 0
     n = params.n_base
+    if limit is not None and b + params.twist * a >= 0:
+        # C(d + n, n) grows with d = b + 2ms, so s = a has the largest one
+        top = _capped_comb(b + params.twist * a + n, n, limit)
+        if top > limit:
+            return top
     total = 0
     for s in range(a + 1):
         d = b + params.twist * s
         if d >= 0:
-            total += (s + 1) * (comb(d + n, n) if limit is None
-                                else _capped_comb(d + n, n, limit))
+            total += (s + 1) * comb(d + n, n)
     return total
 
 

@@ -1,4 +1,4 @@
-"""Divisor and curve classes on the base family Y_m.
+"""Divisor classes on the base family Y_m.
 
 For each integer m >= 2 the base of the construction is the projective
 bundle Y = P(O + O(2m) + O(2m)) over P^{3m}, taken in the hyperplane-class
@@ -7,10 +7,9 @@ convention.  Its divisor class group has rank 2 with basis
     D  the tautological hyperplane class of the bundle,
     H  the pullback of the hyperplane class of P^{3m},
 
-and every class is stored as an integer pair (a, b) meaning aD + bH.  Curve
-classes are stored by their intersection numbers against (D, H); the basis
-curves are ell_f, a line in a fiber of Y -> P^{3m} (vector (1, 0)), and
-ell_V, a line in the distinguished section V (vector (0, 1)).
+and every class is stored as an integer pair (a, b) meaning aD + bH.  The
+dual basis of curves is ell_f, a line in a fiber of Y -> P^{3m}, and ell_V,
+a line in the distinguished section V: aD + bH meets them in a and b points.
 
 The headline feature of the family is that the anticanonical class
 -K_Y = 3D + (1-m)H pairs to 1 - m < 0 against ell_V, so -K_Y is never nef.
@@ -85,33 +84,6 @@ class DivisorClassY:
     @classmethod
     def parse(cls, text: str) -> "DivisorClassY":
         return parse_divisor_class(text)
-
-
-@dataclass(frozen=True)
-class CurveClassY:
-    """A curve class recorded by its intersection vector against (D, H)."""
-
-    dot_D: int
-    dot_H: int
-
-    def __add__(self, other: "CurveClassY") -> "CurveClassY":
-        return CurveClassY(self.dot_D + other.dot_D, self.dot_H + other.dot_H)
-
-    def __mul__(self, k: int) -> "CurveClassY":
-        if isinstance(k, bool) or not isinstance(k, int):
-            return NotImplemented
-        return CurveClassY(self.dot_D * k, self.dot_H * k)
-
-    __rmul__ = __mul__
-
-
-ELL_F = CurveClassY(1, 0)
-ELL_V = CurveClassY(0, 1)
-
-
-def pair(divisor: DivisorClassY, curve: CurveClassY) -> int:
-    """Intersection number of a divisor class with a curve class."""
-    return divisor.a * curve.dot_D + divisor.b * curve.dot_H
 
 
 def anticanonical_class(params: ConstructionParams) -> DivisorClassY:

@@ -12,6 +12,13 @@ leading-variable monomials, built one multiplication per entry, and one
 coefficient/index list per trailing-variable pattern, evaluated as dot
 products (see _build_plan).
 
+Products pack each exponent tuple into one int with a bit field per
+variable, so multiplying two monomials is one int addition (see __mul__).
+
+The univariate helpers at the end work on coefficient lists.  Their
+squarefree test is certified modulo one fixed prime first and falls back
+to the exact gcd over Q only when that certificate is undecided.
+
 A ring is just an ordered tuple of variable names.  Two rings with the same
 names are interchangeable.
 """
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import lshift, mul
 
 Scalar = int | Fraction
 
@@ -140,17 +147,36 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product with a scalar or a polynomial of the same ring.
+
+        Two polynomials multiply on packed exponents: each tuple becomes
+        one int with a field of (deg f + deg g).bit_length() bits per
+        variable, and the result is unpacked once.  Its terms come in the
+        order a term-by-term loop over f, then g, would insert them.
+        """
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return self.ring.zero()
             return Poly(self.ring, {e: c * other for e, c in self.terms.items()})
         self._check(other)
+        if not self.terms or not other.terms:
+            return self.ring.zero()
+        # every exponent of the product is at most deg f + deg g < 2^width,
+        # so no field carries into the next; the packing is injective, so
+        # the dict fills in the same order as it would keyed by tuples
+        width = (max(map(sum, self.terms)) + max(map(sum, other.terms))).bit_length()
+        shifts = [width * i for i in range(self.ring.n)]
+        ours, theirs = ([(sum(map(lshift, exps, shifts)), c) for exps, c in p.terms.items()]
+                        for p in (self, other))
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return Poly(self.ring, out)
+        get = out.get
+        for k1, c1 in ours:
+            for k2, c2 in theirs:
+                key = k1 + k2
+                out[key] = get(key, 0) + c1 * c2
+        mask = (1 << width) - 1
+        return Poly(self.ring, {tuple(key >> s & mask for s in shifts): c
+                                for key, c in out.items()})
 
     __rmul__ = __mul__
 
@@ -457,11 +483,47 @@ def u_gcd(f: list, g: list) -> list:
     return f
 
 
+# A Mersenne prime, so the coefficients of the reductions stay within 61 bits.
+SQUAREFREE_PRIME = (1 << 61) - 1
+
+
+def _u_gcd_is_one_mod(f: list, g: list, p: int) -> bool:
+    """Whether the gcd of f and g over F_p is a nonzero constant.
+
+    f and g are coefficient lists already reduced mod p; both are consumed.
+    """
+    u_trim(f)
+    u_trim(g)
+    while g:
+        inv = pow(g[-1], -1, p)
+        dg = len(g) - 1
+        while len(f) > dg:
+            q = f[-1] * inv % p
+            shift = len(f) - 1 - dg
+            for i, c in enumerate(g):
+                f[shift + i] = (f[shift + i] - q * c) % p
+            u_trim(f)
+        f, g = g, f
+    return len(f) == 1
+
+
 def u_is_squarefree(f: list) -> bool:
-    """No repeated roots over the algebraic closure; constants count as yes."""
+    """No repeated roots over the algebraic closure; constants count as yes.
+
+    A certificate mod p = SQUAREFREE_PRIME answers first: if p does not
+    divide the leading coefficient of the primitive integer form of f and
+    gcd(f, f') = 1 in F_p[t], then the discriminant of f is nonzero mod p,
+    hence nonzero, and f is squarefree over Q.  The certificate never says
+    no; when it is undecided, the exact gcd over Q decides.
+    """
     f = u_trim(list(f))
     if not f:
         raise ValueError("zero polynomial has no squarefree verdict")
     if len(f) == 1:
+        return True
+    p = SQUAREFREE_PRIME
+    ints = _u_primitive_int(f)
+    if ints[-1] % p and _u_gcd_is_one_mod([c % p for c in ints],
+                                          [c % p for c in u_diff(ints)], p):
         return True
     return len(u_gcd(f, u_diff(f))) == 1

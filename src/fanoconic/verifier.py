@@ -10,8 +10,10 @@ have; this module actually draws the sections, builds the symmetric matrix
 and interrogates the fibration F = z^T S z = 0 with exact arithmetic:
 fiber ranks and degenerate types at sampled points, gradient audits in
 honest affine charts, and squarefree/degree probes of det S along rational
-lines.  All randomness flows through one seeded generator in a documented
-order, so a report is a pure function of (m, seed, n_samples, flags).
+lines (each entry restricted to the line on its own, det S expanded from
+the six univariates).  All randomness flows through one seeded generator
+in a documented order, so a report is a pure function of (m, seed,
+n_samples, flags).
 
 The special shape of the default sections (s1 = sigma' y1, s2 = s3 =
 sigma' y2, sigma = sigma'^2 with sigma' = y0) forces the boundary identity
@@ -43,7 +45,7 @@ from .coxring import (
     random_section,
     y_indices,
 )
-from .linalg import bareiss_rank, clear_denominators, det3, kernel_vector_3x3
+from .linalg import bareiss_rank, clear_denominators, kernel_vector_3x3
 from .picard import ConstructionParams, DivisorClassY
 from .polynomial import (
     Poly,
@@ -469,14 +471,26 @@ def _interpolate_newton(ts, vals) -> list:
     return out
 
 
+# det S = s1 s3 sigma + 2 s2 lam1 lam2 - s3 lam1^2 - s1 lam2^2 - s2^2 sigma,
+# as (coefficient, factors) pairs
+_DET_TERMS = (
+    (1, ("s1", "s3", "sigma")),
+    (2, ("s2", "lam1", "lam2")),
+    (-1, ("s3", "lam1", "lam1")),
+    (-1, ("s1", "lam2", "lam2")),
+    (-1, ("s2", "s2", "sigma")),
+)
+
+
 def discriminant_on_line(matrix: ConicMatrix, point, direction) -> LineProbe:
     """Restrict det S to the rational line point + t*direction.
 
     The line must not be contained in an irrelevant locus (its x-part and
-    y-part must not both vanish identically).  The restriction is
-    recovered exactly by sampling det S at integer parameters and Newton
-    interpolation against an a-priori degree bound; the squarefree test is
-    then gcd with the derivative over Q.
+    y-part must not both vanish identically).  Each nonzero entry is
+    restricted on its own: sampled at integer parameters, as many as its
+    a-priori line degree bound plus one, and recovered exactly by Newton
+    interpolation.  det S is then expanded from the six univariates, so
+    its degree is exact; the squarefree test is u_is_squarefree.
     """
     params = matrix.params
     nx = params.n_x
@@ -496,33 +510,19 @@ def discriminant_on_line(matrix: ConicMatrix, point, direction) -> LineProbe:
             name: _line_degree_bound(poly, support)
             for name, poly in matrix.named_entries()}
 
-    def product_bound(*names):
-        total = 0
+    ts = _nodes(max((b for b in bounds.values() if b is not None), default=-1) + 1)
+    coords = [tuple(p + t * d for p, d in zip(point, direction)) for t in ts]
+    on_line = {}
+    for name, poly in matrix.named_entries():
+        b = bounds[name]
+        on_line[name] = [] if b is None else _interpolate_newton(
+            ts[:b + 1], [poly.eval(c) for c in coords[:b + 1]])
+    det = []
+    for k, names in _DET_TERMS:
+        term = [k]
         for name in names:
-            b = bounds[name]
-            if b is None:
-                return None
-            total += b
-        return total
-
-    candidates = [
-        product_bound("s1", "s3", "sigma"),
-        product_bound("s2", "s2", "sigma"),
-        product_bound("s2", "lam1", "lam2"),
-        product_bound("s3", "lam1", "lam1"),
-        product_bound("s1", "lam2", "lam2"),
-    ]
-    live = [c for c in candidates if c is not None]
-    if not live:
-        return LineProbe(-1, None, True)
-
-    ts = _nodes(max(live) + 1)
-    entries = matrix.named_entries()
-    vals = []
-    for t in ts:
-        coords = tuple(p + t * d for p, d in zip(point, direction))
-        vals.append(det3(_s_rows(*(poly.eval(coords) for _, poly in entries))))
-    det = _interpolate_newton(ts, vals)
+            term = u_mul(term, on_line[name])
+        det = u_add(det, term)
     deg = u_degree(det)
     if deg < 0:
         return LineProbe(-1, None, True)

@@ -5,24 +5,27 @@ shortcuts: counting walks the exponent lattice recursively instead of
 using binomial closed forms, ranks come from textbook fraction Gaussian
 elimination instead of fraction-free elimination, symmetric functions are
 built from their recursion, polynomial values are summed term by term
-instead of through the compiled evaluation plan, lines are restricted by
-binomial expansion, the chart gradient is assembled from naive
-differentiate-then-evaluate calls at the rescaled point instead of the
-integer-weighted fast path, the boundary identity is checked on the
-quadratic form F = z^T S z in a ring extended by the fiber coordinates,
-and nefness comes from pairings with curves instead of cone membership.
+instead of through the compiled evaluation plan, products add exponent
+tuples instead of packed ints, lines are restricted by binomial
+expansion and det S on a line by cofactors, the chart gradient is
+assembled from naive differentiate-then-evaluate calls at the rescaled
+point instead of the integer-weighted fast path, the boundary identity is
+checked on the quadratic form F = z^T S z in a ring extended by the fiber
+coordinates, and nefness comes from pairings with curves instead of cone
+membership.  The one exception is squarefree_by_gcd: it is the exact gcd
+route of u_is_squarefree without the mod-p certificate in front of it.
 
 The polynomial helpers at the end (generators, lifting, serialization)
 exist only for the tests.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from fanoconic.coxring import y_indices
-from fanoconic.picard import ELL_F, ELL_V, pair
-from fanoconic.polynomial import Poly, PolyRing, u_add, u_mul, u_trim
+from fanoconic.polynomial import Poly, PolyRing, u_add, u_diff, u_gcd, u_mul, u_trim
 
 
 # -- monomial counting and enumeration --------------------------------------
@@ -79,7 +82,17 @@ def enumerate_monomials(a: int, b: int, twist: int, n_x: int) -> list:
     return out
 
 
-# -- polynomial evaluation --------------------------------------------------
+# -- polynomial arithmetic and evaluation -----------------------------------
+
+
+def mul_terms(f, g) -> Poly:
+    """f * g term by term, the exponent tuples added entry by entry."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2, strict=True))
+            out[key] = out.get(key, 0) + c1 * c2
+    return Poly(f.ring, out)
 
 
 def eval_terms(poly, values):
@@ -98,7 +111,24 @@ def eval_gradient_terms(poly, values):
     return [eval_terms(poly.diff(i), values) for i in range(poly.ring.n)]
 
 
-# -- nefness ----------------------------------------------------------------
+# -- curve classes and nefness ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class CurveClassY:
+    """A curve class on Y recorded by its intersection vector against (D, H)."""
+
+    dot_D: int
+    dot_H: int
+
+
+ELL_F = CurveClassY(1, 0)  # a line in a fiber of Y -> P^{3m}
+ELL_V = CurveClassY(0, 1)  # a line in the section V
+
+
+def pair(divisor, curve: CurveClassY) -> int:
+    """Intersection number of a divisor class with a curve class."""
+    return divisor.a * curve.dot_D + divisor.b * curve.dot_H
 
 
 def nef_by_duality(cls_, params) -> bool:
@@ -298,6 +328,12 @@ def from_pairs(ring, pairs) -> Poly:
     return Poly(ring, {e: c for e, c in terms.items() if c != 0})
 
 
+def squarefree_by_gcd(f: list) -> bool:
+    """Squarefree verdict from the exact gcd of f and f' over Q alone."""
+    f = u_trim(list(f))
+    return len(f) == 1 or len(u_gcd(f, u_diff(f))) == 1
+
+
 def _linear_power(a, b, e: int) -> list:
     # (a + b t)^e by the binomial theorem
     return [comb(e, k) * a ** (e - k) * b ** k for k in range(e + 1)]
@@ -325,3 +361,23 @@ def restrict_line(poly, point, direction) -> list:
                 break
         out = u_add(out, term)
     return u_trim(out)
+
+
+def direct_restriction(matrix, point, direction) -> list:
+    """det S on the line point + t*direction, as a univariate in t.
+
+    Each entry is restricted by binomial expansion, and the symmetric
+    determinant is expanded along its first row at the univariate level;
+    det3 on the full polynomial matrix would square the perturbed sigma
+    before ever restricting.
+    """
+    e = {name: restrict_line(poly, point, direction)
+         for name, poly in matrix.named_entries()}
+
+    def minor(a, b, c, d):
+        return u_add(u_mul(e[a], e[b]), [-x for x in u_mul(e[c], e[d])])
+
+    det = u_mul(e["s1"], minor("s3", "sigma", "lam2", "lam2"))
+    det = u_add(det, [-x for x in u_mul(e["s2"], minor("s2", "sigma", "lam2", "lam1"))])
+    det = u_add(det, u_mul(e["lam1"], minor("s2", "lam2", "s3", "lam1")))
+    return u_trim(det)

@@ -29,16 +29,13 @@ from fanoconic.coxring import (
     is_effective,
 )
 from fanoconic.picard import (
-    ELL_F,
-    ELL_V,
     ConstructionParams,
     DivisorClassY,
     anticanonical_class,
-    pair,
 )
 from fanoconic.verifier import run_instance
 
-from .oracles import count_monomials, enumerate_monomials
+from .oracles import ELL_F, ELL_V, count_monomials, enumerate_monomials, pair
 
 TESTED_M = (2, 3, 4, 5)
 

@@ -8,15 +8,9 @@ import pytest
 
 from fanoconic.chow import SplitBundleOnP, bundle_of_G, bundle_of_Y, intersection_number
 from fanoconic.coxring import count_sections
-from fanoconic.picard import (
-    ELL_F,
-    ELL_V,
-    ConstructionParams,
-    DivisorClassY,
-    pair,
-)
+from fanoconic.picard import ConstructionParams, DivisorClassY
 
-from .oracles import complete_homogeneous, elementary_symmetric
+from .oracles import ELL_F, ELL_V, complete_homogeneous, elementary_symmetric, pair
 
 D = DivisorClassY(1, 0)
 H = DivisorClassY(0, 1)

@@ -99,6 +99,27 @@ def test_oversize_refusal_does_not_count_every_section(capsys):
     assert out == ""
 
 
+def test_h0_refuses_a_count_too_long_to_print(capsys):
+    # the exact count has hundreds of thousands of digits, beyond what
+    # str() may print; its largest binomial alone passes that, so the
+    # count gives up at once
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "h0", "--m", "100000", "--class", "2D")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("digits, code", [(0, 0), (20, 0), (19, 2)])
+def test_h0_prints_every_count_within_the_digit_limit(capsys, monkeypatch, digits, code):
+    # h0(300D-1H) at m = 2 has 20 digits
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: digits)
+    got, out, _ = run_cli(capsys, "h0", "--m", "2", "--class", "300D-1H")
+    assert got == code
+    assert ("= 48140984526105405700" in out) == (code == 0)
+
+
 # -- documents --------------------------------------------------------------
 
 

@@ -2,16 +2,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fanoconic.picard import (
-    ELL_F,
-    ELL_V,
     ConstructionParams,
-    CurveClassY,
     DivisorClassY,
     anticanonical_class,
-    pair,
     parse_divisor_class,
     standard_classes,
 )
+
+from .oracles import ELL_F, ELL_V, CurveClassY, pair
 
 
 def test_params_reject_small_m():

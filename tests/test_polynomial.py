@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanoconic import polynomial
 from fanoconic.polynomial import (
+    SQUAREFREE_PRIME,
     Poly,
     PolyRing,
     u_add,
@@ -24,7 +26,9 @@ from .oracles import (
     from_pairs,
     gens,
     lift,
+    mul_terms,
     restrict_line,
+    squarefree_by_gcd,
     to_pairs,
 )
 
@@ -88,6 +92,46 @@ def test_negative_power_rejected():
 def test_cancellation_drops_terms():
     p = X * Y - X * Y
     assert p.is_zero() and len(p) == 0 and not p
+
+
+mul_poly = st.dictionaries(
+    st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9)),
+    st.one_of(st.integers(-2, 2),
+              st.fractions(min_value=-2, max_value=2, max_denominator=3)),
+    max_size=6,
+).map(lambda d: Poly(R3, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mul_poly, mul_poly)
+def test_mul_matches_term_oracle(f, g):
+    product = f * g
+    expected = mul_terms(f, g)
+    assert product == expected
+    # same insertion order as the term-by-term loop
+    assert list(product.terms) == list(expected.terms)
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_mul_at_a_packing_field_boundary(k):
+    # deg f + deg g = 2^k - 1 fills every bit of the x field, and 2^k needs
+    # one more; the y and z exponents sit in the fields above it
+    for total in (2**k - 1, 2**k):
+        a = total // 2
+        f = X**a - 3 * Y**a + Z
+        g = X**(total - a) + Fraction(1, 2) * X**(total - a - 1) * Y
+        assert f * g == mul_terms(f, g)
+        assert (f * g).terms[(total, 0, 0)] == 1
+
+
+def test_mul_constants_and_cancellation():
+    assert (R3.constant(3) * R3.constant(Fraction(1, 3))) == 1
+    assert (R3.constant(2) * X) == 2 * X
+    assert (X + Y) * R3.zero() == R3.zero() == R3.zero() * (X + Y)
+    product = (X + Y) * (X - Y)
+    assert product == X**2 - Y**2
+    assert (1, 1, 0) not in product.terms
+    assert ((X + 1) * (X - 1) - X**2 + 1).is_zero()
 
 
 # -- calculus and specialization --------------------------------------------
@@ -310,3 +354,39 @@ def test_square_is_never_squarefree(f):
     if len(f) < 2:
         return
     assert not u_is_squarefree(u_mul(f, f))
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_lists)
+def test_squarefree_matches_exact_gcd_route(f):
+    f = u_trim(list(f))
+    if not f:
+        return
+    assert u_is_squarefree(f) == squarefree_by_gcd(f)
+    if len(f) > 1:
+        square = u_mul(f, f)
+        assert u_is_squarefree(square) == squarefree_by_gcd(square) is False
+
+
+P = SQUAREFREE_PRIME
+
+
+@pytest.mark.parametrize("f, verdict, falls_back", [
+    ([1, 0, 1], True, False),                   # certified mod p
+    ([Fraction(1, 2), 0, Fraction(1, 3)], True, False),
+    ([P, 0, 1], True, True),                    # t^2 + p: t^2 mod p
+    ([0, 1, P], True, True),                    # p t^2 + t: p | lc
+    ([Fraction(P, 3), 0, Fraction(1, 3)], True, True),
+    ([Fraction(1, 4), -1, 1], False, True),     # (t - 1/2)^2
+    ([1, 2, 1], False, True),                   # a no is never certified
+])
+def test_squarefree_certificate_and_its_fallback(monkeypatch, f, verdict, falls_back):
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append(1)
+        return u_gcd(a, b)
+
+    monkeypatch.setattr(polynomial, "u_gcd", counting_gcd)
+    assert u_is_squarefree(f) is verdict
+    assert bool(calls) is falls_back

@@ -7,7 +7,7 @@ import os
 import pytest
 
 import fanoconic
-from fanoconic import chow, cones, polynomial, verifier
+from fanoconic import chow, cones, picard, polynomial, verifier
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(fanoconic.__file__))
 
@@ -21,6 +21,10 @@ MOVED = [
     (polynomial.PolyRing, "_vars"),
     (polynomial, "_linear_power"),
     (cones, "nef_by_duality"),
+    (picard, "CurveClassY"),
+    (picard, "ELL_F"),
+    (picard, "ELL_V"),
+    (picard, "pair"),
     (verifier, "conic_ring"),
     (verifier, "_conic_ring"),
     (verifier.ConicMatrix, "quadratic_form"),

@@ -1,15 +1,17 @@
 """Pointwise audits of instantiated conic bundles: fiber diagnosis, chart
 gradients, the boundary identity, and line probes of the discriminant."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from fanoconic import linalg, verifier
 from fanoconic.coxring import count_sections, cox_ring
 from fanoconic.picard import ConstructionParams, DivisorClassY
-from fanoconic.polynomial import u_add, u_degree, u_is_squarefree, u_mul, u_trim
+from fanoconic.polynomial import Poly, u_degree, u_is_squarefree
 from fanoconic.verifier import (
     LINE_RESAMPLE_CAP,
     MAX_SECTION_TERMS,
@@ -33,7 +35,9 @@ from fanoconic.verifier import (
     _interpolate_newton,
     _line_degree_bound,
     _nodes,
+    _SLOT_NAMES,
     _sample_chart_line,
+    _sample_fiber_line,
     _s_rows,
     _section_draws,
 )
@@ -42,9 +46,9 @@ from .oracles import (
     boundary_identity_by_form,
     chart_gradient,
     conic_ring,
+    direct_restriction,
     eval_terms,
     quadratic_form,
-    restrict_line,
 )
 
 M2 = ConstructionParams(2)
@@ -525,22 +529,12 @@ def test_line_inside_V_is_identically_zero(default_matrix):
     }
 
 
-def _direct_restriction(matrix, point, direction):
-    # restrict each entry to the line first, then expand the symmetric
-    # determinant at the univariate level; doing det3 on the full polynomial
-    # matrix would square the perturbed sigma before ever restricting
-    e = {name: restrict_line(poly, point, direction)
-         for name, poly in matrix.named_entries()}
-
-    def mul3(a, b, c):
-        return u_mul(u_mul(a, b), c)
-
-    det = mul3(e["s1"], e["s3"], e["sigma"])
-    det = u_add(det, [-c for c in mul3(e["s2"], e["s2"], e["sigma"])])
-    det = u_add(det, [2 * c for c in mul3(e["s2"], e["lam1"], e["lam2"])])
-    det = u_add(det, [-c for c in mul3(e["s3"], e["lam1"], e["lam1"])])
-    det = u_add(det, [-c for c in mul3(e["s1"], e["lam2"], e["lam2"])])
-    return u_trim(det)
+def _assert_probe_matches_oracle(matrix, point, direction):
+    probe = discriminant_on_line(matrix, point, direction)
+    direct = direct_restriction(matrix, point, direction)
+    assert probe.degree == u_degree(direct)
+    assert probe.identically_zero == (not direct)
+    assert probe.squarefree == (u_is_squarefree(direct) if direct else None)
 
 
 @pytest.mark.parametrize("perturb", [False, True])
@@ -555,12 +549,45 @@ def test_line_probe_matches_direct_restriction(
             + (1, rng.randint(-9, 9), rng.randint(-9, 9))
         direction = (0,) + tuple(rng.randint(-9, 9) for _ in range(nx - 1)) \
             + (0, rng.randint(-9, 9), rng.randint(-9, 9))
-        probe = discriminant_on_line(matrix, point, direction)
-        direct = _direct_restriction(matrix, point, direction)
-        assert probe.degree == u_degree(direct)
-        assert probe.identically_zero == (not direct)
-        if direct:
-            assert probe.squarefree == u_is_squarefree(direct)
+        _assert_probe_matches_oracle(matrix, point, direction)
+        _assert_probe_matches_oracle(matrix, *_sample_fiber_line(M2, rng, 9))
+
+
+def test_line_probe_matches_direct_restriction_with_zero_slots(default_matrix):
+    zero = cox_ring(M2).zero()
+    rng = random.Random(22)
+    for slots in (("s2", "lam2"), ("s1", "s3"), ("lam1", "lam2"), _SLOT_NAMES):
+        matrix = dataclasses.replace(default_matrix, **{name: zero for name in slots})
+        for _ in range(2):
+            _assert_probe_matches_oracle(matrix, *_sample_chart_line(M2, rng, 9))
+            _assert_probe_matches_oracle(matrix, *_sample_fiber_line(M2, rng, 9))
+
+
+@pytest.mark.parametrize("sampler", [_sample_chart_line, _sample_fiber_line])
+def test_line_probe_work(perturbed_matrix, monkeypatch, sampler):
+    # one eval per interpolation node of each nonzero entry, on its own
+    # line degree bound, and no 3x3 determinant of numbers
+    evals, dets = [], []
+    eval_ = Poly.eval
+    det3 = linalg.det3
+
+    def counting_eval(poly, values):
+        evals.append(1)
+        return eval_(poly, values)
+
+    def counting_det3(a):
+        dets.append(1)
+        return det3(a)
+
+    monkeypatch.setattr(Poly, "eval", counting_eval)
+    monkeypatch.setattr(linalg, "det3", counting_det3)
+    point, direction = sampler(M2, random.Random(23), 9)
+    discriminant_on_line(perturbed_matrix, point, direction)
+    support = tuple(i for i, d in enumerate(direction) if d)
+    bounds = [_line_degree_bound(poly, support)
+              for _, poly in perturbed_matrix.named_entries()]
+    assert len(evals) == sum(b + 1 for b in bounds if b is not None)
+    assert not dets and not hasattr(verifier, "det3")
 
 
 def test_fiber_line_is_sextic(default_matrix):
