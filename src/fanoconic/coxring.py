@@ -74,14 +74,17 @@ class CoxGrading:
 
     def poly_degree(self, poly: Poly) -> DivisorClassY | None:
         """The common degree of all terms, None for zero, ValueError if mixed."""
-        deg = None
-        for exps in poly.terms:
-            d = self.monomial_degree(exps)
-            if deg is None:
-                deg = d
-            elif d != deg:
-                raise ValueError(f"polynomial is not bigraded homogeneous: {d} vs {deg}")
-        return deg
+        # the (a, b) pairs as plain ints, one DivisorClassY at the end
+        i0, i1, i2 = y_indices(self.params)
+        t = self.params.twist
+        degrees = {(e[i0] + e[i1] + e[i2], sum(e[:i0]) - t * (e[i1] + e[i2]))
+                   for e in poly.terms}
+        if not degrees:
+            return None
+        if len(degrees) > 1:
+            shown = sorted(str(DivisorClassY(*d)) for d in degrees)
+            raise ValueError(f"polynomial is not bigraded homogeneous: {', '.join(shown)}")
+        return DivisorClassY(*degrees.pop())
 
 
 def generator_degrees(params: ConstructionParams) -> list[DivisorClassY]:

@@ -10,10 +10,15 @@ Point evaluation is the hot path of the instance audit, so each polynomial
 compiles its terms once, on first evaluation, into a plan: a table of the
 leading-variable monomials, built one multiplication per entry, and one
 coefficient/index list per trailing-variable pattern, evaluated as dot
-products (see _build_plan).
+products (see _build_plan).  The plan is built on packed exponents, and
+the gradient coefficients of a pattern are built only on the first
+gradient call where its trailing monomial is nonzero.  At a point of V
+in the Cox ring every pattern with a y1 or y2 vanishes, so the audit's V
+points build none of those.
 
 Products pack each exponent tuple into one int with a bit field per
-variable, so multiplying two monomials is one int addition (see __mul__).
+variable, so multiplying two monomials is one int addition, and a square
+visits each unordered pair of terms once (see __mul__).
 
 The univariate helpers at the end work on coefficient lists.  Their
 squarefree test is certified modulo one fixed prime first and falls back
@@ -87,7 +92,8 @@ class Poly:
     go through PolyRing factories or arithmetic.  The evaluation plan is
     built on the first eval or eval_with_gradient call and cached on the
     object; both share it, and the gradient reads its leading partials from
-    the same monomial table as the value.
+    the same monomial table as the value.  Those partials are built per
+    trailing pattern, on the first gradient call that needs them.
     """
 
     __slots__ = ("ring", "terms", "_plan")
@@ -153,6 +159,11 @@ class Poly:
         one int with a field of (deg f + deg g).bit_length() bits per
         variable, and the result is unpacked once.  Its terms come in the
         order a term-by-term loop over f, then g, would insert them.
+
+        A square (other is self) visits only the pairs i <= j and doubles
+        the cross terms.  The first pair to hit a key in the full loop is
+        its lexicographically first one, which has i <= j, so the order is
+        the same.
         """
         if isinstance(other, (int, Fraction)):
             if other == 0:
@@ -166,14 +177,23 @@ class Poly:
         # the dict fills in the same order as it would keyed by tuples
         width = (max(map(sum, self.terms)) + max(map(sum, other.terms))).bit_length()
         shifts = [width * i for i in range(self.ring.n)]
-        ours, theirs = ([(sum(map(lshift, exps, shifts)), c) for exps, c in p.terms.items()]
-                        for p in (self, other))
+        ours = [(sum(map(lshift, exps, shifts)), c) for exps, c in self.terms.items()]
         out = {}
         get = out.get
-        for k1, c1 in ours:
-            for k2, c2 in theirs:
-                key = k1 + k2
-                out[key] = get(key, 0) + c1 * c2
+        if other is self:
+            for i, (k1, c1) in enumerate(ours):
+                key = k1 + k1
+                out[key] = get(key, 0) + c1 * c1
+                c1 *= 2  # the pair (i, j) stands for (j, i) too
+                for k2, c2 in ours[i + 1:]:
+                    key = k1 + k2
+                    out[key] = get(key, 0) + c1 * c2
+        else:
+            theirs = [(sum(map(lshift, exps, shifts)), c) for exps, c in other.terms.items()]
+            for k1, c1 in ours:
+                for k2, c2 in theirs:
+                    key = k1 + k2
+                    out[key] = get(key, 0) + c1 * c2
         mask = (1 << width) - 1
         return Poly(self.ring, {tuple(key >> s & mask for s in shifts): c
                                 for key, c in out.items()})
@@ -232,13 +252,13 @@ class Poly:
     def eval(self, values) -> Scalar:
         if len(values) != self.ring.n:
             raise ValueError("wrong number of values")
-        levels, groups = self._eval_plan()
-        get = _monomial_table(levels, values).__getitem__
+        plan = self._eval_plan()
+        get = _monomial_table(plan.levels, values).__getitem__
         total = 0
-        for tail, coeffs, idx, _ in groups:
-            s = sum(map(mul, coeffs, map(get, idx)))
+        for group in plan.groups:
+            s = sum(map(mul, group.coeffs, map(get, group.idx)))
             if s:
-                total += s * _tail_value(tail, values)
+                total += s * _tail_value(group.tail, values)
         return total
 
     def eval_with_gradient(self, values):
@@ -249,16 +269,17 @@ class Poly:
         """
         if len(values) != self.ring.n:
             raise ValueError("wrong number of values")
-        levels, groups = self._eval_plan()
-        get = _monomial_table(levels, values).__getitem__
+        plan = self._eval_plan()
+        get = _monomial_table(plan.levels, values).__getitem__
         value = 0
         grad = [0] * self.ring.n
-        for tail, coeffs, idx, partials in groups:
-            s = sum(map(mul, coeffs, map(get, idx)))
+        for group in plan.groups:
+            tail = group.tail
+            s = sum(map(mul, group.coeffs, map(get, group.idx)))
             y = _tail_value(tail, values)
             if y:
                 value += s * y
-                for i, dcoeffs, didx in partials:
+                for i, dcoeffs, didx in plan.partials(group):
                     grad[i] += y * sum(map(mul, dcoeffs, map(get, didx)))
             if s:
                 for j, e in tail:
@@ -303,7 +324,9 @@ class Poly:
 # one multiplication of a parent entry by one variable.  Each group is then
 # a dot product of its coefficients with table entries, times its trailing
 # monomial.  Divisor-closing the table means that every leading partial
-# x^(alpha - e_i) is an entry too, so gradients reuse the same table.
+# x^(alpha - e_i) is an entry too, so gradients reuse the same table; a
+# group's partials are only read when its trailing monomial is nonzero,
+# so they are built then (_Plan.partials).
 
 
 def _trailing_split(exponents, n: int) -> int:
@@ -315,57 +338,100 @@ def _trailing_split(exponents, n: int) -> int:
     return start
 
 
-def _build_plan(terms: dict, n: int):
-    """(levels, groups) for the evaluation of a term dict in n variables.
+def _build_plan(terms: dict, n: int) -> "_Plan":
+    """The evaluation plan of a term dict in n variables.
 
-    levels lists, per total degree from 1 up, the table indices of the
-    parents and the variables they are multiplied by.  groups holds one
-    (tail, coeffs, idx, partials) record per trailing pattern: tail is the
-    (variable, exponent) pairs of the trailing monomial, coeffs and idx the
-    term coefficients and the table indices of their leading monomials, and
-    partials one (variable, alpha_i * coeffs, idx of alpha - e_i) triple per
-    leading variable.
+    Each leading exponent tuple (head) is packed into one int, variable 0
+    in the highest field, so a divisor along variable i is the key minus
+    1 << shift_i and the packed keys sort like the tuples.
     """
     lead = _trailing_split(terms, n)
+    # a head exponent is at most the total degree, so no field carries
+    width = max(map(sum, terms), default=0).bit_length() or 1
+    shifts = [width * (lead - 1 - i) for i in range(lead)]
+    units = [1 << s for s in shifts]
+    mask = (1 << width) - 1
     by_degree = {}
-    for exps in terms:
+    grouped = {}
+    for exps, c in terms.items():
         head = exps[:lead]
-        by_degree.setdefault(sum(head), set()).add(head)
+        key = sum(map(lshift, head, shifts))
+        by_degree.setdefault(sum(head), set()).add(key)
+        grouped.setdefault(exps[lead:], []).append((key, c))
     top = max(by_degree, default=0)
     for d in range(top, 0, -1):
         below = by_degree.setdefault(d - 1, set())
-        for head in by_degree[d]:
-            for i, e in enumerate(head):
-                if e:
-                    below.add(head[:i] + (e - 1,) + head[i + 1:])
-    index = {(0,) * lead: 0}
+        for key in by_degree[d]:
+            for s, u in zip(shifts, units):
+                if key >> s & mask:
+                    below.add(key - u)
+    index = {0: 0}
     levels = []
     for d in range(1, top + 1):
         parents, variables = [], []
-        for head in sorted(by_degree[d]):
-            i = next(i for i, e in enumerate(head) if e)
-            parents.append(index[head[:i] + (head[i] - 1,) + head[i + 1:]])
-            variables.append(i)
-            index[head] = len(index)
+        for key in sorted(by_degree[d]):
+            # the first variable of the head is its highest nonzero field
+            field = (key.bit_length() - 1) // width
+            parents.append(index[key - (1 << field * width)])
+            variables.append(lead - 1 - field)
+            index[key] = len(index)
         levels.append((parents, variables))
 
-    grouped = {}
-    for exps, c in terms.items():
-        grouped.setdefault(exps[lead:], []).append((exps[:lead], c))
     groups = []
     for pattern, members in grouped.items():
         tail = tuple((lead + k, e) for k, e in enumerate(pattern) if e)
-        partials = {}
-        for head, c in members:
-            for i, e in enumerate(head):
-                if e:
-                    dcoeffs, didx = partials.setdefault(i, ([], []))
-                    dcoeffs.append(e * c)
-                    didx.append(index[head[:i] + (e - 1,) + head[i + 1:]])
-        groups.append((tail, [c for _, c in members],
-                       [index[head] for head, _ in members],
-                       [(i, *partials[i]) for i in sorted(partials)]))
-    return levels, groups
+        heads = [key for key, _ in members]
+        groups.append(_Group(tail, [c for _, c in members],
+                             [index[key] for key in heads], heads))
+    return _Plan(levels, groups, index, shifts, mask)
+
+
+class _Group:
+    """The terms of one trailing pattern: tail is the (variable, exponent)
+    pairs of the trailing monomial, coeffs and idx the term coefficients
+    and the table indices of their leading monomials, heads the packed
+    leading exponents, and partials None until _Plan.partials builds it."""
+
+    __slots__ = ("tail", "coeffs", "idx", "heads", "partials")
+
+    def __init__(self, tail, coeffs, idx, heads):
+        self.tail = tail
+        self.coeffs = coeffs
+        self.idx = idx
+        self.heads = heads
+        self.partials = None
+
+
+class _Plan:
+    """levels lists, per total degree from 1 up, the table indices of the
+    parents and the variables they are multiplied by; groups holds one
+    _Group per trailing pattern.  index maps each packed head to its table
+    index, and shifts and mask read the head fields."""
+
+    __slots__ = ("levels", "groups", "index", "shifts", "mask")
+
+    def __init__(self, levels, groups, index, shifts, mask):
+        self.levels = levels
+        self.groups = groups
+        self.index = index
+        self.shifts = shifts
+        self.mask = mask
+
+    def partials(self, group) -> list:
+        """One (variable, alpha_i * coeffs, idx of alpha - e_i) triple per
+        leading variable of the group, built on first use."""
+        if group.partials is None:
+            index, mask = self.index, self.mask
+            by_var = {}
+            for key, c in zip(group.heads, group.coeffs):
+                for i, s in enumerate(self.shifts):
+                    e = key >> s & mask
+                    if e:
+                        dcoeffs, didx = by_var.setdefault(i, ([], []))
+                        dcoeffs.append(e * c)
+                        didx.append(index[key - (1 << s)])
+            group.partials = [(i, *by_var[i]) for i in sorted(by_var)]
+        return group.partials
 
 
 def _monomial_table(levels, values) -> list:

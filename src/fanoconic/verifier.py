@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import itemgetter, mul
 
 from .coxring import (
     CoxGrading,
@@ -423,13 +423,14 @@ class LineProbe:
 
 def _line_degree_bound(poly: Poly, support) -> int | None:
     """Largest t-degree a term of poly can reach on a line moving along
-    the given variable support; None for the zero polynomial."""
-    best = None
-    for exps in poly.terms:
-        s = sum(exps[i] for i in support)
-        if best is None or s > best:
-            best = s
-    return best
+    the given variable support, which must not be empty; None for the
+    zero polynomial."""
+    if not poly.terms:
+        return None
+    if len(support) == 1:
+        # itemgetter of one index returns the exponent, not a tuple
+        return max(map(itemgetter(*support), poly.terms))
+    return max(map(sum, map(itemgetter(*support), poly.terms)))
 
 
 def _nodes(count: int) -> list:
@@ -485,8 +486,9 @@ _DET_TERMS = (
 def discriminant_on_line(matrix: ConicMatrix, point, direction) -> LineProbe:
     """Restrict det S to the rational line point + t*direction.
 
-    The line must not be contained in an irrelevant locus (its x-part and
-    y-part must not both vanish identically).  Each nonzero entry is
+    The direction must be nonzero, and the line must not be contained in
+    an irrelevant locus (its x-part and y-part must not both vanish
+    identically).  Each nonzero entry is
     restricted on its own: sampled at integer parameters, as many as its
     a-priori line degree bound plus one, and recovered exactly by Newton
     interpolation.  det S is then expanded from the six univariates, so
@@ -498,6 +500,8 @@ def discriminant_on_line(matrix: ConicMatrix, point, direction) -> LineProbe:
     direction = tuple(direction)
     if len(point) != nx + 3 or len(direction) != nx + 3:
         raise ValueError("line data has the wrong number of coordinates")
+    if not any(direction):
+        raise ValueError("zero line direction")
     if not any(point[:nx]) and not any(direction[:nx]):
         raise ValueError("line lies inside the locus x = 0")
     if not any(point[nx:]) and not any(direction[nx:]):

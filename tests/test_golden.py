@@ -27,6 +27,11 @@ DIGESTS = {
         (0, "9b188ee03a15eea0dad3b04fb42e98c92b4c2e15a9ed96d5a9214193d2569de8"),
     "verify --m 2 --format json --samples 5 --seed 42 --perturb":
         (0, "a673a8a47798cf88cf3858ad5469542617b9452ab4c6c685f5647109da19b0e0"),
+    # the verify commands of the benchmark at its seed 1, argv as it passes them
+    "verify --m 2 --seed 695724 --samples 6 --coeff-range 100 --format json":
+        (0, "ca523ab0d9d7ee67a3366b4908ed7c4bfeb282e29c131d0267579ec46beac402"),
+    "verify --m 2 --seed 695724 --samples 3 --coeff-range 100 --perturb --format json":
+        (0, "9ce19d71675eb3689e8dfa086132fa99330a90dff6270b4a3f8626ca7c7af0d5"),
     "certificate --m 2 --format json":
         (0, "ed91fff89f68ce025a5b3f681ff507ca80e902c645f376b9e529bf4cf1237092"),
     "certificate --m 2 --format text":

@@ -105,11 +105,13 @@ mul_poly = st.dictionaries(
 @settings(max_examples=200, deadline=None)
 @given(mul_poly, mul_poly)
 def test_mul_matches_term_oracle(f, g):
-    product = f * g
-    expected = mul_terms(f, g)
-    assert product == expected
-    # same insertion order as the term-by-term loop
-    assert list(product.terms) == list(expected.terms)
+    # f * f on one object takes the squaring path
+    for a, b in ((f, g), (f, f)):
+        product = a * b
+        expected = mul_terms(a, b)
+        assert product == expected
+        # same insertion order as the term-by-term loop
+        assert list(product.terms) == list(expected.terms)
 
 
 @pytest.mark.parametrize("k", range(2, 8))
@@ -122,6 +124,18 @@ def test_mul_at_a_packing_field_boundary(k):
         g = X**(total - a) + Fraction(1, 2) * X**(total - a - 1) * Y
         assert f * g == mul_terms(f, g)
         assert (f * g).terms[(total, 0, 0)] == 1
+    # a square doubles its cross terms; 2 deg h = 2^k - 2 is the last even
+    # total that fits k bits, and 2^k needs one more
+    for d in (2**(k - 1) - 1, 2**(k - 1)):
+        h = X**d - 3 * X**(d - 1) * Y + Fraction(1, 2) * Z**d
+        square = h * h
+        expected = mul_terms(h, h)
+        assert square == expected
+        assert list(square.terms) == list(expected.terms)
+        assert square.terms[(2 * d, 0, 0)] == 1
+        assert square.terms[(2 * d - 1, 1, 0)] == -6
+        assert square.terms[(d, 0, d)] == 1
+        assert square.terms[(d - 1, 1, d)] == -3
 
 
 def test_mul_constants_and_cancellation():
@@ -203,6 +217,19 @@ def test_eval_matches_term_oracle(p, pt):
     # the cached plan gives the same answers on a second point
     shifted = tuple(v + 1 for v in pt)
     assert p.eval(list(shifted)) == eval_terms(p, shifted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_poly, point5)
+def test_gradient_after_a_point_with_vanishing_tail(p, pt):
+    # gradient partials are built per trailing pattern, on the first call
+    # where that pattern's monomial is nonzero; a first point with its last
+    # two coordinates 0 (like y1 = y2 = 0 on V) leaves some unbuilt, and
+    # the next point must build them
+    for q in (pt[:3] + (0, 0), pt):
+        value, grad = p.eval_with_gradient(q)
+        assert value == eval_terms(p, q)
+        assert grad == eval_gradient_terms(p, q)
 
 
 @pytest.mark.parametrize("p", [

@@ -47,6 +47,7 @@ from .oracles import (
     chart_gradient,
     conic_ring,
     direct_restriction,
+    eval_gradient_terms,
     eval_terms,
     quadratic_form,
 )
@@ -394,6 +395,43 @@ def test_audit_counts_the_fiber_direction_gradient():
         chart_gradient(matrix, p, (1, 0, 0)) == (True, True)
 
 
+def _fresh_entries(matrix):
+    """The matrix with its entries copied, so no evaluation plan is built."""
+    return dataclasses.replace(matrix, **{
+        name: Poly(poly.ring, poly.terms) for name, poly in matrix.named_entries()})
+
+
+def test_lazy_gradients_on_the_perturbed_entries(perturbed_matrix):
+    # a V point first builds only the partials of the patterns free of y1
+    # and y2; the generic point after it builds the rest
+    rng = random.Random(41)
+    points = (sample_v_point(M2, rng, coeff_range=25),
+              sample_generic_point(M2, rng, coeff_range=25))
+    matrix = _fresh_entries(perturbed_matrix)
+    for p in points:
+        for name, (value, grad) in _entry_evals(matrix, p).items():
+            poly = getattr(matrix, name)
+            assert value == eval_terms(poly, p.coords)
+            assert grad == eval_gradient_terms(poly, p.coords)
+
+
+def test_v_point_builds_no_partials_for_vanishing_tails(perturbed_matrix):
+    matrix = _fresh_entries(perturbed_matrix)
+    p = sample_v_point(M2, random.Random(43), coeff_range=25)
+    _entry_evals(matrix, p)
+    built = skipped = 0
+    for _, poly in matrix.named_entries():
+        for group in poly._plan.groups:
+            if any(p.coords[i] == 0 for i, _ in group.tail):
+                assert group.partials is None
+                skipped += len(group.coeffs)
+            else:
+                assert group.partials is not None
+                built += len(group.coeffs)
+    # most terms of the perturbed entries carry a y1 or y2
+    assert skipped > built > 0
+
+
 def test_audit_batched_evals_match_fresh(default_matrix):
     rng = random.Random(13)
     p = sample_v_point(M2, rng, coeff_range=25)
@@ -512,6 +550,9 @@ def test_line_probe_validation(default_matrix):
         discriminant_on_line(
             default_matrix, (1,) * nx + (0, 0, 0), (1,) * nx + (0, 0, 0)
         )
+    # a zero direction is a point, not a line
+    with pytest.raises(ValueError, match="zero line direction"):
+        discriminant_on_line(default_matrix, good_point, (0,) * (nx + 3))
 
 
 def test_line_inside_V_is_identically_zero(default_matrix):
@@ -599,6 +640,14 @@ def test_fiber_line_is_sextic(default_matrix):
     probe = discriminant_on_line(default_matrix, point, direction)
     assert probe.degree == 6
     assert not probe.identically_zero
+
+
+@pytest.mark.parametrize("support", [(8,), (0,), (7, 8, 9), tuple(range(10))])
+def test_line_degree_bound_is_the_largest_support_degree(perturbed_matrix, support):
+    for _, poly in perturbed_matrix.named_entries():
+        assert _line_degree_bound(poly, support) == \
+            max(sum(exps[i] for i in support) for exps in poly.terms)
+    assert _line_degree_bound(cox_ring(M2).zero(), support) is None
 
 
 def test_line_degree_bounds_are_memoized_per_support():
