@@ -18,7 +18,10 @@ Section counts of a class (a, b) have the closed form
                                                             b + 2ms < 0 drop)
 
 because a monomial basis is enumerated by the split k_1 + k_2 = s (with
-s+1 choices) times the x-monomials of degree b + 2ms.  Base loci are
+s+1 choices) times the x-monomials of degree b + 2ms.  From its first
+nonzero term on, the sum is a polynomial of degree 3m + 2 in a, so
+count_sections adds up 3m + 2 terms at most and extrapolates the rest by
+forward differences.  Base loci are
 computed as minimal primes of the monomial ideal of the class, which for
 monomial ideals are minimal hitting sets of the monomial supports; the
 x-variables enter only through the collapsed question "does the monomial
@@ -99,8 +102,9 @@ def is_effective(cls_: DivisorClassY, params: ConstructionParams) -> bool:
 
 def count_sections(cls_: DivisorClassY, params: ConstructionParams,
                    limit: int | None = None) -> int:
-    """h^0 of the class.  With a limit, a result above the limit is only a
-    lower bound: the largest binomial, capped, when it alone passes it."""
+    """h^0 of the class, from at most n + 2 binomial terms whatever a is.
+    With a limit, a result above the limit is only a lower bound: the
+    largest binomial, capped, when it alone passes it."""
     a, b = cls_.a, cls_.b
     if a < 0:
         return 0
@@ -110,11 +114,20 @@ def count_sections(cls_: DivisorClassY, params: ConstructionParams,
         top = _capped_comb(b + params.twist * a + n, n, limit)
         if top > limit:
             return top
+    # the terms start at s_lo, the first s with b + 2ms >= 0; from there the
+    # sum up to a is a polynomial of degree n + 2 in a, and 0 at s_lo - 1
+    t = params.twist
+    s_lo = max(0, -(b // t))
+    sums = [0]
+    for s in range(s_lo, min(a, s_lo + n + 1) + 1):
+        sums.append(sums[-1] + (s + 1) * comb(b + t * s + n, n))
+    if a <= s_lo + n + 1:
+        return sums[-1]
+    # Newton's forward formula on the n + 3 values at s_lo - 1, s_lo, ...
     total = 0
-    for s in range(a + 1):
-        d = b + params.twist * s
-        if d >= 0:
-            total += (s + 1) * comb(d + n, n)
+    for k in range(n + 3):
+        total += comb(a - s_lo + 1, k) * sums[0]
+        sums = [y - x for x, y in zip(sums, sums[1:])]
     return total
 
 

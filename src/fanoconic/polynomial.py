@@ -331,10 +331,20 @@ class Poly:
 
 def _trailing_split(exponents, n: int) -> int:
     """Start of the longest trailing block of variables on which the terms
-    show at most n distinct exponent patterns."""
-    start = n
-    while start > 0 and len({e[start - 1:] for e in exponents}) <= n:
-        start -= 1
+    show at most n distinct exponent patterns.
+
+    One pass: tails holds the distinct tails from start of the terms seen
+    so far.  When they pass n patterns, so do all the terms, and the block
+    drops its first variable; the shorter tails come from the distinct
+    longer ones, not from the terms.
+    """
+    start = 0
+    tails = set()
+    for e in exponents:
+        tails.add(e[start:])
+        while len(tails) > n and start < n:
+            start += 1
+            tails = {t[1:] for t in tails}
     return start
 
 

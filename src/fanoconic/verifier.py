@@ -9,11 +9,11 @@ have; this module actually draws the sections, builds the symmetric matrix
 
 and interrogates the fibration F = z^T S z = 0 with exact arithmetic:
 fiber ranks and degenerate types at sampled points, gradient audits in
-honest affine charts, and squarefree/degree probes of det S along rational
-lines (each entry restricted to the line on its own, det S expanded from
-the six univariates).  All randomness flows through one seeded generator
-in a documented order, so a report is a pure function of (m, seed,
-n_samples, flags).
+honest affine charts, and squarefree/degree probes of det S along integer
+lines (each entry restricted to the line on its own by one evaluation
+at a large power of two, det S expanded from the six univariates).  All
+randomness flows through one seeded generator in a documented order, so
+a report is a pure function of (m, seed, n_samples, flags).
 
 The special shape of the default sections (s1 = sigma' y1, s2 = s3 =
 sigma' y2, sigma = sigma'^2 with sigma' = y0) forces the boundary identity
@@ -33,7 +33,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter, mul
 
@@ -53,7 +52,6 @@ from .polynomial import (
     u_degree,
     u_is_squarefree,
     u_mul,
-    u_trim,
 )
 
 Z_GRID = ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (1, -2, 0))
@@ -189,6 +187,18 @@ class ConicMatrix:
     def _line_bounds(self) -> dict:
         """Per-slot line degree bounds, memoized by the direction support."""
         return {}
+
+    @cached_property
+    def _entry_sizes(self) -> dict:
+        """Per-slot (l1 norm, total degree) for the line probes; ValueError
+        if a coefficient is not an int."""
+        sizes = {}
+        for name, poly in self.named_entries():
+            coeffs = poly.terms.values()
+            if not all(isinstance(c, int) for c in coeffs):
+                raise ValueError(f"entry {name} has a non-integer coefficient")
+            sizes[name] = (sum(map(abs, coeffs)), max(map(sum, poly.terms), default=0))
+        return sizes
 
 
 def instantiate_sections(params: ConstructionParams, seed: int,
@@ -394,9 +404,16 @@ def boundary_identity_verdict(matrix: ConicMatrix) -> str:
     sp = matrix.sigma_prime.subs(on_v)
     zero = sp.ring.zero()
     expected = {iy1: (sp, zero, zero), iy2: (zero, sp, sp)}
+
+    def order_at_most(entry, k):
+        # a term of order > k along V still vanishes on V after k derivatives
+        return Poly(entry.ring, {e: c for e, c in entry.terms.items()
+                                 if e[iy1] + e[iy2] <= k})
+
     s_block = (matrix.s1, matrix.s2, matrix.s3)
-    if any(entry.subs(on_v) for entry in s_block + (matrix.lam1, matrix.lam2)):
+    if any(order_at_most(entry, 0) for entry in s_block + (matrix.lam1, matrix.lam2)):
         return "FAIL"
+    s_block = tuple(order_at_most(entry, 1) for entry in s_block)
     for v in range(sp.ring.n):
         got = tuple(entry.diff(v).subs(on_v) for entry in s_block)
         if got != expected.get(v, (zero,) * 3):
@@ -433,43 +450,32 @@ def _line_degree_bound(poly: Poly, support) -> int | None:
     return max(map(sum, map(itemgetter(*support), poly.terms)))
 
 
-def _nodes(count: int) -> list:
-    out = [0]
-    k = 1
-    while len(out) < count:
-        out.append(k)
-        if len(out) < count:
-            out.append(-k)
-        k += 1
-    return out
+def _restrict_entry(poly: Poly, size, bound: int, point, direction) -> list:
+    """poly(point + t*direction) as an ascending, trimmed coefficient list,
+    read off the one value at t = 2^K (Kronecker substitution).
 
-
-def _interpolate_newton(ts, vals) -> list:
-    """Exact ascending coefficients through the (t, value) pairs.
-
-    Newton divided differences over Q; the samples come from an integer
-    polynomial of degree < len(ts), so the coefficients must land back in
-    the integers and the interpolant is that polynomial.
+    size is (||poly||_1, total degree), and bound + 1 the most coefficients
+    the restriction may have.  Each coefficient of prod_i (p_i + t d_i)^(a_i)
+    is at most prod_i (|p_i| + |d_i|)^(a_i) in absolute value, so every
+    coefficient of the restriction is at most B = ||poly||_1 * M^deg, with
+    M = max_i |p_i| + |d_i|.  With
+    K = B.bit_length() + 1 they all lie in (-2^(K-1), 2^(K-1)), and they
+    are the unique balanced base-2^K digits of the value.
     """
-    n = len(ts)
-    dd = [Fraction(v) for v in vals]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (ts[i] - ts[i - j])
-    coeffs = [dd[0]]
-    basis = [1]
-    for k in range(1, n):
-        basis = u_mul(basis, [-ts[k - 1], 1])
-        if dd[k]:
-            coeffs = u_add(coeffs, [dd[k] * c for c in basis])
-    out = []
-    for c in u_trim(coeffs):
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise AssertionError("integer interpolation produced a fraction")
-            c = int(c)
-        out.append(c)
-    return out
+    norm, degree = size
+    reach = max(abs(p) + abs(d) for p, d in zip(point, direction))
+    k = (norm * reach ** degree).bit_length() + 1
+    value = poly.eval(tuple(p + (d << k) for p, d in zip(point, direction)))
+    half = 1 << (k - 1)
+    mask = (1 << k) - 1
+    digits = []
+    while value:
+        digit = ((value + half) & mask) - half
+        digits.append(digit)
+        value = (value - digit) >> k
+    if len(digits) > bound + 1:
+        raise AssertionError("restriction exceeds its line degree bound")
+    return digits
 
 
 # det S = s1 s3 sigma + 2 s2 lam1 lam2 - s3 lam1^2 - s1 lam2^2 - s2^2 sigma,
@@ -484,15 +490,16 @@ _DET_TERMS = (
 
 
 def discriminant_on_line(matrix: ConicMatrix, point, direction) -> LineProbe:
-    """Restrict det S to the rational line point + t*direction.
+    """Restrict det S to the integer line point + t*direction.
 
-    The direction must be nonzero, and the line must not be contained in
-    an irrelevant locus (its x-part and y-part must not both vanish
-    identically).  Each nonzero entry is
-    restricted on its own: sampled at integer parameters, as many as its
-    a-priori line degree bound plus one, and recovered exactly by Newton
-    interpolation.  det S is then expanded from the six univariates, so
-    its degree is exact; the squarefree test is u_is_squarefree.
+    The point and direction must have int coordinates, the direction must
+    be nonzero, and the line must not be contained in an irrelevant locus
+    (its x-part and y-part must not both vanish identically).  The entries
+    must have int coefficients.  Each nonzero entry is restricted on its
+    own, by one evaluation at t = 2^K (see _restrict_entry); a restriction
+    with more coefficients than the entry's line degree bound plus one
+    raises.  det S is then expanded from the six univariates, so its degree
+    is exact; the squarefree test is u_is_squarefree.
     """
     params = matrix.params
     nx = params.n_x
@@ -500,6 +507,8 @@ def discriminant_on_line(matrix: ConicMatrix, point, direction) -> LineProbe:
     direction = tuple(direction)
     if len(point) != nx + 3 or len(direction) != nx + 3:
         raise ValueError("line data has the wrong number of coordinates")
+    if not all(isinstance(c, int) for c in point + direction):
+        raise ValueError("line data must be integers")
     if not any(direction):
         raise ValueError("zero line direction")
     if not any(point[:nx]) and not any(direction[:nx]):
@@ -514,13 +523,12 @@ def discriminant_on_line(matrix: ConicMatrix, point, direction) -> LineProbe:
             name: _line_degree_bound(poly, support)
             for name, poly in matrix.named_entries()}
 
-    ts = _nodes(max((b for b in bounds.values() if b is not None), default=-1) + 1)
-    coords = [tuple(p + t * d for p, d in zip(point, direction)) for t in ts]
+    sizes = matrix._entry_sizes
     on_line = {}
     for name, poly in matrix.named_entries():
         b = bounds[name]
-        on_line[name] = [] if b is None else _interpolate_newton(
-            ts[:b + 1], [poly.eval(c) for c in coords[:b + 1]])
+        on_line[name] = [] if b is None else _restrict_entry(
+            poly, sizes[name], b, point, direction)
     det = []
     for k, names in _DET_TERMS:
         term = [k]

@@ -52,6 +52,16 @@ def count_monomials(a: int, b: int, twist: int, n_x: int) -> int:
     return total
 
 
+def count_sections_by_sum(a: int, b: int, twist: int, n_base: int) -> int:
+    """h^0 of (a, b) by adding up the binomial of every y-split s <= a."""
+    total = 0
+    for s in range(a + 1):
+        d = b + twist * s
+        if d >= 0:
+            total += (s + 1) * comb(d + n_base, n_base)
+    return total
+
+
 def enumerate_monomials(a: int, b: int, twist: int, n_x: int) -> list:
     """All exponent tuples (x..., y0, y1, y2) of bidegree (a, b).
 

@@ -111,6 +111,17 @@ def test_h0_refuses_a_count_too_long_to_print(capsys):
     assert out == ""
 
 
+def test_h0_of_a_large_class_answers_at_once(capsys):
+    # the binomial sum over all 10^7 + 1 y-splits gives this count too,
+    # in about ten seconds
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "h0", "--m", "2", "--class", "10000000D")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.endswith(
+        "h0(10000000D+0H) = 71111190349242793659726985385428674028576078571535000001\n")
+
+
 @pytest.mark.parametrize("digits, code", [(0, 0), (20, 0), (19, 2)])
 def test_h0_prints_every_count_within_the_digit_limit(capsys, monkeypatch, digits, code):
     # h0(300D-1H) at m = 2 has 20 digits

@@ -22,7 +22,7 @@ from fanoconic.coxring import (
 )
 from fanoconic.picard import ConstructionParams, DivisorClassY
 
-from .oracles import count_monomials, enumerate_monomials
+from .oracles import count_monomials, count_sections_by_sum, enumerate_monomials
 
 M2 = ConstructionParams(2)
 
@@ -121,6 +121,16 @@ def test_count_sections_matches_oracle(m, a_range, b_range):
             assert count_sections(cls_, params) == count_monomials(
                 a, b, params.twist, params.n_x
             ), (a, b)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_count_sections_matches_the_binomial_sum(m):
+    # past s_lo + 3m + 1 the count is extrapolated, not summed
+    params = ConstructionParams(m)
+    for a in range(-2, 61):
+        for b in range(-2 * m * a - 5, 31):
+            assert count_sections(DivisorClassY(a, b), params) == \
+                count_sections_by_sum(a, b, params.twist, params.n_base), (a, b)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

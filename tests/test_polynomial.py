@@ -18,6 +18,7 @@ from fanoconic.polynomial import (
     u_is_squarefree,
     u_mul,
     u_trim,
+    _trailing_split,
 )
 
 from .oracles import (
@@ -217,6 +218,15 @@ def test_eval_matches_term_oracle(p, pt):
     # the cached plan gives the same answers on a second point
     shifted = tuple(v + 1 for v in pt)
     assert p.eval(list(shifted)) == eval_terms(p, shifted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_poly)
+def test_trailing_split_is_the_longest_block_with_few_patterns(p):
+    start = _trailing_split(p.terms, 5)
+    assert all(len({e[k:] for e in p.terms}) <= 5 for k in range(start, 6))
+    assert start == 0 or len({e[start - 1:] for e in p.terms}) > 5
+    assert _trailing_split([()], 0) == 0
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,15 +3,21 @@ gradients, the boundary identity, and line probes of the discriminant."""
 
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import fanoconic
 from fanoconic import linalg, verifier
 from fanoconic.coxring import count_sections, cox_ring
 from fanoconic.picard import ConstructionParams, DivisorClassY
-from fanoconic.polynomial import Poly, u_degree, u_is_squarefree
+from fanoconic.polynomial import Poly, PolyRing, u_degree, u_is_squarefree
 from fanoconic.verifier import (
     LINE_RESAMPLE_CAP,
     MAX_SECTION_TERMS,
@@ -32,9 +38,8 @@ from fanoconic.verifier import (
     sample_v_point,
     _audit_gradient,
     _entry_evals,
-    _interpolate_newton,
     _line_degree_bound,
-    _nodes,
+    _restrict_entry,
     _SLOT_NAMES,
     _sample_chart_line,
     _sample_fiber_line,
@@ -50,6 +55,7 @@ from .oracles import (
     eval_gradient_terms,
     eval_terms,
     quadratic_form,
+    restrict_line,
 )
 
 M2 = ConstructionParams(2)
@@ -243,7 +249,7 @@ def test_entry_evaluation_matches_term_oracle(
               (0,) * M2.n_x + (0, 1, 0)]
     point, direction = _sample_chart_line(M2, rng, 9)
     points += [tuple(p + t * d for p, d in zip(point, direction))
-               for t in _nodes(3)]
+               for t in (0, 1, -1)]
     for name, poly in matrix.named_entries():
         partials = [poly.diff(i) for i in range(poly.ring.n)]
         for pt in points:
@@ -517,23 +523,105 @@ def test_drawn_boundary_identity_matches_form_oracle(seed, perturb):
 # -- line probes ------------------------------------------------------------
 
 
-def test_interpolation_nodes():
-    assert _nodes(1) == [0]
-    assert _nodes(4) == [0, 1, -1, 2]
-    assert _nodes(6) == [0, 1, -1, 2, -2, 3]
+def _entry_size(poly):
+    return (sum(abs(c) for c in poly.terms.values()),
+            max((sum(e) for e in poly.terms), default=0))
 
 
-def test_newton_interpolation_exact():
-    ts = [0, 1, -1, 2]
-    vals = [2 - 3 * t + t**3 for t in ts]
-    assert _interpolate_newton(ts, vals) == [2, -3, 0, 1]
-    assert _interpolate_newton([0, 1], [5, 5]) == [5]
-    assert _interpolate_newton([0], [0]) == []
+def _restrict(poly, point, direction):
+    support = tuple(i for i, d in enumerate(direction) if d)
+    bound = _line_degree_bound(poly, support)
+    return _restrict_entry(poly, _entry_size(poly), 0 if bound is None else bound,
+                           point, direction)
 
 
-def test_newton_interpolation_rejects_fractional_result():
-    with pytest.raises(AssertionError):
-        _interpolate_newton([0, 2], [0, 1])
+RING4 = PolyRing(("a", "b", "c", "d"))
+line_poly = st.dictionaries(
+    st.tuples(*[st.integers(0, 4)] * 4),
+    st.one_of(st.integers(-9, 9), st.integers(-10**12, 10**12)),
+    max_size=12,
+).map(lambda terms: Poly(RING4, terms))
+line_coords = st.tuples(*[st.one_of(st.just(0), st.integers(-6, 6))] * 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_poly, line_coords, line_coords)
+# a zero polynomial, and a restriction t^3 with zero lower coefficients
+@example(Poly(RING4, {}), (1, 2, 0, 0), (0, 1, 1, 0))
+@example(Poly(RING4, {(3, 0, 0, 0): 5}), (0, 1, 1, 1), (2, 0, 0, 1))
+# a^2 - b^2 on a = b: bound 2, restriction of degree 0
+@example(Poly(RING4, {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1, (0, 0, 0, 0): 3}),
+         (1, 1, 0, 0), (1, 1, 0, 0))
+def test_entry_restriction_matches_binomial_oracle(poly, point, direction):
+    if not any(direction):
+        direction = (0, 0, 0, 1)
+    assert _restrict(poly, point, direction) == restrict_line(poly, point, direction)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_entry_restriction_at_the_coefficient_bound(sign):
+    # a and b start at 0 and move by 1, c sits at 1, so M = 1 and the
+    # restriction is 127 t^2: its top coefficient is B = ||f||_1 * M^3,
+    # and B = 2^7 - 1 is the largest coefficient the chosen K = 8 admits
+    poly = Poly(RING4, {(2, 0, 1, 0): 100 * sign, (1, 1, 1, 0): 27 * sign})
+    point, direction = (0, 0, 1, 0), (1, 1, 0, 0)
+    assert _entry_size(poly) == (127, 3)
+    assert _restrict(poly, point, direction) == [0, 0, 127 * sign] \
+        == restrict_line(poly, point, direction)
+
+
+def test_entry_restriction_rejects_a_low_bound():
+    poly = Poly(RING4, {(2, 0, 0, 0): 1})
+    with pytest.raises(AssertionError, match="line degree bound"):
+        _restrict_entry(poly, (1, 2), 1, (1, 0, 0, 0), (1, 0, 0, 0))
+
+
+def test_line_probe_low_bound_raises_under_optimized_mode():
+    # python -O strips assert statements; the digit-count invariant is a
+    # raise, so a too-small line bound on one entry still fails loudly
+    code = """if True:
+        import random
+        from fanoconic.picard import ConstructionParams
+        from fanoconic.verifier import (
+            _sample_chart_line, discriminant_on_line, instantiate_sections)
+        m2 = ConstructionParams(2)
+        matrix = instantiate_sections(m2, seed=3, coeff_range=20)
+        point, direction = _sample_chart_line(m2, random.Random(4), 9)
+        discriminant_on_line(matrix, point, direction)
+        support = tuple(i for i, d in enumerate(direction) if d)
+        matrix._line_bounds[support]["lam1"] = 0
+        try:
+            discriminant_on_line(matrix, point, direction)
+        except AssertionError as exc:
+            print("raised:", exc)
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fanoconic.__file__)))
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "raised: restriction exceeds its line degree bound\n"
+
+
+def test_line_probe_refuses_non_integer_data(default_matrix, monkeypatch):
+    evals = []
+    eval_ = Poly.eval
+
+    def counting_eval(poly, values):
+        evals.append(1)
+        return eval_(poly, values)
+
+    monkeypatch.setattr(Poly, "eval", counting_eval)
+    point, direction = _sample_chart_line(M2, random.Random(24), 9)
+    half_point = (Fraction(1, 2),) + point[1:]
+    whole_direction = direction[:-1] + (Fraction(direction[-1] or 1),)
+    with pytest.raises(ValueError, match="integers"):
+        discriminant_on_line(default_matrix, half_point, direction)
+    with pytest.raises(ValueError, match="integers"):
+        discriminant_on_line(default_matrix, point, whole_direction)
+    halved = dataclasses.replace(default_matrix, lam2=default_matrix.lam2 * Fraction(1, 2))
+    with pytest.raises(ValueError, match="lam2 has a non-integer coefficient"):
+        discriminant_on_line(halved, point, direction)
+    assert not evals
 
 
 def test_line_probe_validation(default_matrix):
@@ -606,8 +694,7 @@ def test_line_probe_matches_direct_restriction_with_zero_slots(default_matrix):
 
 @pytest.mark.parametrize("sampler", [_sample_chart_line, _sample_fiber_line])
 def test_line_probe_work(perturbed_matrix, monkeypatch, sampler):
-    # one eval per interpolation node of each nonzero entry, on its own
-    # line degree bound, and no 3x3 determinant of numbers
+    # one eval per nonzero entry, and no 3x3 determinant of numbers
     evals, dets = [], []
     eval_ = Poly.eval
     det3 = linalg.det3
@@ -623,11 +710,9 @@ def test_line_probe_work(perturbed_matrix, monkeypatch, sampler):
     monkeypatch.setattr(Poly, "eval", counting_eval)
     monkeypatch.setattr(linalg, "det3", counting_det3)
     point, direction = sampler(M2, random.Random(23), 9)
-    discriminant_on_line(perturbed_matrix, point, direction)
-    support = tuple(i for i, d in enumerate(direction) if d)
-    bounds = [_line_degree_bound(poly, support)
-              for _, poly in perturbed_matrix.named_entries()]
-    assert len(evals) == sum(b + 1 for b in bounds if b is not None)
+    matrix = dataclasses.replace(perturbed_matrix, s2=cox_ring(M2).zero())
+    discriminant_on_line(matrix, point, direction)
+    assert len(evals) == 5
     assert not dets and not hasattr(verifier, "det3")
 
 
