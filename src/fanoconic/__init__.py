@@ -15,7 +15,7 @@ from .picard import (
     parse_divisor_class,
     standard_classes,
 )
-from .chow import SplitBundleOnP, bundle_of_G, bundle_of_Y
+from .chow import bundle_of_G, bundle_of_Y
 from .coxring import (
     BaseLocusResult,
     CoxGrading,
@@ -80,7 +80,6 @@ __all__ = [
     "InstanceReport",
     "LineProbe",
     "PositivityReport",
-    "SplitBundleOnP",
     "SplitBundleOnY",
     "Stratum",
     "antiK_Z",

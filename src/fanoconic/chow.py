@@ -16,45 +16,31 @@ G_i inside it are the rank-2 case with twists (0, 2m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .picard import ConstructionParams
 
 
-@dataclass(frozen=True)
-class SplitBundleOnP:
-    """A direct sum of line bundles O(t_i) on a projective space."""
-
-    twists: tuple[int, ...]
-
-    def __init__(self, twists):
-        object.__setattr__(self, "twists", tuple(twists))
-        if not self.twists:
-            raise ValueError("bundle needs at least one summand")
-
-    @property
-    def rank(self) -> int:
-        return len(self.twists)
+def bundle_of_Y(params: ConstructionParams) -> tuple:
+    """The twists (0, 2m, 2m) of the defining bundle of the base family."""
+    return (0, params.twist, params.twist)
 
 
-def bundle_of_Y(params: ConstructionParams) -> SplitBundleOnP:
-    """The defining bundle O + O(2m) + O(2m) of the base family."""
-    return SplitBundleOnP((0, params.twist, params.twist))
+def bundle_of_G(params: ConstructionParams) -> tuple:
+    """The twists (0, 2m) of the rank-2 bundle whose projectivization is a
+    divisor G_i."""
+    return (0, params.twist)
 
 
-def bundle_of_G(params: ConstructionParams) -> SplitBundleOnP:
-    """The rank-2 bundle O + O(2m) whose projectivization is a divisor G_i."""
-    return SplitBundleOnP((0, params.twist))
-
-
-def intersection_number(n_base: int, bundle: SplitBundleOnP, factors: dict) -> int:
-    """deg of the product of cls^e over {cls: e} on P(bundle) -> P^{n_base}.
+def intersection_number(n_base: int, twists: tuple, factors: dict) -> int:
+    """deg of the product of cls^e over {cls: e} on P(O(t_1) + ... + O(t_r))
+    -> P^{n_base}, with twists = (t_1, ..., t_r) not empty.
 
     Each class aD + bH is multiplied out as a polynomial in D, the H power
     being fixed by the degree; classes with a = 0 only scale the result, so
     the cost does not grow with the power of H.
     """
-    rank = bundle.rank
+    if not twists:
+        raise ValueError("bundle needs at least one summand")
+    rank = len(twists)
     exponents = factors.values()
     if sum(exponents) != n_base + rank - 1 or min(exponents, default=0) < 0:
         raise ValueError("the factors must be a product of top degree")
@@ -69,7 +55,7 @@ def intersection_number(n_base: int, bundle: SplitBundleOnP, factors: dict) -> i
                       for lo, hi in zip([0] + coeffs, coeffs + [0])]
     # segre[i] = h_i(twists): multiply out the series prod 1 / (1 - t x)
     segre = [1] + [0] * (len(coeffs) - rank)
-    for t in bundle.twists:
+    for t in twists:
         for i in range(1, len(segre)):
             segre[i] += t * segre[i - 1]
     return scale * sum(c * segre[j - rank + 1]

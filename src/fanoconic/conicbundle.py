@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chow import SplitBundleOnP, bundle_of_G, bundle_of_Y, intersection_number
+from .chow import bundle_of_G, bundle_of_Y, intersection_number
 from .cones import chamber_decomposition, classify, effective_cone, movable_cone, nef_cone
 from .coxring import base_locus, generator_degrees, is_effective
 from .picard import ConstructionParams, DivisorClassY, anticanonical_class, standard_classes
@@ -116,13 +116,14 @@ def antiK_of_projectivization(base_antiK: DivisorClassY,
 
 
 def antiK_of_projectivization_over_base(params: ConstructionParams,
-                                        bundle: SplitBundleOnP) -> DivisorClassY:
-    """Same formula one floor down, for bundles on P^{3m}.
+                                        twists: tuple) -> DivisorClassY:
+    """Same formula one floor down, for the split bundle on P^{3m} with the
+    given twists.
 
     The tautological class of the defining bundle of Y is D itself, so the
     result lands in the (D, H) lattice: rank * D + (3m + 1 - sum twists) H.
     """
-    return DivisorClassY(bundle.rank, params.n_x - sum(bundle.twists))
+    return DivisorClassY(len(twists), params.n_x - sum(twists))
 
 
 def antiK_Z(params: ConstructionParams) -> DivisorClassZ:
@@ -311,7 +312,6 @@ def build_certificate(params: ConstructionParams) -> ExampleCertificate:
 
     # the divisors G_i by adjunction
     chk("adjunction_G", str(g_cls), str(adjunction_solve_G(params)))
-    chk("G_shift_vanishes", "0D+0H", str(adjunction_solve_G(params) - d_cls + t * h_cls))
 
     # base loci of the small systems and of the discriminant bound
     for cls_ in (
@@ -330,7 +330,6 @@ def build_certificate(params: ConstructionParams) -> ExampleCertificate:
     dec = chamber_decomposition(generator_degrees(params), params)
     chk("nef_cone_rays", [[1, 0], [0, 1]], [list(r) for r in nef.rays()])
     chk("effective_cone_rays", [[1, -t], [0, 1]], [list(r) for r in eff.rays()])
-    chk("movable_equals_effective", True, movable_cone(params) == eff)
     chk("chamber_count", 2, len(dec.chambers))
     chk("chamber_labels", ["NEF_Y", "FLIP_CHAMBER"], list(dec.labels))
     chk("interior_walls", ["1D+0H"],
@@ -348,7 +347,6 @@ def build_certificate(params: ConstructionParams) -> ExampleCertificate:
     chk("antiK_Z", str(DivisorClassZ(3, 0, 1 - t)), str(z_antiK))
     chk("X_class_on_Z", str(DivisorClassZ(2, 0, -t)), str(x_cls))
     chk("antiK_Z_minus_X", str(DivisorClassZ(1, 0, 1)), str(restriction))
-    chk("adjunction_additivity_on_Z", True, x_cls + restriction == z_antiK)
     chk(
         "antiK_Z_minus_X_ample_via_summands",
         True,
@@ -361,7 +359,6 @@ def build_certificate(params: ConstructionParams) -> ExampleCertificate:
         + [str(DivisorClassY(2, 0))]
     chk("sym2_multiset", expected_sym2, [str(c) for c in sym2])
     r = e_bundle.rank
-    chk("sym2_count", r * (r + 1) // 2, len(sym2))
     total = DivisorClassY(0, 0)
     for c in sym2:
         total = total + c
@@ -375,8 +372,6 @@ def build_certificate(params: ConstructionParams) -> ExampleCertificate:
     chk("defining_twist_M", str(conic_defining_twist(params)), str(m_cls))
     delta_computed = discriminant_class(e_bundle, params)
     chk("discriminant_class", str(delta), str(delta_computed))
-    chk("discriminant_equals_twice_3D_minus_2mH", True,
-        delta_computed == 2 * DivisorClassY(3, -t))
     chk("discriminant_dot_ell_V", -2 * t, dot(delta_computed, ell_v))
     chk("discriminant_dot_ell_f", 6, dot(delta_computed, ell_f))
     chk(
@@ -391,9 +386,6 @@ def build_certificate(params: ConstructionParams) -> ExampleCertificate:
     chk("dims_consistent", True,
         dims["dim_X"] == 3 * (m + 1) and dims["dim_Z"] == dims["dim_X"] + 1)
     picard_numbers = {"rho_Y": 2, "rho_X": 3, "delta_rho": 1, "elementary": True}
-    chk("picard_rank_jump", 1, picard_numbers["rho_X"] - picard_numbers["rho_Y"])
-    chk("base_not_fano_forces_degenerate_fibers", True,
-        not classify(antiK_Y, params).ample)
 
     classes = {name: str(c) for name, c in named.items()}
     classes["antiK_Y"] = str(antiK_Y)

@@ -1,8 +1,8 @@
-"""Exact linear algebra for small rational matrices.
+"""Exact linear algebra for the symmetric 3x3 matrices of fiber diagnosis.
 
-Rank is computed by fraction-free (Bareiss) elimination after clearing
-denominators; kernels of the symmetric 3x3 matrices that show up in fiber
-diagnosis come from the adjugate, using A*adj(A) = det(A)*I.
+One global scale clears the denominators, and one adjugate then gives
+both the rank and, for rank 2, a kernel vector, using
+A*adj(A) = det(A)*I.
 """
 
 from __future__ import annotations
@@ -30,53 +30,12 @@ def clear_denominators(rows):
     return out
 
 
-def bareiss_rank(rows) -> int:
-    """Rank of an integer (or rational) matrix, fraction-free elimination."""
-    if not rows:
-        return 0
-    a = [list(r) for r in clear_denominators(rows)]
-    nr, nc = len(a), len(a[0])
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                num = a[r][c] * a[i][j] - a[i][c] * a[r][j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise AssertionError("Bareiss divisibility broken")
-                a[i][j] = q
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        rank += 1
-    return rank
-
-
-def det3(a) -> int:
-    return (
-        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-    )
-
-
 def adjugate3(a):
-    def cof(i, j):
-        r = [k for k in range(3) if k != i]
-        c = [k for k in range(3) if k != j]
-        minor = a[r[0]][c[0]] * a[r[1]][c[1]] - a[r[0]][c[1]] * a[r[1]][c[0]]
-        return -minor if (i + j) % 2 else minor
-
-    # adj[i][j] is the (j, i) cofactor
-    return [[cof(j, i) for j in range(3)] for i in range(3)]
+    """adj A, whose (i, j) entry is the (j, i) cofactor of A."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    return [[a11 * a22 - a12 * a21, a02 * a21 - a01 * a22, a01 * a12 - a02 * a11],
+            [a12 * a20 - a10 * a22, a00 * a22 - a02 * a20, a02 * a10 - a00 * a12],
+            [a10 * a21 - a11 * a20, a01 * a20 - a00 * a21, a00 * a11 - a01 * a10]]
 
 
 def _primitive(vec):
@@ -89,19 +48,21 @@ def _primitive(vec):
     return tuple(vec)
 
 
-def kernel_vector_3x3(rows):
-    """A primitive integer kernel vector of a rank-2 integer 3x3 matrix.
+def rank_and_kernel_3x3(rows):
+    """(rank, node) of a rational 3x3 matrix from one adjugate.
 
-    The adjugate of a rank-2 matrix is nonzero and every nonzero column lies
-    in the kernel (A*adj(A) = det(A)*I = 0).  Returns None when the rank is
-    not 2, so callers can use it as a rank-2 probe.
+    det A is row 0 of A times column 0 of adj A.  The rank is 3 if that is
+    nonzero, 2 if adj A is nonzero (some 2x2 minor survives), 1 if A is
+    nonzero and 0 otherwise.  For rank 2 every nonzero column of adj A
+    lies in the kernel, and node is the primitive integer form of the
+    first one, leading nonzero entry positive; otherwise node is None.
     """
     a = clear_denominators(rows)
-    if det3(a) != 0:
-        return None
     adj = adjugate3(a)
+    if a[0][0] * adj[0][0] + a[0][1] * adj[1][0] + a[0][2] * adj[2][0]:
+        return 3, None
     for j in range(3):
         col = [adj[0][j], adj[1][j], adj[2][j]]
         if any(col):
-            return _primitive(col)
-    return None
+            return 2, _primitive(col)
+    return (1 if any(map(any, a)) else 0), None

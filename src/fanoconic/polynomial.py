@@ -208,41 +208,7 @@ class Poly:
             out = out * self
         return out
 
-    # -- calculus and specialization ---------------------------------------
-
-    def diff(self, which) -> "Poly":
-        """Partial derivative with respect to a variable (index or name)."""
-        if isinstance(which, str):
-            which = self.ring.names.index(which)
-        out = {}
-        for exps, c in self.terms.items():
-            e = exps[which]
-            if not e:
-                continue
-            key = exps[:which] + (e - 1,) + exps[which + 1:]
-            out[key] = out.get(key, 0) + c * e
-        return Poly(self.ring, out)
-
-    def subs(self, assignments: dict) -> "Poly":
-        """Substitute scalars for some variables; keys are indices or names."""
-        idx = {}
-        for k, v in assignments.items():
-            if isinstance(k, str):
-                k = self.ring.names.index(k)
-            idx[k] = v
-        out = {}
-        for exps, c in self.terms.items():
-            for i, val in idx.items():
-                e = exps[i]
-                if e:
-                    c = c * val ** e
-                    if c == 0:
-                        break
-            if c == 0:
-                continue
-            key = tuple(0 if i in idx else e for i, e in enumerate(exps))
-            out[key] = out.get(key, 0) + c
-        return Poly(self.ring, out)
+    # -- evaluation --------------------------------------------------------
 
     def _eval_plan(self):
         if self._plan is None:

@@ -8,7 +8,8 @@ have; this module actually draws the sections, builds the symmetric matrix
         [ l1   l2   sig]
 
 and interrogates the fibration F = z^T S z = 0 with exact arithmetic:
-fiber ranks and degenerate types at sampled points, gradient audits in
+fiber ranks, degenerate types and nodes at sampled points (all read off
+one adjugate of the numeric S), gradient audits in
 honest affine charts, and squarefree/degree probes of det S along integer
 lines (each entry restricted to the line on its own by one evaluation
 at a large power of two, det S expanded from the six univariates).  All
@@ -20,8 +21,9 @@ sigma' y2, sigma = sigma'^2 with sigma' = y0) forces the boundary identity
 
     dF restricted to {y1 = y2 = z2 = 0}  =  sigma' (z0^2 dy1 + z1(2 z0 + z1) dy2),
 
-which is checked symbolically, not numerically, as the equivalent
-conditions on the Cox-ring entries restricted to V = {y1 = y2 = 0} (see
+which is checked symbolically, not numerically: the bidegrees of the
+entries reduce it to seven coefficients, the y0 coefficient of sigma'
+and the y0 y1 and y0 y2 coefficients of s1, s2 and s3 (see
 boundary_identity_verdict).  Perturbation mode adds independent random
 sections vanishing on V to second order to s1, s2 and s3, and V-vanishing
 corrections to sigma' and sigma; the identity survives because the extra
@@ -44,7 +46,7 @@ from .coxring import (
     random_section,
     y_indices,
 )
-from .linalg import bareiss_rank, clear_denominators, kernel_vector_3x3
+from .linalg import rank_and_kernel_3x3
 from .picard import ConstructionParams, DivisorClassY
 from .polynomial import (
     Poly,
@@ -120,9 +122,7 @@ class FiberDiagnosis:
 
 def diagnose_conic(rows) -> FiberDiagnosis:
     """Classify a numeric symmetric 3x3 matrix as a plane conic."""
-    cleared = clear_denominators(rows)
-    rank = bareiss_rank(cleared)
-    node = kernel_vector_3x3(cleared) if rank == 2 else None
+    rank, node = rank_and_kernel_3x3(rows)
     return FiberDiagnosis(rank, _RANK_TO_TYPE[rank], node)
 
 
@@ -146,7 +146,7 @@ def _slot_degrees(params: ConstructionParams) -> dict:
 
 @dataclass(frozen=True)
 class ConicMatrix:
-    """The six section entries plus the metadata that produced them.
+    """The six section entries of S, plus sigma'.
 
     sigma_prime is kept so the boundary identity can be stated for the
     perturbed family too; hand-built matrices may pass None, which skips
@@ -162,9 +162,6 @@ class ConicMatrix:
     lam2: Poly
     sigma: Poly
     sigma_prime: Poly | None = None
-    seed: int | None = None
-    perturb: bool = False
-    coeff_range: int | None = None
 
     def __post_init__(self):
         grading = CoxGrading(self.params)
@@ -210,7 +207,7 @@ def instantiate_sections(params: ConstructionParams, seed: int,
     s-block, sigma' and sigma.  The lam draws come first so both modes
     share them at equal seeds.
     """
-    return _draw_matrix(params, random.Random(seed), seed, coeff_range, perturb)
+    return _draw_matrix(params, random.Random(seed), coeff_range, perturb)
 
 
 def _section_draws(params, perturb):
@@ -226,8 +223,8 @@ def _section_draws(params, perturb):
     return draws
 
 
-def _draw_matrix(params, rng, seed, coeff_range, perturb) -> ConicMatrix:
-    """Draw the section matrix from rng; seed is only recorded on it."""
+def _draw_matrix(params, rng, coeff_range, perturb) -> ConicMatrix:
+    """Draw the section matrix from rng."""
     draws = _section_draws(params, perturb)
     size = sum(count_sections(cls_, params, limit=MAX_SECTION_TERMS) for cls_, _ in draws)
     if size > MAX_SECTION_TERMS:
@@ -252,8 +249,7 @@ def _draw_matrix(params, rng, seed, coeff_range, perturb) -> ConicMatrix:
     return ConicMatrix(
         params, sigma_prime * y1 + r1, sigma_prime * y2 + r2,
         sigma_prime * y2 + r3, lam1, lam2, sigma_prime * sigma_prime + w,
-        sigma_prime=sigma_prime, seed=seed, perturb=perturb,
-        coeff_range=coeff_range)
+        sigma_prime=sigma_prime)
 
 
 def fiber_at(matrix: ConicMatrix, point: CoxPointY) -> FiberDiagnosis:
@@ -372,7 +368,7 @@ def check_smooth_at_node(matrix: ConicMatrix, point: CoxPointY,
     jx, _ = _chart_frame(point, (1, 1, 1))
     evals = _entry_evals(matrix, point)
     _, values = _chart_values(matrix, point, jx, evals)
-    node = kernel_vector_3x3(clear_denominators(_s_rows(*values)))
+    _, node = rank_and_kernel_3x3(_s_rows(*values))
     if node is None:
         raise ValueError("fiber does not have rank 2 at this point")
     on_x, nonzero = _audit_gradient(matrix, point, node, evals=evals)
@@ -390,35 +386,32 @@ def boundary_identity_verdict(matrix: ConicMatrix) -> str:
     The right-hand side is the chart identity in homogeneous form (each
     z-chart version follows by setting the corresponding z to 1).  On W =
     {y1 = y2 = z2 = 0} the monomials z0^2, z0 z1 and z1^2 are independent,
-    so the identity holds iff, restricted to V = {y1 = y2 = 0} as Cox-ring
-    polynomials, s1, s2, s3, lam1 and lam2 vanish, the y1-partials of
-    (s1, s2, s3) are (sigma', 0, 0), the y2-partials are (0, sigma',
-    sigma'), and every other partial of s1, s2, s3 vanishes (sigma only
-    meets W through z2^2).  Returns PASS, FAIL, or SKIPPED when the matrix
-    does not carry a sigma'.
+    so the identity holds iff, restricted to V = {y1 = y2 = 0}, s1, s2, s3,
+    lam1 and lam2 vanish, the y1-partials of (s1, s2, s3) are (sigma', 0,
+    0), the y2-partials are (0, sigma', sigma'), and every other partial
+    of s1, s2, s3 vanishes (sigma only meets W through z2^2).
+
+    The bidegrees that ConicMatrix enforces settle all but seven scalars of
+    that.  Every term of an entry of class (2, -m) or (2, -2m) has y-order
+    k1 + k2 >= 1, so the entries vanish on V; a term of y-order 1 in the
+    s-block has x-degree 0, so it is a multiple of y0 y1 or y0 y2; and a
+    term of y-order >= 2 still vanishes on V after one derivative.  So with
+    c the y0 coefficient of sigma' and (a_i, b_i) the y0 y1 and y0 y2
+    coefficients of s_i, the identity holds iff sigma' restricted to V is
+    exactly c y0 and the pairs are (c, 0), (0, c) and (0, c).  Returns
+    PASS, FAIL, or SKIPPED when the matrix does not carry a sigma'.
     """
     if matrix.sigma_prime is None:
         return "SKIPPED"
-    _, iy1, iy2 = y_indices(matrix.params)
-    on_v = {iy1: 0, iy2: 0}
-    sp = matrix.sigma_prime.subs(on_v)
-    zero = sp.ring.zero()
-    expected = {iy1: (sp, zero, zero), iy2: (zero, sp, sp)}
-
-    def order_at_most(entry, k):
-        # a term of order > k along V still vanishes on V after k derivatives
-        return Poly(entry.ring, {e: c for e, c in entry.terms.items()
-                                 if e[iy1] + e[iy2] <= k})
-
-    s_block = (matrix.s1, matrix.s2, matrix.s3)
-    if any(order_at_most(entry, 0) for entry in s_block + (matrix.lam1, matrix.lam2)):
+    nx = matrix.params.n_x
+    y0, y0y1, y0y2 = ((0,) * nx + ys for ys in ((1, 0, 0), (1, 1, 0), (1, 0, 1)))
+    sigma_prime = matrix.sigma_prime.terms
+    if any(e[nx + 1] == e[nx + 2] == 0 and e != y0 for e in sigma_prime):
         return "FAIL"
-    s_block = tuple(order_at_most(entry, 1) for entry in s_block)
-    for v in range(sp.ring.n):
-        got = tuple(entry.diff(v).subs(on_v) for entry in s_block)
-        if got != expected.get(v, (zero,) * 3):
-            return "FAIL"
-    return "PASS"
+    c = sigma_prime.get(y0, 0)
+    pairs = tuple((s.terms.get(y0y1, 0), s.terms.get(y0y2, 0))
+                  for s in (matrix.s1, matrix.s2, matrix.s3))
+    return "PASS" if pairs == ((c, 0), (0, c), (0, c)) else "FAIL"
 
 
 # -- line probes ------------------------------------------------------------
@@ -651,7 +644,7 @@ def run_instance(params: ConstructionParams, seed: int, n_samples: int,
         raise ValueError("n_samples must be positive")
     rng = random.Random(seed)
     matrix = sections if sections is not None else \
-        _draw_matrix(params, rng, seed, coeff_range, perturb)
+        _draw_matrix(params, rng, coeff_range, perturb)
 
     failures: list[dict] = []
 

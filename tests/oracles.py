@@ -3,20 +3,21 @@
 Everything here deliberately avoids the package's own algorithms and
 shortcuts: counting walks the exponent lattice recursively instead of
 using binomial closed forms, ranks come from textbook fraction Gaussian
-elimination instead of fraction-free elimination, symmetric functions are
+elimination instead of the adjugate, symmetric functions are
 built from their recursion, polynomial values are summed term by term
 instead of through the compiled evaluation plan, products add exponent
 tuples instead of packed ints, lines are restricted by binomial
 expansion and det S on a line by cofactors, the chart gradient is
 assembled from naive differentiate-then-evaluate calls at the rescaled
 point instead of the integer-weighted fast path, the boundary identity is
-checked on the quadratic form F = z^T S z in a ring extended by the fiber
-coordinates, and nefness comes from pairings with curves instead of cone
+checked by differentiating every entry of S, and again on the quadratic
+form F = z^T S z in a ring extended by the fiber coordinates, instead of
+by reading seven coefficients, and nefness comes from pairings with curves instead of cone
 membership.  The one exception is squarefree_by_gcd: it is the exact gcd
 route of u_is_squarefree without the mod-p certificate in front of it.
 
-The polynomial helpers at the end (generators, lifting, serialization)
-exist only for the tests.
+The polynomial helpers at the end (differentiation, substitution,
+generators, lifting, serialization) exist only for the tests.
 """
 
 from dataclasses import dataclass
@@ -117,8 +118,8 @@ def eval_terms(poly, values):
 
 
 def eval_gradient_terms(poly, values):
-    """Every partial derivative by Poly.diff, each summed term by term."""
-    return [eval_terms(poly.diff(i), values) for i in range(poly.ring.n)]
+    """Every partial derivative by diff, each summed term by term."""
+    return [eval_terms(diff(poly, i), values) for i in range(poly.ring.n)]
 
 
 # -- curve classes and nefness ----------------------------------------------
@@ -198,7 +199,7 @@ def elementary_symmetric(k: int, values: tuple) -> int:
 
 @lru_cache(maxsize=None)
 def _partials(poly):
-    return tuple(poly.diff(v) for v in range(poly.ring.n))
+    return tuple(diff(poly, v) for v in range(poly.ring.n))
 
 
 def chart_gradient(matrix, point, z):
@@ -206,7 +207,7 @@ def chart_gradient(matrix, point, z):
 
     The point is moved to the x_{j*} = 1, y0 = 1 representative with
     Fraction arithmetic, z to its z_{k*} = 1 representative, and every
-    partial derivative is taken the slow way: Poly.diff then eval.  The
+    partial derivative is taken the slow way: diff then eval.  The
     partials of each entry are computed once and reused across calls.
     """
     params = matrix.params
@@ -244,6 +245,33 @@ def chart_gradient(matrix, point, z):
     ]
     grads += [zgrad[k] for k in range(3) if k != kz]
     return value == 0, any(g != 0 for g in grads)
+
+
+# -- the boundary identity by calculus on the entries -----------------------
+
+
+def boundary_identity_by_calculus(matrix) -> str:
+    """The boundary identity as conditions on the entries restricted to
+    V = {y1 = y2 = 0}, in the Cox ring: s1, s2, s3, lam1 and lam2 vanish
+    there, the y1-partials of (s1, s2, s3) are (sigma', 0, 0), the
+    y2-partials are (0, sigma', sigma'), and every other partial of s1, s2
+    and s3 vanishes.  Each partial is taken with diff and restricted with
+    subs, over every variable of the ring."""
+    if matrix.sigma_prime is None:
+        return "SKIPPED"
+    _, iy1, iy2 = y_indices(matrix.params)
+    on_v = {iy1: 0, iy2: 0}
+    sp = subs(matrix.sigma_prime, on_v)
+    zero = sp.ring.zero()
+    expected = {iy1: (sp, zero, zero), iy2: (zero, sp, sp)}
+    s_block = (matrix.s1, matrix.s2, matrix.s3)
+    if any(subs(entry, on_v) for entry in s_block + (matrix.lam1, matrix.lam2)):
+        return "FAIL"
+    for v in range(sp.ring.n):
+        got = tuple(subs(diff(entry, v), on_v) for entry in s_block)
+        if got != expected.get(v, (zero,) * 3):
+            return "FAIL"
+    return "PASS"
 
 
 # -- the boundary identity on the quadratic form ----------------------------
@@ -286,16 +314,52 @@ def boundary_identity_by_form(matrix) -> str:
     iz0, iz1, iz2 = ring.n - 3, ring.n - 2, ring.n - 1
     F = quadratic_form(matrix)
     wall = {iy1: 0, iy2: 0, iz2: 0}
-    sp = lift(matrix.sigma_prime.subs({iy1: 0, iy2: 0}), ring)
+    sp = lift(subs(matrix.sigma_prime, {iy1: 0, iy2: 0}), ring)
     z0, z1 = ring.var(iz0), ring.var(iz1)
     expected = {iy1: sp * z0 * z0, iy2: sp * z1 * (2 * z0 + z1)}
     for v in range(ring.n):
-        if F.diff(v).subs(wall) != expected.get(v, ring.zero()):
+        if subs(diff(F, v), wall) != expected.get(v, ring.zero()):
             return "FAIL"
     return "PASS"
 
 
 # -- polynomial helpers -----------------------------------------------------
+
+
+def diff(poly, which) -> Poly:
+    """Partial derivative with respect to a variable (index or name)."""
+    if isinstance(which, str):
+        which = poly.ring.names.index(which)
+    out = {}
+    for exps, c in poly.terms.items():
+        e = exps[which]
+        if not e:
+            continue
+        key = exps[:which] + (e - 1,) + exps[which + 1:]
+        out[key] = out.get(key, 0) + c * e
+    return Poly(poly.ring, out)
+
+
+def subs(poly, assignments: dict) -> Poly:
+    """Substitute scalars for some variables; keys are indices or names."""
+    idx = {}
+    for k, v in assignments.items():
+        if isinstance(k, str):
+            k = poly.ring.names.index(k)
+        idx[k] = v
+    out = {}
+    for exps, c in poly.terms.items():
+        for i, val in idx.items():
+            e = exps[i]
+            if e:
+                c = c * val ** e
+                if c == 0:
+                    break
+        if c == 0:
+            continue
+        key = tuple(0 if i in idx else e for i, e in enumerate(exps))
+        out[key] = out.get(key, 0) + c
+    return Poly(poly.ring, out)
 
 
 def gens(ring) -> tuple:
@@ -378,8 +442,8 @@ def direct_restriction(matrix, point, direction) -> list:
 
     Each entry is restricted by binomial expansion, and the symmetric
     determinant is expanded along its first row at the univariate level;
-    det3 on the full polynomial matrix would square the perturbed sigma
-    before ever restricting.
+    a determinant of the full polynomial matrix would square the perturbed
+    sigma before ever restricting.
     """
     e = {name: restrict_line(poly, point, direction)
          for name, poly in matrix.named_entries()}

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from fanoconic.chow import SplitBundleOnP, bundle_of_G, bundle_of_Y, intersection_number
+from fanoconic.chow import bundle_of_G, bundle_of_Y, intersection_number
 from fanoconic.coxring import count_sections
 from fanoconic.picard import ConstructionParams, DivisorClassY
 
@@ -31,8 +31,8 @@ def times(cls_, cycle):
 
 
 def test_bundle_rejects_empty():
-    with pytest.raises(ValueError):
-        SplitBundleOnP(())
+    with pytest.raises(ValueError, match="at least one summand"):
+        intersection_number(0, (), {})
 
 
 def test_degree_rejects_wrong_dimension():
@@ -54,7 +54,7 @@ def test_degree_of_zero():
 
 def test_normalization():
     for bundle in (bundle_of_Y(M2), bundle_of_G(M2)):
-        assert monomial_degree(M2, bundle, M2.n_base, bundle.rank - 1) == 1
+        assert monomial_degree(M2, bundle, M2.n_base, len(bundle) - 1) == 1
 
 
 def test_base_hyperplane_truncates():
@@ -83,8 +83,8 @@ def test_relation_annihilates_chern_alternating_sum(m):
     # times the rank-2 one.
     params = ConstructionParams(m)
     for bundle in (bundle_of_Y(params), bundle_of_G(params)):
-        e = [elementary_symmetric(k, bundle.twists) for k in range(4)]
-        top = params.n_base + bundle.rank - 1
+        e = [elementary_symmetric(k, bundle) for k in range(4)]
+        top = params.n_base + len(bundle) - 1
         for j in range(top - 2):
             i = top - 3 - j
 
@@ -101,7 +101,7 @@ def test_segre_degrees_match_complete_homogeneous(m):
     bundle = bundle_of_Y(params)
     for k in range(n + 1):
         value = monomial_degree(params, bundle, n - k, 2 + k)
-        assert value == complete_homogeneous(k, bundle.twists)
+        assert value == complete_homogeneous(k, bundle)
         assert value == (k + 1) * params.twist**k
 
 
@@ -120,7 +120,7 @@ def test_segre_degrees_on_divisor_bundle(m):
     bundle = bundle_of_G(params)
     for k in range(n + 1):
         value = monomial_degree(params, bundle, n - k, 1 + k)
-        assert value == complete_homogeneous(k, bundle.twists)
+        assert value == complete_homogeneous(k, bundle)
         assert value == params.twist**k
 
 

@@ -141,7 +141,7 @@ def test_certificate_json(capsys):
     assert doc["m"] == 4
     assert doc["dims"]["dim_X"] == 15
     assert doc["valid"] is True
-    assert len(doc["checks"]) == 36
+    assert len(doc["checks"]) == 29
 
 
 def test_h0_text_and_json(capsys):

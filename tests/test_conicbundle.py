@@ -170,8 +170,19 @@ def test_discriminant_invariant_under_retwist():
 def test_certificate_is_valid(m):
     cert = build_certificate(ConstructionParams(m))
     assert cert.valid
-    assert len(cert.checks) == 36
+    assert len(cert.checks) == 29
     assert all(c.passed for c in cert.checks)
+
+
+def test_certificate_has_no_repeated_or_constant_checks():
+    # each of these repeated another check or compared a value with itself
+    names = {c.name for c in build_certificate(M2).checks}
+    assert not names & {
+        "G_shift_vanishes", "discriminant_equals_twice_3D_minus_2mH",
+        "base_not_fano_forces_degenerate_fibers", "adjunction_additivity_on_Z",
+        "sym2_count", "movable_equals_effective", "picard_rank_jump"}
+    assert {"adjunction_G", "discriminant_class", "antiK_Y_positivity_flags",
+            "sym2_multiset", "dims_consistent"} <= names
 
 
 def test_certificate_check_names_unique():

@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from fanoconic.chow import bundle_of_Y, intersection_number
 from fanoconic.picard import (
     ConstructionParams,
     DivisorClassY,
@@ -10,6 +11,8 @@ from fanoconic.picard import (
 )
 
 from .oracles import ELL_F, ELL_V, CurveClassY, pair
+
+M2 = ConstructionParams(2)
 
 
 def test_params_reject_small_m():
@@ -55,11 +58,24 @@ def test_divisor_str_round_trips():
         assert parse_divisor_class(str(cls_)) == cls_
 
 
+def dot(cls_, curve, params):
+    """cls_ times a curve, by the package's intersection numbers on Y: the
+    fiber line ell_f is D H^{3m} and the line ell_V of V is G^2 H^{3m-1}."""
+    classes = standard_classes(params)
+    d, h, g = classes["D"], classes["H"], classes["G"]
+    n = params.n_base
+    cycle = {d: 1, h: n} if curve == "ell_f" else {g: 2, h: n - 1}
+    factors = {**cycle, cls_: cycle.get(cls_, 0) + 1}
+    return intersection_number(n, bundle_of_Y(params), factors)
+
+
 def test_pairing_against_extremal_curves():
     d = DivisorClassY(5, 7)
-    assert pair(d, ELL_F) == 5
-    assert pair(d, ELL_V) == 7
-    assert pair(d, CurveClassY(2, 3)) == 5 * 2 + 7 * 3
+    for params in (M2, ConstructionParams(3)):
+        assert dot(d, "ell_f", params) == pair(d, ELL_F) == 5
+        assert dot(d, "ell_V", params) == pair(d, ELL_V) == 7
+        assert 2 * dot(d, "ell_f", params) + 3 * dot(d, "ell_V", params) \
+            == pair(d, CurveClassY(2, 3)) == 5 * 2 + 7 * 3
 
 
 @pytest.mark.parametrize("m,expected_b", [(2, -1), (3, -2), (5, -4)])
@@ -96,14 +112,19 @@ def test_parse_rejects_garbage():
             parse_divisor_class(bad)
 
 
+@settings(deadline=None)
 @given(st.integers(-50, 50), st.integers(-50, 50),
        st.integers(-50, 50), st.integers(-50, 50))
 def test_pairing_is_bilinear(a, b, c, d):
+    # the curve 3 ell_f - 2 ell_V, paired through intersection_number
+    def on_curve(cls_):
+        return 3 * dot(cls_, "ell_f", M2) - 2 * dot(cls_, "ell_V", M2)
+
     u = DivisorClassY(a, b)
     v = DivisorClassY(c, d)
-    curve = CurveClassY(3, -2)
-    assert pair(u + v, curve) == pair(u, curve) + pair(v, curve)
-    assert pair(2 * u, curve) == 2 * pair(u, curve)
+    assert on_curve(u + v) == on_curve(u) + on_curve(v)
+    assert on_curve(2 * u) == 2 * on_curve(u)
+    assert on_curve(u) == pair(u, CurveClassY(3, -2))
 
 
 @given(st.integers(-20, 20), st.integers(-20, 20))

@@ -7,7 +7,7 @@ import os
 import pytest
 
 import fanoconic
-from fanoconic import chow, cones, picard, polynomial, verifier
+from fanoconic import chow, cones, linalg, picard, polynomial, verifier
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(fanoconic.__file__))
 
@@ -29,13 +29,21 @@ MOVED = [
     (verifier, "_conic_ring"),
     (verifier.ConicMatrix, "quadratic_form"),
     (verifier.ConicMatrix, "rows"),
+    (polynomial.Poly, "diff"),
+    (polynomial.Poly, "subs"),
 ]
 
 # (owner, attribute) of each name that was deleted outright
 REMOVED = [
     (chow, "ChowRing"),
     (chow, "ChowElement"),
-    (chow.SplitBundleOnP, "elementary_symmetric"),
+    (chow, "SplitBundleOnP"),
+    (linalg, "bareiss_rank"),
+    (linalg, "det3"),
+    (linalg, "kernel_vector_3x3"),
+    (verifier.ConicMatrix, "seed"),
+    (verifier.ConicMatrix, "perturb"),
+    (verifier.ConicMatrix, "coeff_range"),
 ]
 
 

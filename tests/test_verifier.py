@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fanoconic
-from fanoconic import linalg, verifier
+from fanoconic import verifier
 from fanoconic.coxring import count_sections, cox_ring
 from fanoconic.picard import ConstructionParams, DivisorClassY
 from fanoconic.polynomial import Poly, PolyRing, u_degree, u_is_squarefree
@@ -48,14 +48,17 @@ from fanoconic.verifier import (
 )
 
 from .oracles import (
+    boundary_identity_by_calculus,
     boundary_identity_by_form,
     chart_gradient,
     conic_ring,
+    diff,
     direct_restriction,
     eval_gradient_terms,
     eval_terms,
     quadratic_form,
     restrict_line,
+    subs,
 )
 
 M2 = ConstructionParams(2)
@@ -234,7 +237,7 @@ def test_form_restricted_to_V_is_sigma_z2_squared(
 ):
     matrix = perturbed_matrix if perturb else default_matrix
     ring = conic_ring(M2)
-    restricted = quadratic_form(matrix).subs({"y1": 0, "y2": 0})
+    restricted = subs(quadratic_form(matrix), {"y1": 0, "y2": 0})
     assert restricted == ring.var("y0") ** 2 * ring.var("z2") ** 2
 
 
@@ -251,7 +254,7 @@ def test_entry_evaluation_matches_term_oracle(
     points += [tuple(p + t * d for p, d in zip(point, direction))
                for t in (0, 1, -1)]
     for name, poly in matrix.named_entries():
-        partials = [poly.diff(i) for i in range(poly.ring.n)]
+        partials = [diff(poly, i) for i in range(poly.ring.n)]
         for pt in points:
             value, grad = poly.eval_with_gradient(pt)
             assert poly.eval(pt) == value == eval_terms(poly, pt), name
@@ -477,7 +480,8 @@ def _boundary_variants():
     # the grading already makes s1, s2, s3, lam1 and lam2 vanish on V and
     # leaves the y-partials of the s-block as multiples of y0 there, so what
     # can break the identity is a wrong multiple; each variant changes one
-    # entry, or sigma', of the default shape
+    # entry, or sigma', of the default shape.  sigma' carries no degree
+    # check, so its restriction to V must be read in full
     ring = cox_ring(M2)
     x0, x1 = ring.var("x0"), ring.var("x1")
     y0, y1, y2 = ring.var("y0"), ring.var("y1"), ring.var("y2")
@@ -485,6 +489,8 @@ def _boundary_variants():
     good = dict(s1=y0 * y1, s2=y0 * y2, s3=y0 * y2, lam1=z, lam2=z,
                 sigma=y0 * y0, sigma_prime=y0)
     x4 = x0 ** 4
+    second_order = {"s1": x4 * y1 * y1, "s2": x4 * y1 * y2, "s3": x4 * y2 * y2}
+    half = Fraction(1, 2)
     variants = {
         "default": {},
         "s1 has a dy2 term": {"s1": y0 * y1 + y0 * y2},
@@ -495,6 +501,14 @@ def _boundary_variants():
                                  "s3": y0 * y2 + x4 * y1 * y2},
         "lam block": {"lam1": x0 * x0 * y0 * y1, "lam2": x1 * x1 * y0 * y2},
         "sigma": {"sigma": 5 * y0 * y0 + x4 * x1 ** 4 * y1 * y2},
+        "sigma prime has x0 y0": {"sigma_prime": y0 + x0 * y0},
+        "sigma prime has a constant": {"sigma_prime": y0 + 1},
+        "sigma prime has a y1 term": {"sigma_prime": y0 + x4 * y1},
+        "sigma prime zero on V": dict(second_order, sigma_prime=x4 * y1),
+        "sigma prime zero on V, s1 first order":
+            dict(second_order, s1=y0 * y1, sigma_prime=x4 * y2),
+        "rational coefficients": {"s1": half * y0 * y1, "s2": half * y0 * y2,
+                                  "s3": half * y0 * y2, "sigma_prime": half * y0},
     }
     names = ("s1", "s2", "s3", "lam1", "lam2", "sigma")
     for label, change in variants.items():
@@ -507,9 +521,11 @@ def _boundary_variants():
 def test_boundary_identity_matches_form_oracle(label):
     matrix = dict(_boundary_variants())[label]
     verdict = boundary_identity_verdict(matrix)
-    assert verdict == boundary_identity_by_form(matrix)
+    assert verdict == boundary_identity_by_form(matrix) \
+        == boundary_identity_by_calculus(matrix)
     assert (verdict == "PASS") == (label in {
-        "default", "s block second order", "lam block", "sigma"})
+        "default", "s block second order", "lam block", "sigma",
+        "sigma prime has a y1 term", "sigma prime zero on V", "rational coefficients"})
 
 
 @pytest.mark.parametrize("seed", [5, 7, 42])
@@ -517,7 +533,7 @@ def test_boundary_identity_matches_form_oracle(label):
 def test_drawn_boundary_identity_matches_form_oracle(seed, perturb):
     matrix = instantiate_sections(M2, seed=seed, coeff_range=9, perturb=perturb)
     assert boundary_identity_verdict(matrix) == boundary_identity_by_form(matrix) \
-        == "PASS"
+        == boundary_identity_by_calculus(matrix) == "PASS"
 
 
 # -- line probes ------------------------------------------------------------
@@ -694,26 +710,29 @@ def test_line_probe_matches_direct_restriction_with_zero_slots(default_matrix):
 
 @pytest.mark.parametrize("sampler", [_sample_chart_line, _sample_fiber_line])
 def test_line_probe_work(perturbed_matrix, monkeypatch, sampler):
-    # one eval per nonzero entry, and no 3x3 determinant of numbers
-    evals, dets = [], []
+    # one eval per nonzero entry, and no rank of a 3x3 matrix of numbers
+    evals, ranks = [], []
     eval_ = Poly.eval
-    det3 = linalg.det3
+    rank_and_kernel = verifier.rank_and_kernel_3x3
 
     def counting_eval(poly, values):
         evals.append(1)
         return eval_(poly, values)
 
-    def counting_det3(a):
-        dets.append(1)
-        return det3(a)
+    def counting_rank_and_kernel(rows):
+        ranks.append(1)
+        return rank_and_kernel(rows)
 
     monkeypatch.setattr(Poly, "eval", counting_eval)
-    monkeypatch.setattr(linalg, "det3", counting_det3)
+    monkeypatch.setattr(verifier, "rank_and_kernel_3x3", counting_rank_and_kernel)
     point, direction = sampler(M2, random.Random(23), 9)
     matrix = dataclasses.replace(perturbed_matrix, s2=cox_ring(M2).zero())
     discriminant_on_line(matrix, point, direction)
     assert len(evals) == 5
-    assert not dets and not hasattr(verifier, "det3")
+    assert not ranks
+    # the counter sits where the fiber diagnosis looks the function up
+    fiber_at(matrix, CoxPointY(point[:M2.n_x], point[M2.n_x:]))
+    assert ranks == [1]
 
 
 def test_fiber_line_is_sextic(default_matrix):
