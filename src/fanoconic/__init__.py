@@ -6,111 +6,50 @@ with section counts and base loci, the two-chamber Mori picture, the
 ambient P^2-bundle Z with the conic divisor X inside it, and a seeded
 pointwise audit of one random member (fiber degenerations over the
 section V, chart smoothness, discriminant probes along lines).
+
+Importing the package loads none of its modules: each public name is
+imported from its home module on first access (PEP 562), so a caller
+that only draws sections never loads the certificate and cone modules.
 """
 
-from .picard import (
-    ConstructionParams,
-    DivisorClassY,
-    anticanonical_class,
-    parse_divisor_class,
-    standard_classes,
-)
-from .chow import bundle_of_G, bundle_of_Y
-from .coxring import (
-    BaseLocusResult,
-    CoxGrading,
-    Stratum,
-    base_locus,
-    count_sections,
-    cox_ring,
-    generator_degrees,
-    is_effective,
-    random_section,
-)
-from .cones import (
-    ChamberDecomposition,
-    Cone2D,
-    PositivityReport,
-    chamber_decomposition,
-    classify,
-    effective_cone,
-    movable_cone,
-    nef_cone,
-)
-from .conicbundle import (
-    DivisorClassZ,
-    ExampleCertificate,
-    SplitBundleOnY,
-    antiK_Z,
-    build_certificate,
-    discriminant_class,
-    standard_bundle,
-    sym2_decomposition,
-)
-from .verifier import (
-    ConicMatrix,
-    CoxPointY,
-    FiberDiagnosis,
-    FiberType,
-    InstanceReport,
-    LineProbe,
-    boundary_identity_verdict,
-    check_smooth_at_V_point,
-    check_smooth_at_node,
-    diagnose_conic,
-    discriminant_on_line,
-    fiber_at,
-    instantiate_sections,
-    run_instance,
-)
+from importlib import import_module
 
-__all__ = [
-    "BaseLocusResult",
-    "ChamberDecomposition",
-    "Cone2D",
-    "ConicMatrix",
-    "ConstructionParams",
-    "CoxGrading",
-    "CoxPointY",
-    "DivisorClassY",
-    "DivisorClassZ",
-    "ExampleCertificate",
-    "FiberDiagnosis",
-    "FiberType",
-    "InstanceReport",
-    "LineProbe",
-    "PositivityReport",
-    "SplitBundleOnY",
-    "Stratum",
-    "antiK_Z",
-    "anticanonical_class",
-    "base_locus",
-    "boundary_identity_verdict",
-    "build_certificate",
-    "bundle_of_G",
-    "bundle_of_Y",
-    "chamber_decomposition",
-    "check_smooth_at_V_point",
-    "check_smooth_at_node",
-    "classify",
-    "count_sections",
-    "cox_ring",
-    "diagnose_conic",
-    "discriminant_class",
-    "discriminant_on_line",
-    "effective_cone",
-    "fiber_at",
-    "generator_degrees",
-    "instantiate_sections",
-    "is_effective",
-    "movable_cone",
-    "nef_cone",
-    "parse_divisor_class",
-    "random_section",
-    "run_instance",
-    "standard_bundle",
-    "standard_classes",
-    "sym2_decomposition",
-]
+# the public names, by the module that defines them
+_EXPORTS = {
+    "picard": ("ConstructionParams", "DivisorClassY", "anticanonical_class",
+               "parse_divisor_class", "standard_classes"),
+    "chow": ("bundle_of_G", "bundle_of_Y"),
+    "coxring": ("BaseLocusResult", "CoxGrading", "Stratum", "base_locus",
+                "count_sections", "cox_ring", "generator_degrees",
+                "is_effective", "random_section"),
+    "cones": ("ChamberDecomposition", "Cone2D", "PositivityReport",
+              "chamber_decomposition", "classify", "effective_cone",
+              "movable_cone", "nef_cone"),
+    "conicbundle": ("DivisorClassZ", "ExampleCertificate", "SplitBundleOnY",
+                    "antiK_Z", "build_certificate", "discriminant_class",
+                    "standard_bundle", "sym2_decomposition"),
+    "verifier": ("ConicMatrix", "CoxPointY", "FiberDiagnosis", "FiberType",
+                 "InstanceReport", "LineProbe", "boundary_identity_verdict",
+                 "check_smooth_at_V_point", "check_smooth_at_node",
+                 "diagnose_conic", "discriminant_on_line", "fiber_at",
+                 "instantiate_sections", "run_instance"),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _HOME.keys())

@@ -276,10 +276,38 @@ def base_locus(cls_: DivisorClassY, params: ConstructionParams) -> BaseLocusResu
     return BaseLocusResult(cls_, frozenset(strata), raw)
 
 
-def _nonzero_draw(rng: random.Random, bound: int) -> int:
-    # uniform on [-bound, -1] union [1, bound]
-    v = rng.randint(1, 2 * bound)
-    return v - bound - 1 if v <= bound else v - bound
+def _nonzero_draws(rng: random.Random, bound: int, count: int) -> list:
+    """count independent draws, each uniform on [-bound, -1] union [1, bound].
+
+    Each is randint(1, 2 * bound) shifted past 0, drawn the way CPython's
+    randint draws it, by rejection on getrandbits, so the generator is left
+    where count randint calls would leave it.
+    """
+    if bound < 1:
+        raise ValueError("coeff_range must be positive")
+    n = 2 * bound
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    draws = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        draws.append(r - bound if r < bound else r - bound + 1)
+    return draws
+
+
+def section_basis(cls_: DivisorClassY, params: ConstructionParams,
+                  min_y_order: int = 0) -> list:
+    """The sorted exponent tuples of the monomial basis random_section draws on."""
+    return sorted(monomial_exponents(cls_, params, min_y_order=min_y_order))
+
+
+def draw_on_basis(basis: list, params: ConstructionParams, rng: random.Random,
+                  coeff_range: int) -> Poly:
+    """One nonzero coefficient from rng per monomial of the basis, in order."""
+    coeffs = _nonzero_draws(rng, coeff_range, len(basis))
+    return Poly(cox_ring(params), dict(zip(basis, coeffs)))
 
 
 def random_section(cls_: DivisorClassY, params: ConstructionParams,
@@ -297,12 +325,6 @@ def random_section(cls_: DivisorClassY, params: ConstructionParams,
     """
     if (seed is None) == (rng is None):
         raise ValueError("pass exactly one of seed and rng")
-    if coeff_range < 1:
-        raise ValueError("coeff_range must be positive")
     if rng is None:
         rng = random.Random(seed)
-    ring = cox_ring(params)
-    terms = {}
-    for exps in sorted(monomial_exponents(cls_, params, min_y_order=min_y_order)):
-        terms[exps] = _nonzero_draw(rng, coeff_range)
-    return Poly(ring, terms)
+    return draw_on_basis(section_basis(cls_, params, min_y_order), params, rng, coeff_range)

@@ -40,10 +40,11 @@ from operator import itemgetter, mul
 
 from .coxring import (
     CoxGrading,
-    _nonzero_draw,
+    _nonzero_draws,
     count_sections,
     cox_ring,
-    random_section,
+    draw_on_basis,
+    section_basis,
     y_indices,
 )
 from .linalg import rank_and_kernel_3x3
@@ -234,21 +235,24 @@ def _draw_matrix(params, rng, coeff_range, perturb) -> ConicMatrix:
     ring = cox_ring(params)
     iy0, iy1, iy2 = y_indices(params)
     y0, y1, y2 = ring.var(iy0), ring.var(iy1), ring.var(iy2)
-    lam1, lam2, *extra = [
-        random_section(cls_, params, rng=rng, coeff_range=coeff_range,
-                       min_y_order=order)
-        for cls_, order in draws
-    ]
+    # draws on the same basis share one enumeration, and its exponent tuples
+    bases = {}
+    for cls_, order in draws:
+        if (cls_, order) not in bases:
+            bases[cls_, order] = section_basis(cls_, params, order)
+    lam1, lam2, *extra = [draw_on_basis(bases[key], params, rng, coeff_range)
+                          for key in draws]
 
     sigma_prime = y0
     r1 = r2 = r3 = w = ring.zero()
     if perturb:
         sigma_extra, r1, r2, w, r3 = extra
         sigma_prime = y0 + sigma_extra
+    sigma_prime_y2 = sigma_prime * y2
 
     return ConicMatrix(
-        params, sigma_prime * y1 + r1, sigma_prime * y2 + r2,
-        sigma_prime * y2 + r3, lam1, lam2, sigma_prime * sigma_prime + w,
+        params, sigma_prime * y1 + r1, sigma_prime_y2 + r2,
+        sigma_prime_y2 + r3, lam1, lam2, sigma_prime * sigma_prime + w,
         sigma_prime=sigma_prime)
 
 
@@ -548,7 +552,7 @@ def sample_v_point(params: ConstructionParams, rng: random.Random,
                    coeff_range: int = 100) -> CoxPointY:
     """A random point of V: random x, y = (y0, 0, 0) with y0 nonzero."""
     return CoxPointY(_sample_x(params, rng, coeff_range),
-                     (_nonzero_draw(rng, coeff_range), 0, 0))
+                     (_nonzero_draws(rng, coeff_range, 1)[0], 0, 0))
 
 
 def sample_generic_point(params: ConstructionParams, rng: random.Random,
@@ -556,7 +560,7 @@ def sample_generic_point(params: ConstructionParams, rng: random.Random,
     """A random point off V with y0 != 0 (both exceptional loci are thin,
     and the y0 chart is where the gradient audits live)."""
     xs = _sample_x(params, rng, coeff_range)
-    y0 = _nonzero_draw(rng, coeff_range)
+    y0 = _nonzero_draws(rng, coeff_range, 1)[0]
     while True:
         y1 = rng.randint(-coeff_range, coeff_range)
         y2 = rng.randint(-coeff_range, coeff_range)

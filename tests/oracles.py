@@ -12,9 +12,11 @@ assembled from naive differentiate-then-evaluate calls at the rescaled
 point instead of the integer-weighted fast path, the boundary identity is
 checked by differentiating every entry of S, and again on the quadratic
 form F = z^T S z in a ring extended by the fiber coordinates, instead of
-by reading seven coefficients, and nefness comes from pairings with curves instead of cone
-membership.  The one exception is squarefree_by_gcd: it is the exact gcd
-route of u_is_squarefree without the mod-p certificate in front of it.
+by reading seven coefficients, nefness comes from pairings with curves
+instead of cone membership, and nonzero coefficients are drawn by randint
+instead of by rejection on getrandbits.  The one exception is
+squarefree_by_gcd: it is the exact gcd route of u_is_squarefree without
+the mod-p certificate in front of it.
 
 The polynomial helpers at the end (differentiation, substitution,
 generators, lifting, serialization) exist only for the tests.
@@ -135,6 +137,16 @@ class CurveClassY:
 
 ELL_F = CurveClassY(1, 0)  # a line in a fiber of Y -> P^{3m}
 ELL_V = CurveClassY(0, 1)  # a line in the section V
+
+
+def nonzero_draws_by_randint(rng, bound: int, count: int) -> list:
+    """count draws uniform on [-bound, -1] union [1, bound], each one
+    randint(1, 2 * bound) with the upper half shifted past 0."""
+    draws = []
+    for _ in range(count):
+        v = rng.randint(1, 2 * bound)
+        draws.append(v - bound - 1 if v <= bound else v - bound)
+    return draws
 
 
 def pair(divisor, curve: CurveClassY) -> int:

@@ -7,7 +7,6 @@ from math import prod
 import pytest
 
 from fanoconic.coxring import (
-    BaseLocusResult,
     CoxGrading,
     Stratum,
     base_locus,
@@ -15,6 +14,7 @@ from fanoconic.coxring import (
     cox_ring,
     generator_degrees,
     is_effective,
+    _nonzero_draws,
     monomial_exponents,
     random_section,
     y_indices,
@@ -22,7 +22,12 @@ from fanoconic.coxring import (
 )
 from fanoconic.picard import ConstructionParams, DivisorClassY
 
-from .oracles import count_monomials, count_sections_by_sum, enumerate_monomials
+from .oracles import (
+    count_monomials,
+    count_sections_by_sum,
+    enumerate_monomials,
+    nonzero_draws_by_randint,
+)
 
 M2 = ConstructionParams(2)
 
@@ -293,6 +298,29 @@ def test_random_section_min_y_order():
     iy1, iy2 = y_indices(M2)[1:]
     for exps in section.terms:
         assert exps[iy1] + exps[iy2] >= 1
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 63, 64, 65, 100, 127, 128, 10**30])
+@pytest.mark.parametrize("seed", [0, 7, 2**70])
+def test_nonzero_draws_follow_the_randint_stream(bound, seed):
+    # same values and the generator left in the same state: the points
+    # sampled after a draw come from where randint would have left it
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    for count in (0, 1, 300):
+        draws = _nonzero_draws(rng, bound, count)
+        assert draws == nonzero_draws_by_randint(oracle_rng, bound, count)
+        assert rng.getstate() == oracle_rng.getstate()
+        assert all(v != 0 and -bound <= v <= bound for v in draws)
+    if bound == 1:
+        assert set(draws) == {-1, 1}
+
+
+def test_random_section_draws_the_sorted_basis_in_order():
+    cls_ = DivisorClassY(2, -2)
+    basis = sorted(monomial_exponents(cls_, M2, min_y_order=1))
+    expected = nonzero_draws_by_randint(random.Random(9), 40, len(basis))
+    section = random_section(cls_, M2, seed=9, coeff_range=40, min_y_order=1)
+    assert list(section.terms.items()) == list(zip(basis, expected))
 
 
 def test_random_section_of_ineffective_class_is_zero():

@@ -1,8 +1,12 @@
-"""The public API: every exported name is package code, and the helpers
-that only the tests use live in tests/oracles.py, not in the package."""
+"""The public API: every exported name is package code, the helpers that
+only the tests use live in tests/oracles.py, not in the package, and
+importing the package loads a module only when one of its names is used."""
 
 import inspect
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -68,3 +72,67 @@ GONE = MOVED + REMOVED
 def test_moved_helper_is_gone(owner, attr):
     assert not hasattr(owner, attr)
     assert attr not in fanoconic.__all__
+
+
+# Run in a fresh interpreter: which package modules are loaded after each
+# step, what a star import binds, and what an unknown name raises.
+FOOTPRINT = """
+import json, sys
+
+def loaded():
+    return sorted(k for k in sys.modules if k.startswith("fanoconic."))
+
+import fanoconic
+steps = {"import": loaded()}
+fanoconic.instantiate_sections(fanoconic.ConstructionParams(2), 1)
+steps["instantiate_sections"] = loaded()
+import fanoconic.cli
+steps["cli"] = loaded()
+names = {}
+exec("from fanoconic import *", names)
+steps["star"] = sorted(set(names) - {"__builtins__"})
+steps["all"] = fanoconic.__all__
+try:
+    fanoconic.monomial_exponents
+except AttributeError as exc:
+    steps["unknown"] = str(exc)
+print(json.dumps(steps))
+"""
+
+
+@pytest.fixture(scope="module")
+def footprint():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
+    out = subprocess.run([sys.executable, "-c", FOOTPRINT], capture_output=True,
+                         text=True, env=env, timeout=60, check=True).stdout
+    return json.loads(out)
+
+
+def test_importing_the_package_loads_no_module(footprint):
+    assert footprint["import"] == []
+
+
+def test_drawing_sections_skips_the_certificate_modules(footprint):
+    loaded = footprint["instantiate_sections"]
+    assert "fanoconic.verifier" in loaded
+    for name in ("conicbundle", "cones", "chow"):
+        assert f"fanoconic.{name}" not in loaded
+
+
+def test_the_cli_loads_every_module(footprint):
+    # the benchmark tracer reads every module from sys.modules after
+    # importing fanoconic.cli alone
+    modules = {f"fanoconic.{name[:-3]}" for name in os.listdir(PACKAGE_DIR)
+               if name.endswith(".py") and name != "__init__.py"}
+    assert len(modules) == 9
+    assert set(footprint["cli"]) == modules
+
+
+def test_star_import_binds_exactly_all(footprint):
+    assert footprint["star"] == sorted(footprint["all"])
+    assert len(footprint["all"]) == 46
+    assert set(fanoconic.__all__) <= set(dir(fanoconic))
+
+
+def test_unknown_name_raises_attribute_error(footprint):
+    assert footprint["unknown"] == "module 'fanoconic' has no attribute 'monomial_exponents'"

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fanoconic
-from fanoconic import verifier
+from fanoconic import coxring, verifier
 from fanoconic.coxring import count_sections, cox_ring
 from fanoconic.picard import ConstructionParams, DivisorClassY
 from fanoconic.polynomial import Poly, PolyRing, u_degree, u_is_squarefree
@@ -198,6 +198,23 @@ def test_instantiation_deterministic():
     assert a.named_entries() == b.named_entries()
     c = instantiate_sections(M2, seed=8, coeff_range=20)
     assert a.lam1 != c.lam1
+
+
+@pytest.mark.parametrize("perturb, enumerations", [(False, 1), (True, 4)])
+def test_each_basis_is_enumerated_once_per_draw(monkeypatch, perturb, enumerations):
+    # lam1 and lam2 share a basis, and so do r1, r2 and r3 under perturb
+    calls = []
+    original = coxring.monomial_exponents
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(coxring, "monomial_exponents", counting)
+    matrix = instantiate_sections(M2, seed=5, perturb=perturb)
+    assert len(calls) == enumerations
+    assert len(matrix.lam1) == len(matrix.lam2) == 2828
+    assert all(a is b for a, b in zip(matrix.lam1.terms, matrix.lam2.terms))
 
 
 def test_perturbed_matrix_shares_lambda_draws(default_matrix, perturbed_matrix):
