@@ -19,20 +19,18 @@ _EXPORTS = {
     "picard": ("ConstructionParams", "DivisorClassY", "anticanonical_class",
                "parse_divisor_class", "standard_classes"),
     "chow": ("bundle_of_G", "bundle_of_Y"),
-    "coxring": ("BaseLocusResult", "CoxGrading", "Stratum", "base_locus",
-                "count_sections", "cox_ring", "generator_degrees",
-                "is_effective", "random_section"),
+    "coxring": ("BaseLocusResult", "Stratum", "base_locus", "count_sections",
+                "cox_ring", "generator_degrees", "is_effective"),
     "cones": ("ChamberDecomposition", "Cone2D", "PositivityReport",
-              "chamber_decomposition", "classify", "effective_cone",
-              "movable_cone", "nef_cone"),
-    "conicbundle": ("DivisorClassZ", "ExampleCertificate", "SplitBundleOnY",
-                    "antiK_Z", "build_certificate", "discriminant_class",
+              "chamber_decomposition", "classify", "effective_cone", "nef_cone"),
+    "conicbundle": ("DivisorClassZ", "ExampleCertificate", "antiK_Z",
+                    "build_certificate", "discriminant_class",
                     "standard_bundle", "sym2_decomposition"),
     "verifier": ("ConicMatrix", "CoxPointY", "FiberDiagnosis", "FiberType",
                  "InstanceReport", "LineProbe", "boundary_identity_verdict",
-                 "check_smooth_at_V_point", "check_smooth_at_node",
-                 "diagnose_conic", "discriminant_on_line", "fiber_at",
-                 "instantiate_sections", "run_instance"),
+                 "check_smooth_at_node", "diagnose_conic",
+                 "discriminant_on_line", "fiber_at", "instantiate_sections",
+                 "run_instance"),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

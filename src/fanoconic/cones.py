@@ -71,15 +71,6 @@ def effective_cone(params: ConstructionParams) -> Cone2D:
     return Cone2D.span((0, 1), (1, -params.twist))
 
 
-def movable_cone(params: ConstructionParams) -> Cone2D:
-    """Mov(Y) coincides with Eff(Y) for this family.
-
-    Both boundary classes move: H is free, and D - 2mH has two sections
-    y_1, y_2 with base locus V of codimension 2.
-    """
-    return effective_cone(params)
-
-
 @dataclass(frozen=True)
 class PositivityReport:
     cls_: DivisorClassY
@@ -103,8 +94,9 @@ class PositivityReport:
 def classify(cls_: DivisorClassY, params: ConstructionParams) -> PositivityReport:
     """Positivity flags of a class, all by exact cone membership.
 
-    big is interior-of-effective, ample is interior-of-nef; nef agrees with
-    nonnegative pairing against ell_f and ell_V by construction.
+    big is interior-of-effective, ample is interior-of-nef, movable is
+    effective (Mov = Eff, the certificate's movable_equals_effective); nef
+    agrees with nonnegative pairing against ell_f and ell_V by construction.
     """
     vec = (cls_.a, cls_.b)
     eff = effective_cone(params)
@@ -113,7 +105,7 @@ def classify(cls_: DivisorClassY, params: ConstructionParams) -> PositivityRepor
         cls_=cls_,
         effective=eff.contains(vec),
         big=eff.contains_interior(vec),
-        movable=movable_cone(params).contains(vec),
+        movable=eff.contains(vec),
         nef=nef.contains(vec),
         ample=nef.contains_interior(vec),
     )

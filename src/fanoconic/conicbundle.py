@@ -19,41 +19,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chow import bundle_of_G, bundle_of_Y, intersection_number
-from .cones import chamber_decomposition, classify, effective_cone, movable_cone, nef_cone
-from .coxring import base_locus, generator_degrees, is_effective
+from .cones import chamber_decomposition, classify, effective_cone, nef_cone
+from .coxring import Stratum, base_locus, generator_degrees, is_effective
 from .picard import ConstructionParams, DivisorClassY, anticanonical_class, standard_classes
 
 
-@dataclass(frozen=True)
-class SplitBundleOnY:
-    """A direct sum of line bundles on Y, one divisor class per summand."""
-
-    summands: tuple
-
-    def __init__(self, summands):
-        object.__setattr__(self, "summands", tuple(summands))
-        if not self.summands:
-            raise ValueError("bundle needs at least one summand")
-
-    @property
-    def rank(self) -> int:
-        return len(self.summands)
-
-    def det(self) -> DivisorClassY:
-        total = DivisorClassY(0, 0)
-        for s in self.summands:
-            total = total + s
-        return total
-
-    def twist(self, cls_: DivisorClassY) -> "SplitBundleOnY":
-        return SplitBundleOnY(tuple(s + cls_ for s in self.summands))
-
-
-def standard_bundle(params: ConstructionParams) -> SplitBundleOnY:
+def standard_bundle(params: ConstructionParams) -> tuple:
     """E = O(D) + O(D) + O(D + mH), ordered to match the fiber coordinates
     (z_0, z_1, z_2); the third summand carries the extra twist."""
     d = DivisorClassY(1, 0)
-    return SplitBundleOnY((d, d, DivisorClassY(1, params.m)))
+    return (d, d, DivisorClassY(1, params.m))
+
+
+def _det(classes) -> DivisorClassY:
+    """The sum of the classes: det of a split bundle, from its summands."""
+    return sum(classes, DivisorClassY(0, 0))
 
 
 @dataclass(frozen=True)
@@ -69,16 +49,6 @@ class DivisorClassZ:
 
     def __sub__(self, other):
         return DivisorClassZ(self.xi - other.xi, self.a - other.a, self.b - other.b)
-
-    def __neg__(self):
-        return DivisorClassZ(-self.xi, -self.a, -self.b)
-
-    def __mul__(self, k: int):
-        if isinstance(k, bool) or not isinstance(k, int):
-            return NotImplemented
-        return DivisorClassZ(self.xi * k, self.a * k, self.b * k)
-
-    __rmul__ = __mul__
 
     def __str__(self):
         return f"{self.xi}ξ{self.a:+d}D{self.b:+d}H"
@@ -109,10 +79,12 @@ def x_class_on_Z(params: ConstructionParams) -> DivisorClassZ:
 
 
 def antiK_of_projectivization(base_antiK: DivisorClassY,
-                              bundle: SplitBundleOnY) -> DivisorClassZ:
+                              bundle: tuple) -> DivisorClassZ:
     """-K of P(bundle) by the relative Euler sequence:
     rank * xi + p*(base_antiK - det bundle)."""
-    return DivisorClassZ(bundle.rank, 0, 0) + pullback(base_antiK - bundle.det())
+    if not bundle:
+        raise ValueError("bundle needs at least one summand")
+    return DivisorClassZ(len(bundle), 0, 0) + pullback(base_antiK - _det(bundle))
 
 
 def antiK_of_projectivization_over_base(params: ConstructionParams,
@@ -143,14 +115,14 @@ def adjunction_solve_G(params: ConstructionParams) -> DivisorClassY:
     return k_g - k_y
 
 
-def sym2_decomposition(bundle: SplitBundleOnY,
+def sym2_decomposition(bundle: tuple,
                        twist_cls: DivisorClassY) -> tuple:
     """Summand classes of Sym^2(bundle + twist), with multiplicity.
 
     Pairwise sums with repetition of the twisted summands, sorted, so the
     multiset is canonical: rank r gives r(r+1)/2 entries.
     """
-    tw = [s + twist_cls for s in bundle.summands]
+    tw = [s + twist_cls for s in bundle]
     out = []
     for i in range(len(tw)):
         for j in range(i, len(tw)):
@@ -158,13 +130,13 @@ def sym2_decomposition(bundle: SplitBundleOnY,
     return tuple(sorted(out, key=lambda c: (c.a, c.b)))
 
 
-def ampleness_via_summands(bundle: SplitBundleOnY,
+def ampleness_via_summands(bundle: tuple,
                            params: ConstructionParams) -> bool:
     """A split bundle is ample iff every summand is; exact for direct sums."""
-    return all(classify(s, params).ample for s in bundle.summands)
+    return all(classify(s, params).ample for s in bundle)
 
 
-def discriminant_class(bundle: SplitBundleOnY,
+def discriminant_class(bundle: tuple,
                        params: ConstructionParams) -> DivisorClassY:
     """Discriminant of the conic fibration: 2 det(bundle) + 3M.
 
@@ -174,7 +146,7 @@ def discriminant_class(bundle: SplitBundleOnY,
     once (E, M) are paired consistently.  For the standard bundle:
     2(3D + mH) + 3(-2mH) = 6D - 4mH.
     """
-    return 2 * bundle.det() + 3 * conic_defining_twist(params)
+    return 2 * _det(bundle) + 3 * conic_defining_twist(params)
 
 
 # -- the certificate -------------------------------------------------------
@@ -350,7 +322,7 @@ def build_certificate(params: ConstructionParams) -> ExampleCertificate:
     chk(
         "antiK_Z_minus_X_ample_via_summands",
         True,
-        ampleness_via_summands(e_bundle.twist(h_cls), params),
+        ampleness_via_summands([s + h_cls for s in e_bundle], params),
     )
 
     # the symmetric-matrix package
@@ -358,14 +330,11 @@ def build_certificate(params: ConstructionParams) -> ExampleCertificate:
     expected_sym2 = [str(DivisorClassY(2, -t))] * 3 + [str(DivisorClassY(2, -m))] * 2 \
         + [str(DivisorClassY(2, 0))]
     chk("sym2_multiset", expected_sym2, [str(c) for c in sym2])
-    r = e_bundle.rank
-    total = DivisorClassY(0, 0)
-    for c in sym2:
-        total = total + c
+    twisted = [s + section_twist(params) for s in e_bundle]
     chk(
         "sym2_det_identity",
-        str((r + 1) * e_bundle.twist(section_twist(params)).det()),
-        str(total),
+        str((len(e_bundle) + 1) * _det(twisted)),
+        str(_det(sym2)),
     )
 
     # discriminant
@@ -398,7 +367,11 @@ def build_certificate(params: ConstructionParams) -> ExampleCertificate:
     cones_summary = {
         "nef": [list(ray) for ray in nef.rays()],
         "effective": [list(ray) for ray in eff.rays()],
-        "movable_equals_effective": movable_cone(params) == eff,
+        # a class whose base locus has codimension >= 2 is movable, so
+        # Mov(Y) = Eff(Y) once neither ray of Eff(Y) has a divisorial one
+        "movable_equals_effective": not any(
+            Stratum.Y0_DIVISOR in base_locus(DivisorClassY(*ray), params).strata
+            for ray in eff.rays()),
         **dec.as_dict(),
     }
 

@@ -58,41 +58,26 @@ def y_indices(params: ConstructionParams) -> tuple[int, int, int]:
     return (base, base + 1, base + 2)
 
 
-@dataclass(frozen=True)
-class CoxGrading:
-    """Degree bookkeeping for the bigraded coordinate ring."""
-
-    params: ConstructionParams
-
-    def variable_degrees(self) -> tuple[DivisorClassY, ...]:
-        t = self.params.twist
-        xs = (DivisorClassY(0, 1),) * self.params.n_x
-        return xs + (DivisorClassY(1, 0), DivisorClassY(1, -t), DivisorClassY(1, -t))
-
-    def monomial_degree(self, exps) -> DivisorClassY:
-        i0, i1, i2 = y_indices(self.params)
-        k0, k1, k2 = exps[i0], exps[i1], exps[i2]
-        alpha = sum(exps[: self.params.n_x])
-        return DivisorClassY(k0 + k1 + k2, alpha - self.params.twist * (k1 + k2))
-
-    def poly_degree(self, poly: Poly) -> DivisorClassY | None:
-        """The common degree of all terms, None for zero, ValueError if mixed."""
-        # the (a, b) pairs as plain ints, one DivisorClassY at the end
-        i0, i1, i2 = y_indices(self.params)
-        t = self.params.twist
-        degrees = {(e[i0] + e[i1] + e[i2], sum(e[:i0]) - t * (e[i1] + e[i2]))
-                   for e in poly.terms}
-        if not degrees:
-            return None
-        if len(degrees) > 1:
-            shown = sorted(str(DivisorClassY(*d)) for d in degrees)
-            raise ValueError(f"polynomial is not bigraded homogeneous: {', '.join(shown)}")
-        return DivisorClassY(*degrees.pop())
+def poly_degree(poly: Poly, params: ConstructionParams) -> DivisorClassY | None:
+    """The common degree of all terms, None for zero, ValueError if mixed."""
+    # the (a, b) pairs as plain ints, one DivisorClassY at the end
+    i0, i1, i2 = y_indices(params)
+    t = params.twist
+    degrees = {(e[i0] + e[i1] + e[i2], sum(e[:i0]) - t * (e[i1] + e[i2]))
+               for e in poly.terms}
+    if not degrees:
+        return None
+    if len(degrees) > 1:
+        shown = sorted(str(DivisorClassY(*d)) for d in degrees)
+        raise ValueError(f"polynomial is not bigraded homogeneous: {', '.join(shown)}")
+    return DivisorClassY(*degrees.pop())
 
 
 def generator_degrees(params: ConstructionParams) -> list[DivisorClassY]:
     """Degrees of the coordinate variables, with multiplicity."""
-    return list(CoxGrading(params).variable_degrees())
+    t = params.twist
+    return [DivisorClassY(0, 1)] * params.n_x \
+        + [DivisorClassY(1, 0), DivisorClassY(1, -t), DivisorClassY(1, -t)]
 
 
 def is_effective(cls_: DivisorClassY, params: ConstructionParams) -> bool:
@@ -299,32 +284,15 @@ def _nonzero_draws(rng: random.Random, bound: int, count: int) -> list:
 
 def section_basis(cls_: DivisorClassY, params: ConstructionParams,
                   min_y_order: int = 0) -> list:
-    """The sorted exponent tuples of the monomial basis random_section draws on."""
+    """The sorted exponent tuples of a monomial basis, in the order
+    draw_on_basis gives them their coefficients."""
     return sorted(monomial_exponents(cls_, params, min_y_order=min_y_order))
 
 
 def draw_on_basis(basis: list, params: ConstructionParams, rng: random.Random,
                   coeff_range: int) -> Poly:
-    """One nonzero coefficient from rng per monomial of the basis, in order."""
+    """One coefficient from rng per basis monomial, in order, uniform on
+    [-coeff_range, coeff_range] without 0; an empty basis gives zero."""
     coeffs = _nonzero_draws(rng, coeff_range, len(basis))
     return Poly(cox_ring(params), dict(zip(basis, coeffs)))
 
-
-def random_section(cls_: DivisorClassY, params: ConstructionParams,
-                   seed: int | None = None, *, coeff_range: int = 100,
-                   min_y_order: int = 0, rng: random.Random | None = None) -> Poly:
-    """A random integer-coefficient section of the class.
-
-    Every basis monomial gets an independent uniform coefficient from
-    [-coeff_range, coeff_range] with 0 excluded, so the support is the full
-    monomial basis and generic nonvanishing arguments stay robust.  Pass a
-    seed for a self-contained deterministic draw, or an rng to sequence
-    several draws; exactly one of the two.  min_y_order restricts the basis
-    to monomials vanishing on V to that order.  An ineffective class gives
-    the zero polynomial.
-    """
-    if (seed is None) == (rng is None):
-        raise ValueError("pass exactly one of seed and rng")
-    if rng is None:
-        rng = random.Random(seed)
-    return draw_on_basis(section_basis(cls_, params, min_y_order), params, rng, coeff_range)

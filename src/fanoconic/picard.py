@@ -81,10 +81,6 @@ class DivisorClassY:
     def __str__(self):
         return f"{self.a}D{self.b:+d}H"
 
-    @classmethod
-    def parse(cls, text: str) -> "DivisorClassY":
-        return parse_divisor_class(text)
-
 
 def anticanonical_class(params: ConstructionParams) -> DivisorClassY:
     """-K_Y = 3D + (1-m)H.

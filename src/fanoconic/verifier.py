@@ -39,11 +39,11 @@ from functools import cached_property
 from operator import itemgetter, mul
 
 from .coxring import (
-    CoxGrading,
     _nonzero_draws,
     count_sections,
     cox_ring,
     draw_on_basis,
+    poly_degree,
     section_basis,
     y_indices,
 )
@@ -88,9 +88,6 @@ class CoxPointY:
     def is_admissible(self) -> bool:
         return any(c != 0 for c in self.x) and any(c != 0 for c in self.y)
 
-    def on_V(self) -> bool:
-        return self.y[1] == 0 and self.y[2] == 0
-
 
 class FiberType(str, Enum):
     SMOOTH_CONIC = "SMOOTH_CONIC"
@@ -112,13 +109,6 @@ class FiberDiagnosis:
     rank: int
     fiber_type: FiberType
     node: tuple | None  # primitive integer kernel direction when rank is 2
-
-    def as_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "type": self.fiber_type.value,
-            "node": list(self.node) if self.node is not None else None,
-        }
 
 
 def diagnose_conic(rows) -> FiberDiagnosis:
@@ -151,8 +141,9 @@ class ConicMatrix:
 
     sigma_prime is kept so the boundary identity can be stated for the
     perturbed family too; hand-built matrices may pass None, which skips
-    that check.  Entries are degree-validated at construction (the zero
-    polynomial is allowed in any slot).
+    that check.  Entries and sigma' must lie in cox_ring(params), and the
+    entries are degree-validated at construction (the zero polynomial is
+    allowed in any slot).
     """
 
     params: ConstructionParams
@@ -165,14 +156,14 @@ class ConicMatrix:
     sigma_prime: Poly | None = None
 
     def __post_init__(self):
-        grading = CoxGrading(self.params)
-        wants = _slot_degrees(self.params)
-        for name in _SLOT_NAMES:
-            deg = grading.poly_degree(getattr(self, name))
+        ring, wants = cox_ring(self.params), _slot_degrees(self.params)
+        for name in _SLOT_NAMES + ("sigma_prime",):
+            poly = getattr(self, name)
+            if poly is not None and poly.ring != ring:
+                raise ValueError(f"entry {name} is not in the ring of m = {self.params.m}")
+            deg = poly_degree(poly, self.params) if name in wants else None
             if deg is not None and deg != wants[name]:
-                raise ValueError(
-                    f"entry {name} has degree {deg}, expected {wants[name]}"
-                )
+                raise ValueError(f"entry {name} has degree {deg}, expected {wants[name]}")
 
     def named_entries(self):
         return tuple((name, getattr(self, name)) for name in _SLOT_NAMES)
@@ -312,12 +303,11 @@ def _chart_values(matrix, point, jx, evals):
     return nu_w, [w * evals[name][0] for w, name in zip(nu_w, _SLOT_NAMES)]
 
 
-def _audit_gradient(matrix, point, z, evals=None):
-    """Return (lies_on_fibration, gradient_nonzero) for the chart audit."""
+def _audit_gradient(matrix, point, z, evals):
+    """Return (lies_on_fibration, gradient_nonzero) for the chart audit,
+    from evals = _entry_evals(matrix, point)."""
     params = matrix.params
     jx, kz = _chart_frame(point, z)
-    if evals is None:
-        evals = _entry_evals(matrix, point)
     nu_w, values = _chart_values(matrix, point, jx, evals)
     z0, z1, z2 = z
     zw = (z0 * z0, 2 * z0 * z1, z1 * z1, 2 * z0 * z2, 2 * z1 * z2, z2 * z2)
@@ -341,41 +331,21 @@ def _audit_gradient(matrix, point, z, evals=None):
     return value == 0, nonzero
 
 
-def check_smooth_at_V_point(matrix: ConicMatrix, point: CoxPointY, z) -> bool:
-    """Gradient-nonzero verdict for a point of the boundary surface W.
-
-    The point must lie on V and z on the double line {z2 = 0}; such points
-    automatically lie on the fibration, and the audit asks whether the
-    total space is smooth there.
-    """
-    if not point.on_V():
-        raise ValueError("point is not on V")
-    if z[2] != 0:
-        raise ValueError("z must lie on the double line z2 = 0")
-    on_x, nonzero = _audit_gradient(matrix, point, z)
-    if not on_x:
-        raise ValueError("point does not lie on the fibration")
-    return nonzero
-
-
-def check_smooth_at_node(matrix: ConicMatrix, point: CoxPointY,
-                         diagnosis: FiberDiagnosis | None = None) -> bool:
+def check_smooth_at_node(matrix: ConicMatrix, point: CoxPointY) -> bool:
     """Gradient-nonzero verdict at the node of a rank-2 fiber.
 
     The kernel direction is recomputed in the chart frame (the torus
     rescaling twists the fiber trivialization by diag(nu^m, nu^m, 1), so a
     kernel computed in the raw frame would belong to a different basis).
-    A diagnosis, if supplied, only gates on the fiber really having rank 2.
+    ValueError if the fiber does not have rank 2 at the point.
     """
-    if diagnosis is not None and diagnosis.rank != 2:
-        raise ValueError("node check needs a rank-2 fiber")
     jx, _ = _chart_frame(point, (1, 1, 1))
     evals = _entry_evals(matrix, point)
     _, values = _chart_values(matrix, point, jx, evals)
     _, node = rank_and_kernel_3x3(_s_rows(*values))
     if node is None:
         raise ValueError("fiber does not have rank 2 at this point")
-    on_x, nonzero = _audit_gradient(matrix, point, node, evals=evals)
+    on_x, nonzero = _audit_gradient(matrix, point, node, evals)
     if not on_x:
         raise ValueError("node does not lie on the fibration")
     return nonzero
@@ -426,13 +396,6 @@ class LineProbe:
     degree: int              # degree in t of det S on the line, -1 if zero
     squarefree: bool | None  # None when the restriction vanishes identically
     identically_zero: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "squarefree": self.squarefree,
-            "identically_zero": self.identically_zero,
-        }
 
 
 def _line_degree_bound(poly: Poly, support) -> int | None:
@@ -675,7 +638,7 @@ def run_instance(params: ConstructionParams, seed: int, n_samples: int,
             })
         grid_ok = True
         for z in Z_GRID:
-            on_x, nonzero = _audit_gradient(matrix, p, z, evals=evals)
+            on_x, nonzero = _audit_gradient(matrix, p, z, evals)
             if not on_x:
                 raise AssertionError("V-grid point fell off the fibration")
             if not nonzero:
@@ -703,7 +666,7 @@ def run_instance(params: ConstructionParams, seed: int, n_samples: int,
             # a generic sample can land on the discriminant; diagnose, do
             # not fail, unless the node is actually a singular point of X
             n_pair += 1
-            node_ok = check_smooth_at_node(matrix, p, diag)
+            node_ok = check_smooth_at_node(matrix, p)
             n_pair_smooth += node_ok
             rec["node_smooth"] = node_ok
             if not node_ok:
