@@ -2,14 +2,16 @@
 
 For each integer m >= 2 the family lives over Y = P(O + O(2m) + O(2m))
 on P^{3m}: divisor classes and intersection numbers on Y, its Cox ring
-with section counts and base loci, the two-chamber Mori picture, the
-ambient P^2-bundle Z with the conic divisor X inside it, and a seeded
-pointwise audit of one random member (fiber degenerations over the
-section V, chart smoothness, discriminant probes along lines).
+with section counts, base loci and the seeded draw of one member, the
+two-chamber Mori picture, the ambient P^2-bundle Z with the conic
+divisor X inside it, and a seeded pointwise audit of the drawn member
+(fiber degenerations over the section V, chart smoothness, discriminant
+probes along lines).
 
 Importing the package loads none of its modules: each public name is
 imported from its home module on first access (PEP 562), so a caller
-that only draws sections never loads the certificate and cone modules.
+that only draws a member (instantiate_sections, in coxring) loads
+neither the audit modules nor the certificate and cone modules.
 """
 
 from importlib import import_module
@@ -19,18 +21,18 @@ _EXPORTS = {
     "picard": ("ConstructionParams", "DivisorClassY", "anticanonical_class",
                "parse_divisor_class", "standard_classes"),
     "chow": ("bundle_of_G", "bundle_of_Y"),
-    "coxring": ("BaseLocusResult", "Stratum", "base_locus", "count_sections",
-                "cox_ring", "generator_degrees", "is_effective"),
+    "coxring": ("BaseLocusResult", "ConicMatrix", "Stratum", "base_locus",
+                "count_sections", "cox_ring", "generator_degrees",
+                "instantiate_sections", "is_effective"),
     "cones": ("ChamberDecomposition", "Cone2D", "PositivityReport",
               "chamber_decomposition", "classify", "effective_cone", "nef_cone"),
     "conicbundle": ("DivisorClassZ", "ExampleCertificate", "antiK_Z",
                     "build_certificate", "discriminant_class",
                     "standard_bundle", "sym2_decomposition"),
-    "verifier": ("ConicMatrix", "CoxPointY", "FiberDiagnosis", "FiberType",
-                 "InstanceReport", "LineProbe", "boundary_identity_verdict",
+    "verifier": ("CoxPointY", "FiberDiagnosis", "FiberType", "InstanceReport",
+                 "LineProbe", "boundary_identity_verdict",
                  "check_smooth_at_node", "diagnose_conic",
-                 "discriminant_on_line", "fiber_at", "instantiate_sections",
-                 "run_instance"),
+                 "discriminant_on_line", "fiber_at", "run_instance"),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -100,13 +100,13 @@ class Poly:
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        # a plain copy unless there is a zero to drop
+        if 0 in terms.values():
+            terms = {e: c for e, c in terms.items() if c != 0}
+        self.terms = dict(terms)
         self._plan = None
 
     # -- basic structure ---------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)

@@ -1,13 +1,15 @@
 """Pointwise verification of one instantiated conic bundle.
 
 The divisor-level certificate says what classes the defining data must
-have; this module actually draws the sections, builds the symmetric matrix
+have; coxring.instantiate_sections draws one member, the symmetric matrix
 
         [ s1   s2   l1 ]
     S = [ s2   s3   l2 ]      s_i in (2,-2m), l_i in (2,-m), sigma in (2,0),
         [ l1   l2   sig]
 
-and interrogates the fibration F = z^T S z = 0 with exact arithmetic:
+of sections, and this module audits it: run_instance draws the member
+from its seeded generator and interrogates the fibration F = z^T S z = 0
+with exact arithmetic:
 fiber ranks, degenerate types and nodes at sampled points (all read off
 one adjugate of the numeric S), gradient audits in
 honest affine charts, and squarefree/degree probes of det S along integer
@@ -35,20 +37,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from operator import itemgetter, mul
 
 from .coxring import (
+    _SLOT_NAMES,
+    ConicMatrix,
+    _draw_matrix,
     _nonzero_draws,
-    count_sections,
-    cox_ring,
-    draw_on_basis,
-    poly_degree,
-    section_basis,
-    y_indices,
+    _s_rows,
 )
 from .linalg import rank_and_kernel_3x3
-from .picard import ConstructionParams, DivisorClassY
+from .picard import ConstructionParams
 from .polynomial import (
     Poly,
     u_add,
@@ -60,12 +59,6 @@ from .polynomial import (
 Z_GRID = ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (1, -2, 0))
 
 LINE_RESAMPLE_CAP = 25
-
-# Sections are drawn dense, one coefficient per basis monomial.  A draw whose
-# bases add up to more monomials than this is refused before anything is
-# drawn: at m = 4 each lam entry alone would have 8.1 million terms.  Each
-# count stops at the limit, so the refusal is immediate for every m.
-MAX_SECTION_TERMS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -115,136 +108,6 @@ def diagnose_conic(rows) -> FiberDiagnosis:
     """Classify a numeric symmetric 3x3 matrix as a plane conic."""
     rank, node = rank_and_kernel_3x3(rows)
     return FiberDiagnosis(rank, _RANK_TO_TYPE[rank], node)
-
-
-_SLOT_NAMES = ("s1", "s2", "s3", "lam1", "lam2", "sigma")
-
-
-def _s_rows(s1, s2, s3, lam1, lam2, sigma):
-    """The rows of S from its six entries, given in _SLOT_NAMES order."""
-    return [[s1, s2, lam1], [s2, s3, lam2], [lam1, lam2, sigma]]
-
-
-def _slot_degrees(params: ConstructionParams) -> dict:
-    t, m = params.twist, params.m
-    return {
-        "s1": DivisorClassY(2, -t), "s2": DivisorClassY(2, -t),
-        "s3": DivisorClassY(2, -t),
-        "lam1": DivisorClassY(2, -m), "lam2": DivisorClassY(2, -m),
-        "sigma": DivisorClassY(2, 0),
-    }
-
-
-@dataclass(frozen=True)
-class ConicMatrix:
-    """The six section entries of S, plus sigma'.
-
-    sigma_prime is kept so the boundary identity can be stated for the
-    perturbed family too; hand-built matrices may pass None, which skips
-    that check.  Entries and sigma' must lie in cox_ring(params), and the
-    entries are degree-validated at construction (the zero polynomial is
-    allowed in any slot).
-    """
-
-    params: ConstructionParams
-    s1: Poly
-    s2: Poly
-    s3: Poly
-    lam1: Poly
-    lam2: Poly
-    sigma: Poly
-    sigma_prime: Poly | None = None
-
-    def __post_init__(self):
-        ring, wants = cox_ring(self.params), _slot_degrees(self.params)
-        for name in _SLOT_NAMES + ("sigma_prime",):
-            poly = getattr(self, name)
-            if poly is not None and poly.ring != ring:
-                raise ValueError(f"entry {name} is not in the ring of m = {self.params.m}")
-            deg = poly_degree(poly, self.params) if name in wants else None
-            if deg is not None and deg != wants[name]:
-                raise ValueError(f"entry {name} has degree {deg}, expected {wants[name]}")
-
-    def named_entries(self):
-        return tuple((name, getattr(self, name)) for name in _SLOT_NAMES)
-
-    def evaluate(self, point: CoxPointY):
-        c = point.coords
-        return _s_rows(*(poly.eval(c) for _, poly in self.named_entries()))
-
-    @cached_property
-    def _line_bounds(self) -> dict:
-        """Per-slot line degree bounds, memoized by the direction support."""
-        return {}
-
-    @cached_property
-    def _entry_sizes(self) -> dict:
-        """Per-slot (l1 norm, total degree) for the line probes; ValueError
-        if a coefficient is not an int."""
-        sizes = {}
-        for name, poly in self.named_entries():
-            coeffs = poly.terms.values()
-            if not all(isinstance(c, int) for c in coeffs):
-                raise ValueError(f"entry {name} has a non-integer coefficient")
-            sizes[name] = (sum(map(abs, coeffs)), max(map(sum, poly.terms), default=0))
-        return sizes
-
-
-def instantiate_sections(params: ConstructionParams, seed: int,
-                         coeff_range: int = 100, perturb: bool = False) -> ConicMatrix:
-    """Draw the section matrix for one instance, deterministically.
-
-    Default mode is the special shape with lam1, lam2 the only random
-    entries; perturb additionally mixes random higher-order terms into the
-    s-block, sigma' and sigma.  The lam draws come first so both modes
-    share them at equal seeds.
-    """
-    return _draw_matrix(params, random.Random(seed), coeff_range, perturb)
-
-
-def _section_draws(params, perturb):
-    """(class, min_y_order) of each random section an instance draws, in
-    draw order: lam1, lam2, then in perturb mode the corrections to sigma',
-    s1, s2, sigma and s3."""
-    t, m = params.twist, params.m
-    draws = [(DivisorClassY(2, -m), 0)] * 2
-    if perturb:
-        draws += [(DivisorClassY(1, 0), 1), (DivisorClassY(2, -t), 2),
-                  (DivisorClassY(2, -t), 2), (DivisorClassY(2, 0), 1),
-                  (DivisorClassY(2, -t), 2)]
-    return draws
-
-
-def _draw_matrix(params, rng, coeff_range, perturb) -> ConicMatrix:
-    """Draw the section matrix from rng."""
-    draws = _section_draws(params, perturb)
-    size = sum(count_sections(cls_, params, limit=MAX_SECTION_TERMS) for cls_, _ in draws)
-    if size > MAX_SECTION_TERMS:
-        raise ValueError(
-            f"the {'perturbed ' if perturb else ''}sections at m = {params.m} "
-            f"span above the limit of {MAX_SECTION_TERMS} monomials")
-    ring = cox_ring(params)
-    iy0, iy1, iy2 = y_indices(params)
-    y0, y1, y2 = ring.var(iy0), ring.var(iy1), ring.var(iy2)
-    # draws on the same basis share one enumeration, and its exponent tuples
-    bases = {}
-    for cls_, order in draws:
-        if (cls_, order) not in bases:
-            bases[cls_, order] = section_basis(cls_, params, order)
-    lam1, lam2, *extra = [draw_on_basis(bases[key], params, rng, coeff_range)
-                          for key in draws]
-
-    sigma_prime = y0
-    r1 = r2 = r3 = w = ring.zero()
-    if perturb:
-        sigma_extra, r1, r2, w, r3 = extra
-        sigma_prime = y0 + sigma_extra
-    sigma_prime_y2 = sigma_prime * y2
-
-    return ConicMatrix(
-        params, sigma_prime * y1 + r1, sigma_prime_y2 + r2,
-        sigma_prime_y2 + r3, lam1, lam2, sigma_prime * sigma_prime + w,
-        sigma_prime=sigma_prime)
 
 
 def fiber_at(matrix: ConicMatrix, point: CoxPointY) -> FiberDiagnosis:
@@ -593,15 +456,13 @@ class InstanceReport:
 
 
 def run_instance(params: ConstructionParams, seed: int, n_samples: int,
-                 coeff_range: int = 100, perturb: bool = False,
-                 sections: ConicMatrix | None = None) -> InstanceReport:
+                 coeff_range: int = 100, perturb: bool = False) -> InstanceReport:
     """Draw one instance and run the full sampling audit.
 
     Draw order (all from one generator seeded with seed): section matrix,
     V points, generic points, chart lines, fiber lines; resamples consume
     the same stream.  n_samples controls the point counts and the chart
-    lines; fiber lines get max(1, n_samples // 5).  The sections argument
-    is a test hook that skips the draw and audits a prebuilt matrix.
+    lines; fiber lines get max(1, n_samples // 5).
 
     Every deviation lands in failures with its witness; passed means no
     failures.  A generic sample landing on the discriminant is not a
@@ -610,8 +471,7 @@ def run_instance(params: ConstructionParams, seed: int, n_samples: int,
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     rng = random.Random(seed)
-    matrix = sections if sections is not None else \
-        _draw_matrix(params, rng, coeff_range, perturb)
+    matrix = _draw_matrix(params, rng, coeff_range, perturb)
 
     failures: list[dict] = []
 

@@ -14,7 +14,9 @@ checked by differentiating every entry of S, and again on the quadratic
 form F = z^T S z in a ring extended by the fiber coordinates, instead of
 by reading seven coefficients, nefness comes from pairings with curves
 instead of cone membership, and nonzero coefficients are drawn by randint
-instead of by rejection on getrandbits.  The one exception is
+instead of by rejection on getrandbits, bidegrees are read term by term,
+and the drawn member is assembled by polynomial arithmetic instead of in
+one pass.  The one exception is
 squarefree_by_gcd: it is the exact gcd route of u_is_squarefree without
 the mod-p certificate in front of it.
 
@@ -22,12 +24,14 @@ The polynomial helpers at the end (differentiation, substitution,
 generators, lifting, serialization) exist only for the tests.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from fanoconic.coxring import y_indices
+from fanoconic.coxring import cox_ring, y_indices
+from fanoconic.picard import DivisorClassY
 from fanoconic.polynomial import Poly, PolyRing, u_add, u_diff, u_gcd, u_mul, u_trim
 
 
@@ -93,6 +97,53 @@ def enumerate_monomials(a: int, b: int, twist: int, n_x: int) -> list:
             tail = (k0, k1, k2)
             fill_x(0, d, [])
     return out
+
+
+def poly_degree_by_terms(poly, params):
+    """The common bidegree of the terms, each term read on its own: None
+    for zero, ValueError if mixed."""
+    i0, i1, i2 = y_indices(params)
+    t = params.twist
+    degrees = {(e[i0] + e[i1] + e[i2], sum(e[:i0]) - t * (e[i1] + e[i2]))
+               for e in poly.terms}
+    if not degrees:
+        return None
+    if len(degrees) > 1:
+        shown = sorted(str(DivisorClassY(*d)) for d in degrees)
+        raise ValueError(f"polynomial is not bigraded homogeneous: {', '.join(shown)}")
+    return DivisorClassY(*degrees.pop())
+
+
+def draw_by_arithmetic(params, seed: int, coeff_range: int = 100,
+                       perturb: bool = False) -> dict:
+    """The entries and sigma' of instantiate_sections as term dicts, each
+    section drawn by randint on its sorted enumerate_monomials basis and
+    the entries assembled by Poly arithmetic: sigma' y1 + r1, sigma' y2 + r2,
+    sigma' y2 + r3 and sigma' * sigma' + w."""
+    rng = random.Random(seed)
+    ring = cox_ring(params)
+    t, m = params.twist, params.m
+
+    def section(a, b, min_y_order):
+        basis = sorted(e for e in enumerate_monomials(a, b, t, params.n_x)
+                       if e[-2] + e[-1] >= min_y_order)
+        coeffs = nonzero_draws_by_randint(rng, coeff_range, len(basis))
+        return Poly(ring, dict(zip(basis, coeffs)))
+
+    lam1, lam2 = section(2, -m, 0), section(2, -m, 0)
+    y0, y1, y2 = (ring.var(i) for i in y_indices(params))
+    sigma_prime = y0
+    r1 = r2 = r3 = w = ring.zero()
+    if perturb:
+        sigma_prime = y0 + section(1, 0, 1)
+        r1, r2, w, r3 = (section(2, -t, 2), section(2, -t, 2), section(2, 0, 1),
+                         section(2, -t, 2))
+    entries = {
+        "s1": sigma_prime * y1 + r1, "s2": sigma_prime * y2 + r2,
+        "s3": sigma_prime * y2 + r3, "lam1": lam1, "lam2": lam2,
+        "sigma": sigma_prime * sigma_prime + w, "sigma_prime": sigma_prime,
+    }
+    return {name: poly.terms for name, poly in entries.items()}
 
 
 # -- polynomial arithmetic and evaluation -----------------------------------

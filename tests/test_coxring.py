@@ -5,9 +5,12 @@ import random
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanoconic.coxring import (
     Stratum,
+    _square_sigma_prime,
     base_locus,
     count_sections,
     cox_ring,
@@ -15,19 +18,22 @@ from fanoconic.coxring import (
     generator_degrees,
     is_effective,
     _nonzero_draws,
-    monomial_exponents,
     poly_degree,
-    section_basis,
+    section_bases,
+    instantiate_sections,
     y_indices,
     y_patterns,
 )
 from fanoconic.picard import ConstructionParams, DivisorClassY
+from fanoconic.polynomial import Poly
 
 from .oracles import (
     count_monomials,
     count_sections_by_sum,
+    draw_by_arithmetic,
     enumerate_monomials,
     nonzero_draws_by_randint,
+    poly_degree_by_terms,
 )
 
 M2 = ConstructionParams(2)
@@ -37,10 +43,13 @@ def _monomial_value(exps, coords):
     return prod(c**e for c, e in zip(coords, exps) if e)
 
 
+def _basis(cls_, min_y_order=0):
+    return section_bases([(cls_, min_y_order)], M2)[cls_, min_y_order]
+
+
 def _random_section(cls_, seed, coeff_range=100, min_y_order=0):
     # the draw verify makes: the sorted basis, then one coefficient each
-    basis = section_basis(cls_, M2, min_y_order)
-    return draw_on_basis(basis, M2, random.Random(seed), coeff_range)
+    return draw_on_basis(_basis(cls_, min_y_order), M2, random.Random(seed), coeff_range)
 
 
 def _random_point(params, rng, on_V=False):
@@ -93,6 +102,35 @@ def test_poly_degree_homogeneous_and_mixed():
     mixed = ring.var("x0") + ring.var("y0")
     with pytest.raises(ValueError):
         poly_degree(mixed, M2)
+
+
+_EXPONENTS = st.tuples(*[st.integers(0, 3)] * 10)
+
+
+@st.composite
+def _cox_polys(draw):
+    # terms of one class, or any exponents, which are mostly of mixed classes
+    coeffs = st.integers(-5, 5).filter(bool)
+    if draw(st.booleans()):
+        basis = _basis(DivisorClassY(draw(st.integers(0, 2)), draw(st.integers(-8, 3))))
+        exps = draw(st.lists(st.sampled_from(basis), max_size=8)) if basis else []
+    else:
+        exps = draw(st.lists(_EXPONENTS, max_size=8))
+    ring = cox_ring(M2)
+    return sum((ring.monomial(e, draw(coeffs)) for e in exps), ring.zero())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cox_polys())
+def test_poly_degree_matches_the_term_by_term_oracle(poly):
+    try:
+        expected = poly_degree_by_terms(poly, M2)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as ours:
+            poly_degree(poly, M2)
+        assert str(ours.value) == str(exc)
+    else:
+        assert poly_degree(poly, M2) == expected
 
 
 # -- effectivity and counting -----------------------------------------------
@@ -184,9 +222,9 @@ def test_y_patterns_of_D():
     [(1, 0), (0, 2), (2, -8), (1, -4), (0, 0), (2, -6), (1, -3)],
 )
 def test_monomial_exponents_match_oracle(a, b):
-    ours = sorted(monomial_exponents(DivisorClassY(a, b), M2))
+    ours = _basis(DivisorClassY(a, b))
     theirs = sorted(enumerate_monomials(a, b, M2.twist, M2.n_x))
-    assert ours == theirs
+    assert ours == theirs  # sorted, as drawn
     assert len(ours) == count_sections(DivisorClassY(a, b), M2)
     ring = cox_ring(M2)
     for exps in ours:
@@ -194,7 +232,7 @@ def test_monomial_exponents_match_oracle(a, b):
 
 
 def test_monomial_exponents_are_distinct():
-    exps = list(monomial_exponents(DivisorClassY(2, -2), M2))
+    exps = _basis(DivisorClassY(2, -2))
     assert len(exps) == len(set(exps))
 
 
@@ -249,7 +287,7 @@ def test_base_locus_agrees_with_point_sampling():
     free_points = [_random_point(M2, rng) for _ in range(12)]
     for a, b in [(2, -8), (1, -2), (2, -2), (1, 0), (0, 2)]:
         cls_ = DivisorClassY(a, b)
-        basis = list(monomial_exponents(cls_, M2))
+        basis = _basis(cls_)
         on_v_expected = Stratum.V in base_locus(cls_, M2).strata
         for p in v_points:
             vanishes = all(_monomial_value(e, p) == 0 for e in basis)
@@ -270,7 +308,7 @@ def test_random_section_deterministic():
 def test_random_section_full_support_and_bounds():
     cls_ = DivisorClassY(1, 0)
     section = _random_section(cls_, seed=11, coeff_range=30)
-    expected = set(monomial_exponents(cls_, M2))
+    expected = set(_basis(cls_))
     assert set(section.terms) == expected
     assert len(section) == 421
     for c in section.terms.values():
@@ -278,7 +316,7 @@ def test_random_section_full_support_and_bounds():
 
 
 def test_random_section_rng_sequencing():
-    basis = section_basis(DivisorClassY(0, 1), M2)
+    basis = _basis(DivisorClassY(0, 1))
     rng = random.Random(3)
     first = draw_on_basis(basis, M2, rng, 100)
     second = draw_on_basis(basis, M2, rng, 100)
@@ -316,7 +354,8 @@ def test_nonzero_draws_follow_the_randint_stream(bound, seed):
 
 def test_random_section_draws_the_sorted_basis_in_order():
     cls_ = DivisorClassY(2, -2)
-    basis = sorted(monomial_exponents(cls_, M2, min_y_order=1))
+    basis = sorted(enumerate_monomials(2, -2, M2.twist, M2.n_x))
+    basis = [e for e in basis if e[-2] + e[-1] >= 1]
     expected = nonzero_draws_by_randint(random.Random(9), 40, len(basis))
     section = _random_section(cls_, seed=9, coeff_range=40, min_y_order=1)
     assert list(section.terms.items()) == list(zip(basis, expected))
@@ -326,3 +365,45 @@ def test_random_section_of_ineffective_class_is_zero():
     section = _random_section(DivisorClassY(-1, 2), seed=4)
     assert not section
     assert len(section) == 0
+
+
+# -- the drawn member ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("m, seed, perturb", [
+    *((2, seed, perturb) for seed in (1, 7, 42, 967727) for perturb in (False, True)),
+    (3, 1, False),
+])
+def test_one_pass_draw_matches_the_arithmetic_draw(m, seed, perturb):
+    params = ConstructionParams(m)
+    matrix = instantiate_sections(params, seed, perturb=perturb)
+    ours = {name: poly.terms for name, poly in matrix.named_entries()}
+    ours["sigma_prime"] = matrix.sigma_prime.terms
+    assert ours == draw_by_arithmetic(params, seed, perturb=perturb)
+
+
+@pytest.mark.parametrize("stray", [
+    (0,) * 7 + (2, 0, 0),              # y0^2
+    (1,) + (0,) * 6 + (1, 0, 0),       # x0 y0
+    (0,) * 7 + (0, 1, 1),              # y1 y2
+    (4,) + (0,) * 6 + (1, 1, 0),       # x0^4 y0 y1
+])
+def test_sigma_prime_with_a_stray_term_raises(stray):
+    terms = dict(instantiate_sections(M2, 3, perturb=True).sigma_prime.terms)
+    terms[stray] = 1
+    with pytest.raises(ValueError, match="outside c y0"):
+        _square_sigma_prime(terms, M2.n_x)
+
+
+def test_sigma_prime_squares_like_the_product():
+    ring = cox_ring(M2)
+    x0, x6, y0, y1, y2 = (ring.var(name) for name in ("x0", "x6", "y0", "y1", "y2"))
+    # x-exponents up to 127 fit a byte of the packed key, doubled too
+    for sigma_prime in (y0, -3 * y0, y1 * x0, y0 + y1 * x0 - 5 * y2 * x6 ** 2,
+                        y1 * x0 - y2 * x0, 7 * y2 * x6 + y1 * x6,
+                        y0 + y1 * x0 ** 127 + y2 * x0 * x6 ** 126):
+        square = Poly(ring, _square_sigma_prime(sigma_prime.terms, M2.n_x))
+        assert square == sigma_prime * sigma_prime
+    with pytest.raises(ValueError, match="above 127"):
+        _square_sigma_prime((y0 + y2 * x6 ** 128).terms, M2.n_x)
+

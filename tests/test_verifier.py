@@ -15,14 +15,21 @@ from hypothesis import strategies as st
 
 import fanoconic
 from fanoconic import coxring, verifier
-from fanoconic.coxring import count_sections, cox_ring
+from fanoconic.coxring import (
+    _SLOT_NAMES,
+    MAX_SECTION_TERMS,
+    ConicMatrix,
+    _s_rows,
+    _section_draws,
+    count_sections,
+    cox_ring,
+    instantiate_sections,
+)
 from fanoconic.picard import ConstructionParams, DivisorClassY
 from fanoconic.polynomial import Poly, PolyRing, u_degree, u_is_squarefree
 from fanoconic.verifier import (
     LINE_RESAMPLE_CAP,
-    MAX_SECTION_TERMS,
     Z_GRID,
-    ConicMatrix,
     CoxPointY,
     FiberType,
     boundary_identity_verdict,
@@ -30,7 +37,6 @@ from fanoconic.verifier import (
     diagnose_conic,
     discriminant_on_line,
     fiber_at,
-    instantiate_sections,
     run_instance,
     sample_generic_point,
     sample_v_point,
@@ -38,11 +44,8 @@ from fanoconic.verifier import (
     _entry_evals,
     _line_degree_bound,
     _restrict_entry,
-    _SLOT_NAMES,
     _sample_chart_line,
     _sample_fiber_line,
-    _s_rows,
-    _section_draws,
 )
 
 from .oracles import (
@@ -204,17 +207,26 @@ def test_instantiation_deterministic():
 
 @pytest.mark.parametrize("perturb, enumerations", [(False, 1), (True, 4)])
 def test_each_basis_is_enumerated_once_per_draw(monkeypatch, perturb, enumerations):
-    # lam1 and lam2 share a basis, and so do r1, r2 and r3 under perturb
-    calls = []
-    original = coxring.monomial_exponents
+    # lam1 and lam2 share a basis, and so do r1, r2 and r3 under perturb;
+    # each basis walks its y-patterns once, and the x-monomials of each
+    # x-degree are enumerated once for every pattern and basis that has it
+    patterns, x_degrees = [], []
+    y_patterns, compositions = coxring.y_patterns, coxring._compositions
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting_patterns(*args, **kwargs):
+        patterns.append(args)
+        return y_patterns(*args, **kwargs)
 
-    monkeypatch.setattr(coxring, "monomial_exponents", counting)
+    def counting_compositions(total, parts):
+        x_degrees.append(total)
+        return compositions(total, parts)
+
+    monkeypatch.setattr(coxring, "y_patterns", counting_patterns)
+    monkeypatch.setattr(coxring, "_compositions", counting_compositions)
     matrix = instantiate_sections(M2, seed=5, perturb=perturb)
-    assert len(calls) == enumerations
+    assert len(patterns) == enumerations
+    # lam has x-degrees 2 and 6; the corrections add 4 (sigma', r) and 8 (w)
+    assert sorted(x_degrees) == ([2, 4, 6, 8] if perturb else [2, 6])
     assert len(matrix.lam1) == len(matrix.lam2) == 2828
     assert all(a is b for a, b in zip(matrix.lam1.terms, matrix.lam2.terms))
 
@@ -602,9 +614,9 @@ def test_line_probe_low_bound_raises_under_optimized_mode():
     # raise, so a too-small line bound on one entry still fails loudly
     code = """if True:
         import random
+        from fanoconic.coxring import instantiate_sections
         from fanoconic.picard import ConstructionParams
-        from fanoconic.verifier import (
-            _sample_chart_line, discriminant_on_line, instantiate_sections)
+        from fanoconic.verifier import _sample_chart_line, discriminant_on_line
         m2 = ConstructionParams(2)
         matrix = instantiate_sections(m2, seed=3, coeff_range=20)
         point, direction = _sample_chart_line(m2, random.Random(4), 9)
@@ -830,9 +842,10 @@ def test_run_instance_perturbed():
     assert report.section_terms["sigma"] > 1
 
 
-def test_run_instance_reports_honest_failures():
+def test_run_instance_reports_honest_failures(monkeypatch):
     matrix = ConicMatrix(M2, *_zero_entries())
-    report = run_instance(M2, seed=3, n_samples=2, sections=matrix)
+    monkeypatch.setattr(verifier, "_draw_matrix", lambda *args: matrix)
+    report = run_instance(M2, seed=3, n_samples=2)
     assert not report.passed
     assert report.boundary_identity == "SKIPPED"
     assert report.v_fibers["double_line"] == 0
