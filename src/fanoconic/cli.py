@@ -13,6 +13,7 @@ or unparsable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -27,7 +28,9 @@ DEFAULT_SAMPLES = 100
 DEFAULT_COEFF_RANGE = 100
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the fanoconic command, built once per process."""
     parser = argparse.ArgumentParser(
         prog="fanoconic",
         description="Exact checks for a family of conic bundles over "

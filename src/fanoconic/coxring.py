@@ -350,11 +350,11 @@ def _slot_degrees(params: ConstructionParams) -> dict:
 class ConicMatrix:
     """The six section entries of S, plus sigma'.
 
-    sigma_prime is kept so the boundary identity can be stated for the
-    perturbed family too; hand-built matrices may pass None, which skips
-    that check.  Entries and sigma' must lie in cox_ring(params), and the
-    entries are degree-validated at construction, every term of every entry
-    (the zero polynomial is allowed in any slot).
+    sigma_prime is required: the boundary identity is stated through it,
+    for the default and the perturbed family alike.  Entries and sigma'
+    must lie in cox_ring(params), and the entries are degree-validated at
+    construction, every term of every entry (the zero polynomial is
+    allowed in any slot).
     """
 
     params: ConstructionParams
@@ -364,13 +364,13 @@ class ConicMatrix:
     lam1: Poly
     lam2: Poly
     sigma: Poly
-    sigma_prime: Poly | None = None
+    sigma_prime: Poly
 
     def __post_init__(self):
         ring, wants = cox_ring(self.params), _slot_degrees(self.params)
         for name in _SLOT_NAMES + ("sigma_prime",):
             poly = getattr(self, name)
-            if poly is not None and poly.ring != ring:
+            if poly.ring != ring:
                 raise ValueError(f"entry {name} is not in the ring of m = {self.params.m}")
             deg = poly_degree(poly, self.params) if name in wants else None
             if deg is not None and deg != wants[name]:

@@ -16,10 +16,6 @@ gradient call where its trailing monomial is nonzero.  At a point of V
 in the Cox ring every pattern with a y1 or y2 vanishes, so the audit's V
 points build none of those.
 
-Products pack each exponent tuple into one int with a bit field per
-variable, so multiplying two monomials is one int addition, and a square
-visits each unordered pair of terms once (see __mul__).
-
 The univariate helpers at the end work on coefficient lists.  Their
 squarefree test is certified modulo one fixed prime first and falls back
 to the exact gcd over Q only when that certificate is undecided.
@@ -32,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import lshift, mul
+from operator import add, lshift, mul
 
 Scalar = int | Fraction
 
@@ -153,50 +149,20 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        """Product with a scalar or a polynomial of the same ring.
-
-        Two polynomials multiply on packed exponents: each tuple becomes
-        one int with a field of (deg f + deg g).bit_length() bits per
-        variable, and the result is unpacked once.  Its terms come in the
-        order a term-by-term loop over f, then g, would insert them.
-
-        A square (other is self) visits only the pairs i <= j and doubles
-        the cross terms.  The first pair to hit a key in the full loop is
-        its lexicographically first one, which has i <= j, so the order is
-        the same.
-        """
+        """Product with a scalar or a polynomial of the same ring, term by
+        term, the exponent tuples added entry by entry."""
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return self.ring.zero()
             return Poly(self.ring, {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        if not self.terms or not other.terms:
-            return self.ring.zero()
-        # every exponent of the product is at most deg f + deg g < 2^width,
-        # so no field carries into the next; the packing is injective, so
-        # the dict fills in the same order as it would keyed by tuples
-        width = (max(map(sum, self.terms)) + max(map(sum, other.terms))).bit_length()
-        shifts = [width * i for i in range(self.ring.n)]
-        ours = [(sum(map(lshift, exps, shifts)), c) for exps, c in self.terms.items()]
         out = {}
         get = out.get
-        if other is self:
-            for i, (k1, c1) in enumerate(ours):
-                key = k1 + k1
-                out[key] = get(key, 0) + c1 * c1
-                c1 *= 2  # the pair (i, j) stands for (j, i) too
-                for k2, c2 in ours[i + 1:]:
-                    key = k1 + k2
-                    out[key] = get(key, 0) + c1 * c2
-        else:
-            theirs = [(sum(map(lshift, exps, shifts)), c) for exps, c in other.terms.items()]
-            for k1, c1 in ours:
-                for k2, c2 in theirs:
-                    key = k1 + k2
-                    out[key] = get(key, 0) + c1 * c2
-        mask = (1 << width) - 1
-        return Poly(self.ring, {tuple(key >> s & mask for s in shifts): c
-                                for key, c in out.items()})
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(map(add, e1, e2))
+                out[key] = get(key, 0) + c1 * c2
+        return Poly(self.ring, out)
 
     __rmul__ = __mul__
 

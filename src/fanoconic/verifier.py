@@ -236,10 +236,8 @@ def boundary_identity_verdict(matrix: ConicMatrix) -> str:
     c the y0 coefficient of sigma' and (a_i, b_i) the y0 y1 and y0 y2
     coefficients of s_i, the identity holds iff sigma' restricted to V is
     exactly c y0 and the pairs are (c, 0), (0, c) and (0, c).  Returns
-    PASS, FAIL, or SKIPPED when the matrix does not carry a sigma'.
+    PASS or FAIL.
     """
-    if matrix.sigma_prime is None:
-        return "SKIPPED"
     nx = matrix.params.n_x
     y0, y0y1, y0y2 = ((0,) * nx + ys for ys in ((1, 0, 0), (1, 1, 0), (1, 0, 1)))
     sigma_prime = matrix.sigma_prime.terms
@@ -413,8 +411,9 @@ def _sample_fiber_line(params, rng, bound):
     while True:
         u = tuple(rng.randint(-bound, bound) for _ in range(3))
         v = tuple(rng.randint(-bound, bound) for _ in range(3))
-        if (u[0] * v[1] - u[1] * v[0], u[0] * v[2] - u[2] * v[0],
-                u[1] * v[2] - u[2] * v[1]) != (0, 0, 0):
+        # y0 divides det S on the default shape, so v_y0 = 0 would put a root
+        # at t = infinity; given v_y0 != 0, two minors decide if u, v span a pencil
+        if v[0] and (u[0] * v[1] - u[1] * v[0], u[0] * v[2] - u[2] * v[0]) != (0, 0):
             return xs + u, (0,) * nx + v
 
 

@@ -320,8 +320,6 @@ def boundary_identity_by_calculus(matrix) -> str:
     y2-partials are (0, sigma', sigma'), and every other partial of s1, s2
     and s3 vanishes.  Each partial is taken with diff and restricted with
     subs, over every variable of the ring."""
-    if matrix.sigma_prime is None:
-        return "SKIPPED"
     _, iy1, iy2 = y_indices(matrix.params)
     on_v = {iy1: 0, iy2: 0}
     sp = subs(matrix.sigma_prime, on_v)
@@ -370,8 +368,6 @@ def boundary_identity_by_form(matrix) -> str:
     """dF|_W = sigma'(z0^2 dy1 + z1(2 z0 + z1) dy2), checked by
     differentiating F in every one of its variables and restricting each
     partial to W = {y1 = y2 = z2 = 0}."""
-    if matrix.sigma_prime is None:
-        return "SKIPPED"
     ring = conic_ring(matrix.params)
     _, iy1, iy2 = y_indices(matrix.params)
     iz0, iz1, iz2 = ring.n - 3, ring.n - 2, ring.n - 1

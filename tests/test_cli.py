@@ -10,7 +10,7 @@ import time
 import pytest
 
 import fanoconic
-from fanoconic.cli import main
+from fanoconic.cli import build_parser, main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fanoconic.__file__)))
 
@@ -244,6 +244,32 @@ def test_verify_output_is_reproducible(capsys, fmt):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second
+
+
+# every subcommand, a usage error argparse reports, one the command reports,
+# and --help
+ONE_PROCESS_ARGVS = (
+    ("certificate", "--m", "2"),
+    ("verify", "--m", "2", "--samples", "1", "--seed", "3", "--format", "json"),
+    ("baselocus", "--m", "2", "--class", "3D-4H"),
+    ("classify", "--m", "3", "--class", "2D-9H", "--format", "json"),
+    ("h0", "--m", "2", "--class", "3D-4H"),
+    ("cones", "--m", "2", "--format", "json"),
+    ("h0", "--m", "2"),
+    ("verify", "--m", "2", "--samples", "0"),
+    ("baselocus", "--help"),
+)
+
+
+def test_second_call_in_one_process_answers_the_same(capsys):
+    # the parser is built once per process, so no call may leave state in it
+    rounds = [[run_cli(capsys, *argv) for argv in ONE_PROCESS_ARGVS
+               for _ in range(2)] for _ in range(2)]
+    assert rounds[0] == rounds[1]
+    answers = rounds[0]
+    assert answers[0::2] == answers[1::2]
+    assert [code for code, _, _ in answers[0::2]] == [0, 0, 0, 0, 0, 0, 2, 2, 0]
+    assert build_parser() is build_parser()
 
 
 def test_verify_output_survives_optimized_mode():

@@ -32,6 +32,10 @@ DIGESTS = {
         (0, "ca523ab0d9d7ee67a3366b4908ed7c4bfeb282e29c131d0267579ec46beac402"),
     "verify --m 2 --seed 695724 --samples 3 --coeff-range 100 --perturb --format json":
         (0, "9ce19d71675eb3689e8dfa086132fa99330a90dff6270b4a3f8626ca7c7af0d5"),
+    # the default verify command of the benchmark at its seed 3101, whose first
+    # fiber pencil draw has v_y0 = 0 and is redrawn
+    "verify --m 2 --seed 192285 --samples 6 --coeff-range 100 --format json":
+        (0, "b5ea11d7602c8c88961a3d7229ecc7d4c5595599e794585df57ee7a34917af93"),
     # re-recorded when the certificate dropped its seven checks that repeated
     # another check or could not fail (36 -> 29 checks); nothing else changed
     "certificate --m 2 --format json":

@@ -108,7 +108,7 @@ mul_poly = st.dictionaries(
 @settings(max_examples=200, deadline=None)
 @given(mul_poly, mul_poly)
 def test_mul_matches_term_oracle(f, g):
-    # f * f on one object takes the squaring path
+    # f * f multiplies one object by itself
     for a, b in ((f, g), (f, f)):
         product = a * b
         expected = mul_terms(a, b)
@@ -119,16 +119,15 @@ def test_mul_matches_term_oracle(f, g):
 
 @pytest.mark.parametrize("k", range(2, 8))
 def test_mul_at_a_packing_field_boundary(k):
-    # deg f + deg g = 2^k - 1 fills every bit of the x field, and 2^k needs
-    # one more; the y and z exponents sit in the fields above it
+    # product degrees at 2^k - 1 and 2^k, where an encoding of exponents
+    # in k-bit fields would overflow
     for total in (2**k - 1, 2**k):
         a = total // 2
         f = X**a - 3 * Y**a + Z
         g = X**(total - a) + Fraction(1, 2) * X**(total - a - 1) * Y
         assert f * g == mul_terms(f, g)
         assert (f * g).terms[(total, 0, 0)] == 1
-    # a square doubles its cross terms; 2 deg h = 2^k - 2 is the last even
-    # total that fits k bits, and 2^k needs one more
+    # a square has each cross term twice, at even degrees 2^k - 2 and 2^k
     for d in (2**(k - 1) - 1, 2**(k - 1)):
         h = X**d - 3 * X**(d - 1) * Y + Fraction(1, 2) * Z**d
         square = h * h

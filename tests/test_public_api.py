@@ -160,7 +160,8 @@ def test_conic_matrix_checks_hold_under_optimized_mode():
     code = """if True:
         from fanoconic import ConicMatrix, ConstructionParams, cox_ring, instantiate_sections
         m2, m3 = ConstructionParams(2), ConstructionParams(3)
-        entries = dict(instantiate_sections(m2, 1).named_entries())
+        drawn = instantiate_sections(m2, 1)
+        entries = dict(drawn.named_entries(), sigma_prime=drawn.sigma_prime)
         bad = {"degree": dict(entries, lam1=entries["lam1"] + cox_ring(m2).var("y0")),
                "ring": dict(entries, sigma=cox_ring(m3).var("y0") ** 2)}
         for name, given in bad.items():

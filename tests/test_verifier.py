@@ -80,6 +80,10 @@ def _zero_entries():
     return (z, z, z, z, z, z)
 
 
+# the sigma' of the default shape, for hand-built matrices
+Y0 = cox_ring(M2).var("y0")
+
+
 # -- points and rings -------------------------------------------------------
 
 
@@ -140,7 +144,7 @@ def test_matrix_rejects_wrong_entry_degree():
     entries = list(_zero_entries())
     entries[0] = y0 * y0  # (2, 0) in an s-slot wanting (2, -4)
     with pytest.raises(ValueError):
-        ConicMatrix(M2, *entries)
+        ConicMatrix(M2, *entries, sigma_prime=y0)
 
 
 def test_matrix_rejects_mixed_degree_entry():
@@ -148,20 +152,21 @@ def test_matrix_rejects_mixed_degree_entry():
     entries = list(_zero_entries())
     entries[5] = ring.var("y0") ** 2 + ring.var("y0")
     with pytest.raises(ValueError):
-        ConicMatrix(M2, *entries)
+        ConicMatrix(M2, *entries, sigma_prime=Y0)
 
 
 def test_matrix_rejects_entries_from_another_ring(default_matrix):
     m2_entries = [poly for _, poly in default_matrix.named_entries()]
     with pytest.raises(ValueError, match="entry s1 is not in the ring of m = 3"):
-        ConicMatrix(ConstructionParams(3), *m2_entries)
+        ConicMatrix(ConstructionParams(3), *m2_entries,
+                    sigma_prime=default_matrix.sigma_prime)
     # y0^2 of the m = 3 ring has exponent tuples of another length, which
     # the degree check alone would misread
     y0_m3 = cox_ring(ConstructionParams(3)).var("y0")
     entries = list(_zero_entries())
     entries[5] = y0_m3 * y0_m3
     with pytest.raises(ValueError, match="entry sigma is not in the ring of m = 2"):
-        ConicMatrix(M2, *entries)
+        ConicMatrix(M2, *entries, sigma_prime=Y0)
     with pytest.raises(ValueError, match="entry sigma_prime is not in the ring"):
         ConicMatrix(M2, *_zero_entries(), sigma_prime=y0_m3)
 
@@ -369,7 +374,7 @@ def test_singular_node_is_reported():
     ring = cox_ring(M2)
     y0, y1, y2 = ring.var("y0"), ring.var("y1"), ring.var("y2")
     z = ring.zero()
-    matrix = ConicMatrix(M2, y0 * y1, z, y0 * y2, z, z, z)
+    matrix = ConicMatrix(M2, y0 * y1, z, y0 * y2, z, z, z, sigma_prime=y0)
     p = CoxPointY((1, 0, 0, 0, 0, 0, 0), (1, 1, 1))
     diag = fiber_at(matrix, p)
     assert diag.fiber_type is FiberType.LINE_PAIR
@@ -378,7 +383,7 @@ def test_singular_node_is_reported():
 
 
 def test_whole_plane_on_zero_matrix():
-    matrix = ConicMatrix(M2, *_zero_entries())
+    matrix = ConicMatrix(M2, *_zero_entries(), sigma_prime=Y0)
     p = CoxPointY((1,) * 7, (1, 2, 3))
     assert fiber_at(matrix, p).fiber_type is FiberType.WHOLE_PLANE
 
@@ -424,7 +429,8 @@ def test_audit_counts_the_fiber_direction_gradient():
     # all its Cox-ring partials vanish, and only dF/dz1 = 2 s2 z0 is nonzero
     ring = cox_ring(M2)
     z = ring.zero()
-    matrix = ConicMatrix(M2, z, ring.var("y0") * ring.var("y2"), z, z, z, z)
+    matrix = ConicMatrix(M2, z, ring.var("y0") * ring.var("y2"), z, z, z, z,
+                         sigma_prime=Y0)
     p = CoxPointY((1,) * 7, (1, 1, 1))
     assert _audit_gradient(matrix, p, (1, 0, 0), _entry_evals(matrix, p)) == \
         chart_gradient(matrix, p, (1, 0, 0)) == (True, True)
@@ -476,11 +482,6 @@ def test_boundary_identity_default(default_matrix):
 
 def test_boundary_identity_perturbed(perturbed_matrix):
     assert boundary_identity_verdict(perturbed_matrix) == "PASS"
-
-
-def test_boundary_identity_skipped_without_sigma_prime():
-    matrix = ConicMatrix(M2, *_zero_entries())
-    assert boundary_identity_verdict(matrix) == "SKIPPED"
 
 
 def test_boundary_identity_fails_on_broken_shape():
@@ -758,6 +759,20 @@ def test_fiber_line_is_sextic(default_matrix):
     assert not probe.identically_zero
 
 
+def test_fiber_pencils_move_y0(default_matrix):
+    # y0 divides det S on the default shape, so a pencil whose direction
+    # has v_y0 = 0 loses the t^6 coefficient; at bound 1 a third of the raw
+    # draws have v_y0 = 0, and each is redrawn
+    nx = M2.n_x
+    rng = random.Random(25)
+    for _ in range(30):
+        assert _sample_fiber_line(M2, rng, 1)[1][nx] != 0
+    point, direction = _sample_fiber_line(M2, rng, 9)
+    assert discriminant_on_line(default_matrix, point, direction).degree == 6
+    flat = (0,) * nx + (0,) + direction[nx + 1:]
+    assert discriminant_on_line(default_matrix, point, flat).degree == 5
+
+
 @pytest.mark.parametrize("support", [(8,), (0,), (7, 8, 9), tuple(range(10))])
 def test_line_degree_bound_is_the_largest_support_degree(perturbed_matrix, support):
     for _, poly in perturbed_matrix.named_entries():
@@ -843,17 +858,18 @@ def test_run_instance_perturbed():
 
 
 def test_run_instance_reports_honest_failures(monkeypatch):
-    matrix = ConicMatrix(M2, *_zero_entries())
+    matrix = ConicMatrix(M2, *_zero_entries(), sigma_prime=Y0)
     monkeypatch.setattr(verifier, "_draw_matrix", lambda *args: matrix)
     report = run_instance(M2, seed=3, n_samples=2)
     assert not report.passed
-    assert report.boundary_identity == "SKIPPED"
+    assert report.boundary_identity == "FAIL"
     assert report.v_fibers["double_line"] == 0
     assert report.generic_fibers["smooth_conic"] == 0
     checks = {f["check"] for f in report.failures}
     assert "v_fiber_double_line" in checks
     assert "sigma_nonzero_on_V" in checks
     assert "gradient_on_W" in checks
+    assert "boundary_identity" in checks
     assert "generic_fiber_rank" in checks
     assert "chart_line_resample_exhausted" in checks
     assert "fiber_line_resample_exhausted" in checks
