@@ -1,7 +1,7 @@
 """Sparse exact polynomial arithmetic over the rationals.
 
-Everything downstream (section sampling, conic matrices, gradient audits,
-the boundary identity) runs on these polynomials, so the representation is kept
+Everything downstream (section sampling, conic matrices, fiber diagnosis,
+line probes) runs on these polynomials, so the representation is kept
 deliberately plain: a polynomial is a dict mapping exponent tuples to nonzero
 int or Fraction coefficients.  All arithmetic is exact, nothing here ever
 touches floats.
@@ -10,11 +10,7 @@ Point evaluation is the hot path of the instance audit, so each polynomial
 compiles its terms once, on first evaluation, into a plan: a table of the
 leading-variable monomials, built one multiplication per entry, and one
 coefficient/index list per trailing-variable pattern, evaluated as dot
-products (see _build_plan).  The plan is built on packed exponents, and
-the gradient coefficients of a pattern are built only on the first
-gradient call where its trailing monomial is nonzero.  At a point of V
-in the Cox ring every pattern with a y1 or y2 vanishes, so the audit's V
-points build none of those.
+products (see _build_plan).  The plan is built on packed exponents.
 
 The univariate helpers at the end work on coefficient lists.  Their
 squarefree test is certified modulo one fixed prime first and falls back
@@ -86,10 +82,7 @@ class Poly:
 
     Construction normalizes nothing beyond dropping explicit zeros, so always
     go through PolyRing factories or arithmetic.  The evaluation plan is
-    built on the first eval or eval_with_gradient call and cached on the
-    object; both share it, and the gradient reads its leading partials from
-    the same monomial table as the value.  Those partials are built per
-    trailing pattern, on the first gradient call that needs them.
+    built on the first eval call and cached on the object.
     """
 
     __slots__ = ("ring", "terms", "_plan")
@@ -184,39 +177,14 @@ class Poly:
     def eval(self, values) -> Scalar:
         if len(values) != self.ring.n:
             raise ValueError("wrong number of values")
-        plan = self._eval_plan()
-        get = _monomial_table(plan.levels, values).__getitem__
+        levels, groups = self._eval_plan()
+        get = _monomial_table(levels, values).__getitem__
         total = 0
-        for group in plan.groups:
-            s = sum(map(mul, group.coeffs, map(get, group.idx)))
+        for tail, coeffs, idx in groups:
+            s = sum(map(mul, coeffs, map(get, idx)))
             if s:
-                total += s * _tail_value(group.tail, values)
+                total += s * _tail_value(tail, values)
         return total
-
-    def eval_with_gradient(self, values):
-        """Value and all partial derivatives at a point, in one pass.
-
-        Returns (value, grad) with grad a list indexed like the ring
-        variables.  Exact for int and Fraction inputs.
-        """
-        if len(values) != self.ring.n:
-            raise ValueError("wrong number of values")
-        plan = self._eval_plan()
-        get = _monomial_table(plan.levels, values).__getitem__
-        value = 0
-        grad = [0] * self.ring.n
-        for group in plan.groups:
-            tail = group.tail
-            s = sum(map(mul, group.coeffs, map(get, group.idx)))
-            y = _tail_value(tail, values)
-            if y:
-                value += s * y
-                for i, dcoeffs, didx in plan.partials(group):
-                    grad[i] += y * sum(map(mul, dcoeffs, map(get, didx)))
-            if s:
-                for j, e in tail:
-                    grad[j] += s * e * _tail_value(tail, values, j)
-        return value, grad
 
     # -- display -----------------------------------------------------------
 
@@ -251,14 +219,11 @@ class Poly:
 #
 # A plan splits the variables into a leading block and a trailing block and
 # groups the terms by their trailing exponents.  Per call, the leading
-# monomials that the terms need, together with everything dividing them,
-# are computed into one table, level by level in total degree, each entry
-# one multiplication of a parent entry by one variable.  Each group is then
+# monomials that the terms need, together with their parent chains, are
+# computed into one table, level by level in total degree, each entry one
+# multiplication of its parent entry by one variable.  Each group is then
 # a dot product of its coefficients with table entries, times its trailing
-# monomial.  Divisor-closing the table means that every leading partial
-# x^(alpha - e_i) is an entry too, so gradients reuse the same table; a
-# group's partials are only read when its trailing monomial is nonzero,
-# so they are built then (_Plan.partials).
+# monomial.
 
 
 def _trailing_split(exponents, n: int) -> int:
@@ -280,100 +245,54 @@ def _trailing_split(exponents, n: int) -> int:
     return start
 
 
-def _build_plan(terms: dict, n: int) -> "_Plan":
-    """The evaluation plan of a term dict in n variables.
+def _build_plan(terms: dict, n: int) -> tuple:
+    """The evaluation plan (levels, groups) of a term dict in n variables.
+
+    levels lists, per total degree from 1 up, the table indices of the
+    parents and the variables they are multiplied by.  groups holds one
+    (tail, coeffs, idx) per trailing pattern: the (variable, exponent)
+    pairs of the trailing monomial, and the coefficients of its terms and
+    the table indices of their leading monomials.
 
     Each leading exponent tuple (head) is packed into one int, variable 0
-    in the highest field, so a divisor along variable i is the key minus
-    1 << shift_i and the packed keys sort like the tuples.
+    in the highest field.  The parent of a head is the head divided by its
+    first variable, the key minus the unit of its highest nonzero field,
+    and the table holds every head with its chain of parents.
     """
     lead = _trailing_split(terms, n)
     # a head exponent is at most the total degree, so no field carries
     width = max(map(sum, terms), default=0).bit_length() or 1
     shifts = [width * (lead - 1 - i) for i in range(lead)]
-    units = [1 << s for s in shifts]
-    mask = (1 << width) - 1
     by_degree = {}
+    parent = {0: None}
     grouped = {}
     for exps, c in terms.items():
         head = exps[:lead]
         key = sum(map(lshift, head, shifts))
-        by_degree.setdefault(sum(head), set()).add(key)
         grouped.setdefault(exps[lead:], []).append((key, c))
-    top = max(by_degree, default=0)
-    for d in range(top, 0, -1):
-        below = by_degree.setdefault(d - 1, set())
-        for key in by_degree[d]:
-            for s, u in zip(shifts, units):
-                if key >> s & mask:
-                    below.add(key - u)
+        d = sum(head)
+        while key not in parent:
+            field = (key.bit_length() - 1) // width
+            parent[key] = key - (1 << field * width), lead - 1 - field
+            by_degree.setdefault(d, []).append(key)
+            key = parent[key][0]
+            d -= 1
     index = {0: 0}
     levels = []
-    for d in range(1, top + 1):
+    for d in range(1, len(by_degree) + 1):
         parents, variables = [], []
-        for key in sorted(by_degree[d]):
-            # the first variable of the head is its highest nonzero field
-            field = (key.bit_length() - 1) // width
-            parents.append(index[key - (1 << field * width)])
-            variables.append(lead - 1 - field)
+        for key in by_degree[d]:
+            up, variable = parent[key]
+            parents.append(index[up])
+            variables.append(variable)
             index[key] = len(index)
         levels.append((parents, variables))
 
     groups = []
     for pattern, members in grouped.items():
         tail = tuple((lead + k, e) for k, e in enumerate(pattern) if e)
-        heads = [key for key, _ in members]
-        groups.append(_Group(tail, [c for _, c in members],
-                             [index[key] for key in heads], heads))
-    return _Plan(levels, groups, index, shifts, mask)
-
-
-class _Group:
-    """The terms of one trailing pattern: tail is the (variable, exponent)
-    pairs of the trailing monomial, coeffs and idx the term coefficients
-    and the table indices of their leading monomials, heads the packed
-    leading exponents, and partials None until _Plan.partials builds it."""
-
-    __slots__ = ("tail", "coeffs", "idx", "heads", "partials")
-
-    def __init__(self, tail, coeffs, idx, heads):
-        self.tail = tail
-        self.coeffs = coeffs
-        self.idx = idx
-        self.heads = heads
-        self.partials = None
-
-
-class _Plan:
-    """levels lists, per total degree from 1 up, the table indices of the
-    parents and the variables they are multiplied by; groups holds one
-    _Group per trailing pattern.  index maps each packed head to its table
-    index, and shifts and mask read the head fields."""
-
-    __slots__ = ("levels", "groups", "index", "shifts", "mask")
-
-    def __init__(self, levels, groups, index, shifts, mask):
-        self.levels = levels
-        self.groups = groups
-        self.index = index
-        self.shifts = shifts
-        self.mask = mask
-
-    def partials(self, group) -> list:
-        """One (variable, alpha_i * coeffs, idx of alpha - e_i) triple per
-        leading variable of the group, built on first use."""
-        if group.partials is None:
-            index, mask = self.index, self.mask
-            by_var = {}
-            for key, c in zip(group.heads, group.coeffs):
-                for i, s in enumerate(self.shifts):
-                    e = key >> s & mask
-                    if e:
-                        dcoeffs, didx = by_var.setdefault(i, ([], []))
-                        dcoeffs.append(e * c)
-                        didx.append(index[key - (1 << s)])
-            group.partials = [(i, *by_var[i]) for i in sorted(by_var)]
-        return group.partials
+        groups.append((tail, [c for _, c in members], [index[key] for key, _ in members]))
+    return levels, groups
 
 
 def _monomial_table(levels, values) -> list:
@@ -386,15 +305,11 @@ def _monomial_table(levels, values) -> list:
     return table
 
 
-def _tail_value(tail, values, lower=None):
-    """The trailing monomial at values; with lower, its exponent of that
-    variable reduced by one."""
+def _tail_value(tail, values):
+    """The trailing monomial at values."""
     out = 1
     for i, e in tail:
-        if i == lower:
-            e -= 1
-        if e:
-            out *= values[i] ** e
+        out *= values[i] ** e
     return out
 
 

@@ -9,12 +9,14 @@ have; coxring.instantiate_sections draws one member, the symmetric matrix
 
 of sections, and this module audits it: run_instance draws the member
 from its seeded generator and interrogates the fibration F = z^T S z = 0
-with exact arithmetic:
-fiber ranks, degenerate types and nodes at sampled points (all read off
-one adjugate of the numeric S), gradient audits in
-honest affine charts, and squarefree/degree probes of det S along integer
-lines (each entry restricted to the line on its own by one evaluation
-at a large power of two, det S expanded from the six univariates).  All
+with exact arithmetic: fiber ranks, degenerate types and nodes at
+sampled points (all read off one adjugate of the numeric S), the fibers
+over V and the smoothness of X along W = {y1 = y2 = z2 = 0} from the
+coefficients of S along V, smoothness at a sampled node from the first
+derivatives of det S, and squarefree/degree probes of det S along
+integer lines (each entry restricted to the line on its own by one
+evaluation at a large power of two, det S expanded from the six
+univariates).  All
 randomness flows through one seeded generator in a documented order, so
 a report is a pure function of (m, seed, n_samples, flags).
 
@@ -39,13 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter, mul
 
-from .coxring import (
-    _SLOT_NAMES,
-    ConicMatrix,
-    _draw_matrix,
-    _nonzero_draws,
-    _s_rows,
-)
+from .coxring import ConicMatrix, _draw_matrix, _nonzero_draws
 from .linalg import rank_and_kernel_3x3
 from .picard import ConstructionParams
 from .polynomial import (
@@ -121,100 +117,73 @@ def fiber_at(matrix: ConicMatrix, point: CoxPointY) -> FiberDiagnosis:
     return diagnose_conic(matrix.evaluate(point))
 
 
-# -- chart gradients -------------------------------------------------------
-#
-# The smoothness audits work in the affine chart x_{j*} = 1, y0 = 1,
-# z_{k*} = 1 (j* the largest |x| coordinate, k* the largest |z|).  Instead
-# of rescaling the point into the chart and paying for Fraction arithmetic
-# everywhere, everything is evaluated at the raw integer representative:
-# for an entry of bidegree (2, b) and the chart scale nu = x_{j*}, the
-# entry value and each of its partials at the normalized point equal the
-# raw ones times nu^{-b} and a further per-component nonzero torus factor.
-# The nu^{-b} weights (b is -2m, -m or 0, so these are integer powers of
-# nu) must stay inside the sums below because they differ between the
-# entry blocks; the per-component outer factors and the z-normalization
-# scale are dropped, which changes no zero/nonzero verdict.
+def check_smooth_at_node(matrix: ConicMatrix, point: CoxPointY) -> bool:
+    """Whether X is smooth at the node of the rank-2 fiber over point.
 
+    Over a rank-2 point of the discriminant Delta = {det S = 0}, X is
+    smooth iff Delta is smooth there (Beauville, "Variétés de Prym et
+    jacobiennes intermédiaires", Ann. Sci. ÉNS 1977, §1): with k
+    spanning the kernel of S, adj S = c k k^T with c != 0, so
+    d(det S) = c k^T (dS) k, which is dF at the node for F = z^T S z,
+    whose z-derivative 2 S k vanishes.  So the verdict is whether some
+    Cox-coordinate derivative of det S is nonzero at the point, each read
+    as the t-coefficient of det S on point + t e_v.  No chart is needed:
+    det S is bihomogeneous, so its two Euler relations make the y0 and
+    x_{j*} derivatives vanish whenever all the others do.
 
-def _chart_frame(point: CoxPointY, z):
+    The point and the entries must be integral, as for line probes;
+    ValueError otherwise, on an inadmissible point, and when the fiber
+    does not have rank 2 at the point.
+    """
     if not point.is_admissible():
         raise ValueError("point hits an irrelevant locus")
-    if point.y[0] == 0:
-        raise ValueError("point lies outside the y0 chart")
-    xs = point.x
-    jx = max(range(len(xs)), key=lambda i: abs(xs[i]))
-    if len(z) != 3:
-        raise ValueError("z must have three coordinates")
-    kz = max(range(3), key=lambda i: abs(z[i]))
-    if z[kz] == 0:
-        raise ValueError("zero fiber direction")
-    return jx, kz
-
-
-def _entry_evals(matrix: ConicMatrix, point: CoxPointY):
     coords = point.coords
-    return {name: poly.eval_with_gradient(coords)
-            for name, poly in matrix.named_entries()}
-
-
-def _chart_values(matrix, point, jx, evals):
-    """(nu_weights, values): the weight nu^{-b} of each entry of bidegree
-    (2, b), nu = x_{jx}^m, and the entry values times their weights, both
-    in _SLOT_NAMES order."""
-    nu = point.x[jx] ** matrix.params.m
-    nu_w = (nu * nu,) * 3 + (nu, nu, 1)
-    return nu_w, [w * evals[name][0] for w, name in zip(nu_w, _SLOT_NAMES)]
-
-
-def _audit_gradient(matrix, point, z, evals):
-    """Return (lies_on_fibration, gradient_nonzero) for the chart audit,
-    from evals = _entry_evals(matrix, point)."""
-    params = matrix.params
-    jx, kz = _chart_frame(point, z)
-    nu_w, values = _chart_values(matrix, point, jx, evals)
-    z0, z1, z2 = z
-    zw = (z0 * z0, 2 * z0 * z1, z1 * z1, 2 * z0 * z2, 2 * z1 * z2, z2 * z2)
-    value = sum(map(mul, zw, values))
-
-    ncox = params.n_x + 3
-    iy0 = params.n_x
-    base = [0] * ncox
-    for name, a, b in zip(_SLOT_NAMES, zw, nu_w):
-        if a == 0:
-            continue
-        w = a * b
-        grad = evals[name][1]
-        for v in range(ncox):
-            g = grad[v]
-            if g:
-                base[v] += w * g
-    zgrad = [sum(map(mul, row, z)) for row in _s_rows(*values)]
-    nonzero = any(base[v] for v in range(ncox) if v != jx and v != iy0) \
-        or any(zgrad[k] for k in range(3) if k != kz)
-    return value == 0, nonzero
-
-
-def check_smooth_at_node(matrix: ConicMatrix, point: CoxPointY) -> bool:
-    """Gradient-nonzero verdict at the node of a rank-2 fiber.
-
-    The kernel direction is recomputed in the chart frame (the torus
-    rescaling twists the fiber trivialization by diag(nu^m, nu^m, 1), so a
-    kernel computed in the raw frame would belong to a different basis).
-    ValueError if the fiber does not have rank 2 at the point.
-    """
-    jx, _ = _chart_frame(point, (1, 1, 1))
-    evals = _entry_evals(matrix, point)
-    _, values = _chart_values(matrix, point, jx, evals)
-    _, node = rank_and_kernel_3x3(_s_rows(*values))
-    if node is None:
+    if not all(isinstance(c, int) for c in coords):
+        raise ValueError("node data must be integers")
+    rank, _ = rank_and_kernel_3x3(matrix.evaluate(point))
+    if rank != 2:
         raise ValueError("fiber does not have rank 2 at this point")
-    on_x, nonzero = _audit_gradient(matrix, point, node, evals)
-    if not on_x:
-        raise ValueError("node does not lie on the fibration")
-    return nonzero
+    n = len(coords)
+    for v in range(n):
+        det = _det_on_line(matrix, coords, tuple(int(i == v) for i in range(n)))
+        if len(det) > 1 and det[1]:
+            return True
+    return False
 
 
-# -- the boundary identity, symbolically -----------------------------------
+# -- the entries along V ------------------------------------------------------
+
+
+def _v_coefficients(matrix: ConicMatrix):
+    """(sigma00, pairs): the y0^2 coefficient of sigma, and the y0 y1 and
+    y0 y2 coefficients (a_i, b_i) of s1, s2 and s3.
+
+    The bidegrees that ConicMatrix enforces make these all of S to first
+    order along V = {y1 = y2 = 0}.  Every term of an entry of class (2, -m)
+    or (2, -2m) has y-order k1 + k2 >= 1, so s1, s2, s3, lam1 and lam2
+    vanish on V; a term of y-order 1 in the s-block has x-degree 0, so it
+    is a multiple of y0 y1 or y0 y2; a term of y-order >= 2 still vanishes
+    on V after one derivative; and sigma restricted to V is sigma00 y0^2.
+    """
+    nx = matrix.params.n_x
+    y0y0, y0y1, y0y2 = ((0,) * nx + ys for ys in ((2, 0, 0), (1, 1, 0), (1, 0, 1)))
+    pairs = tuple((s.terms.get(y0y1, 0), s.terms.get(y0y2, 0))
+                  for s in (matrix.s1, matrix.s2, matrix.s3))
+    return matrix.sigma.terms.get(y0y0, 0), pairs
+
+
+def _w_gradient_nonzero(pairs, z) -> bool:
+    """Whether dF is nonzero at (p, z), p in V with y0 != 0 and z2 = 0.
+
+    With pairs from _v_coefficients, S(p) = diag(0, 0, sigma00 y0^2), so
+    S(p) z = 0 and the z-derivatives vanish; lam and sigma meet F only
+    through z2; and every x- and y0-derivative of the s-block vanishes on
+    V.  What is left is dF = y0 (Q_a(z) dy1 + Q_b(z) dy2) with
+    Q_a(z) = a1 z0^2 + 2 a2 z0 z1 + a3 z1^2, and Q_b the same in the b_i.
+    """
+    z0, z1, _ = z
+    zw = (z0 * z0, 2 * z0 * z1, z1 * z1)
+    return any(sum(map(mul, zw, column)) for column in zip(*pairs))
 
 
 def boundary_identity_verdict(matrix: ConicMatrix) -> str:
@@ -224,28 +193,24 @@ def boundary_identity_verdict(matrix: ConicMatrix) -> str:
     z-chart version follows by setting the corresponding z to 1).  On W =
     {y1 = y2 = z2 = 0} the monomials z0^2, z0 z1 and z1^2 are independent,
     so the identity holds iff, restricted to V = {y1 = y2 = 0}, s1, s2, s3,
-    lam1 and lam2 vanish, the y1-partials of (s1, s2, s3) are (sigma', 0,
-    0), the y2-partials are (0, sigma', sigma'), and every other partial
-    of s1, s2, s3 vanishes (sigma only meets W through z2^2).
+    lam1 and lam2 vanish, the y1-derivatives of (s1, s2, s3) are (sigma',
+    0, 0), the y2-derivatives are (0, sigma', sigma'), and every other
+    first derivative of s1, s2, s3 vanishes (sigma only meets W through
+    z2^2).
 
-    The bidegrees that ConicMatrix enforces settle all but seven scalars of
-    that.  Every term of an entry of class (2, -m) or (2, -2m) has y-order
-    k1 + k2 >= 1, so the entries vanish on V; a term of y-order 1 in the
-    s-block has x-degree 0, so it is a multiple of y0 y1 or y0 y2; and a
-    term of y-order >= 2 still vanishes on V after one derivative.  So with
-    c the y0 coefficient of sigma' and (a_i, b_i) the y0 y1 and y0 y2
-    coefficients of s_i, the identity holds iff sigma' restricted to V is
-    exactly c y0 and the pairs are (c, 0), (0, c) and (0, c).  Returns
-    PASS or FAIL.
+    The bidegrees settle all but seven scalars of that (see
+    _v_coefficients).  So with c the y0 coefficient of sigma' and (a_i, b_i)
+    the y0 y1 and y0 y2 coefficients of s_i, the identity holds iff sigma'
+    restricted to V is exactly c y0 and the pairs are (c, 0), (0, c) and
+    (0, c).  Returns PASS or FAIL.
     """
     nx = matrix.params.n_x
-    y0, y0y1, y0y2 = ((0,) * nx + ys for ys in ((1, 0, 0), (1, 1, 0), (1, 0, 1)))
+    y0 = (0,) * nx + (1, 0, 0)
     sigma_prime = matrix.sigma_prime.terms
     if any(e[nx + 1] == e[nx + 2] == 0 and e != y0 for e in sigma_prime):
         return "FAIL"
     c = sigma_prime.get(y0, 0)
-    pairs = tuple((s.terms.get(y0y1, 0), s.terms.get(y0y2, 0))
-                  for s in (matrix.s1, matrix.s2, matrix.s3))
+    _, pairs = _v_coefficients(matrix)
     return "PASS" if pairs == ((c, 0), (0, c), (0, c)) else "FAIL"
 
 
@@ -310,6 +275,32 @@ _DET_TERMS = (
 )
 
 
+def _det_on_line(matrix: ConicMatrix, point, direction) -> list:
+    """det S on the integer line point + t*direction, as a coefficient
+    list: each entry restricted by _restrict_entry, det S expanded from
+    the six univariates."""
+    support = tuple(i for i, d in enumerate(direction) if d != 0)
+    bounds = matrix._line_bounds.get(support)
+    if bounds is None:
+        bounds = matrix._line_bounds[support] = {
+            name: _line_degree_bound(poly, support)
+            for name, poly in matrix.named_entries()}
+
+    sizes = matrix._entry_sizes
+    on_line = {}
+    for name, poly in matrix.named_entries():
+        b = bounds[name]
+        on_line[name] = [] if b is None else _restrict_entry(
+            poly, sizes[name], b, point, direction)
+    det = []
+    for k, names in _DET_TERMS:
+        term = [k]
+        for name in names:
+            term = u_mul(term, on_line[name])
+        det = u_add(det, term)
+    return det
+
+
 def discriminant_on_line(matrix: ConicMatrix, point, direction) -> LineProbe:
     """Restrict det S to the integer line point + t*direction.
 
@@ -337,25 +328,7 @@ def discriminant_on_line(matrix: ConicMatrix, point, direction) -> LineProbe:
     if not any(point[nx:]) and not any(direction[nx:]):
         raise ValueError("line lies inside the locus y = 0")
 
-    support = tuple(i for i, d in enumerate(direction) if d != 0)
-    bounds = matrix._line_bounds.get(support)
-    if bounds is None:
-        bounds = matrix._line_bounds[support] = {
-            name: _line_degree_bound(poly, support)
-            for name, poly in matrix.named_entries()}
-
-    sizes = matrix._entry_sizes
-    on_line = {}
-    for name, poly in matrix.named_entries():
-        b = bounds[name]
-        on_line[name] = [] if b is None else _restrict_entry(
-            poly, sizes[name], b, point, direction)
-    det = []
-    for k, names in _DET_TERMS:
-        term = [k]
-        for name in names:
-            term = u_mul(term, on_line[name])
-        det = u_add(det, term)
+    det = _det_on_line(matrix, point, direction)
     deg = u_degree(det)
     if deg < 0:
         return LineProbe(-1, None, True)
@@ -381,8 +354,7 @@ def sample_v_point(params: ConstructionParams, rng: random.Random,
 
 def sample_generic_point(params: ConstructionParams, rng: random.Random,
                          coeff_range: int = 100) -> CoxPointY:
-    """A random point off V with y0 != 0 (both exceptional loci are thin,
-    and the y0 chart is where the gradient audits live)."""
+    """A random point off V with y0 != 0 (both exceptional loci are thin)."""
     xs = _sample_x(params, rng, coeff_range)
     y0 = _nonzero_draws(rng, coeff_range, 1)[0]
     while True:
@@ -393,14 +365,24 @@ def sample_generic_point(params: ConstructionParams, rng: random.Random,
 
 
 def _sample_chart_line(params, rng, bound):
-    """A random line inside the chart x0 = 1, y0 = 1."""
+    """A random line inside the chart x0 = 1, y0 = 1 that misses V.
+
+    Delta is singular along V (adj S = 0 there), so det S has a repeated
+    root on every line through V.  The y-part (1, p + t d) of the line
+    meets y1 = y2 = 0 iff p and d are parallel and d != 0, or p = 0; such a
+    line is redrawn whole, since a new direction alone never helps p = 0.
+    """
     nx = params.n_x
-    point = (1,) + tuple(rng.randint(-bound, bound) for _ in range(nx - 1)) \
-        + (1, rng.randint(-bound, bound), rng.randint(-bound, bound))
     while True:
-        direction = (0,) + tuple(rng.randint(-bound, bound) for _ in range(nx - 1)) \
-            + (0, rng.randint(-bound, bound), rng.randint(-bound, bound))
-        if any(direction):
+        point = (1,) + tuple(rng.randint(-bound, bound) for _ in range(nx - 1)) \
+            + (1, rng.randint(-bound, bound), rng.randint(-bound, bound))
+        while True:
+            direction = (0,) + tuple(rng.randint(-bound, bound) for _ in range(nx - 1)) \
+                + (0, rng.randint(-bound, bound), rng.randint(-bound, bound))
+            if any(direction):
+                break
+        (p1, p2), (d1, d2) = point[nx + 1:], direction[nx + 1:]
+        if p1 * d2 != p2 * d1 or not (d1 or d2 or not (p1 or p2)):
             return point, direction
 
 
@@ -474,43 +456,35 @@ def run_instance(params: ConstructionParams, seed: int, n_samples: int,
 
     failures: list[dict] = []
 
-    # fibers over V, with the z-grid gradient audit
+    # fibers over V and the z-grid, decided by _v_coefficients: S is
+    # diag(0, 0, sigma00 y0^2) on V, so every V fiber is a double line iff
+    # sigma00 != 0.  The V points are still drawn, for the report and the
+    # seeded stream
+    sigma00, pairs = _v_coefficients(matrix)
+    sigma_ok = sigma00 != 0
+    v_fiber = FiberType.DOUBLE_LINE if sigma_ok else FiberType.WHOLE_PLANE
+    bad_z = [z for z in Z_GRID if not _w_gradient_nonzero(pairs, z)]
     v_samples = []
-    n_double = n_sigma = n_grid = 0
     for i in range(n_samples):
         p = sample_v_point(params, rng, coeff_range)
-        evals = _entry_evals(matrix, p)
-        diag = diagnose_conic(_s_rows(*(evals[name][0] for name in _SLOT_NAMES)))
-        ok_type = diag.fiber_type is FiberType.DOUBLE_LINE
-        n_double += ok_type
-        if not ok_type:
+        if not sigma_ok:
             failures.append({
                 "check": "v_fiber_double_line", "index": i,
-                "x": list(p.x), "y": list(p.y), "got": diag.fiber_type.value,
+                "x": list(p.x), "y": list(p.y), "got": v_fiber.value,
             })
-        sigma_ok = evals["sigma"][0] != 0
-        n_sigma += sigma_ok
-        if not sigma_ok:
             failures.append({
                 "check": "sigma_nonzero_on_V", "index": i,
                 "x": list(p.x), "y": list(p.y),
             })
-        grid_ok = True
-        for z in Z_GRID:
-            on_x, nonzero = _audit_gradient(matrix, p, z, evals)
-            if not on_x:
-                raise AssertionError("V-grid point fell off the fibration")
-            if not nonzero:
-                grid_ok = False
-                failures.append({
-                    "check": "gradient_on_W", "index": i, "z": list(z),
-                    "x": list(p.x), "y": list(p.y),
-                })
-        n_grid += grid_ok
+        failures.extend({
+            "check": "gradient_on_W", "index": i, "z": list(z),
+            "x": list(p.x), "y": list(p.y),
+        } for z in bad_z)
         v_samples.append({
-            "x": list(p.x), "y0": p.y[0], "fiber": diag.fiber_type.value,
-            "sigma_nonzero": sigma_ok, "grid_ok": grid_ok,
+            "x": list(p.x), "y0": p.y[0], "fiber": v_fiber.value,
+            "sigma_nonzero": sigma_ok, "grid_ok": not bad_z,
         })
+    n_v_ok = n_samples if sigma_ok else 0
 
     # generic fibers
     g_samples = []
@@ -590,8 +564,8 @@ def run_instance(params: ConstructionParams, seed: int, n_samples: int,
         perturb=perturb,
         section_terms={name: len(poly) for name, poly in matrix.named_entries()},
         v_fibers={
-            "count": n_samples, "double_line": n_double,
-            "sigma_nonzero": n_sigma, "grid_ok": n_grid,
+            "count": n_samples, "double_line": n_v_ok,
+            "sigma_nonzero": n_v_ok, "grid_ok": 0 if bad_z else n_samples,
             "grid_points_per_sample": len(Z_GRID), "samples": v_samples,
         },
         generic_fibers={

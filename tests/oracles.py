@@ -265,13 +265,19 @@ def _partials(poly):
     return tuple(diff(poly, v) for v in range(poly.ring.n))
 
 
+@lru_cache(maxsize=None)
+def _partial_values(poly, coords):
+    return tuple(d.eval(coords) for d in _partials(poly))
+
+
 def chart_gradient(matrix, point, z):
     """(on_fibration, gradient_nonzero) by rescaling into the chart.
 
     The point is moved to the x_{j*} = 1, y0 = 1 representative with
     Fraction arithmetic, z to its z_{k*} = 1 representative, and every
     partial derivative is taken the slow way: diff then eval.  The
-    partials of each entry are computed once and reused across calls.
+    partials of each entry, and their values at each rescaled point, are
+    computed once and reused across calls.
     """
     params = matrix.params
     xs, ys = point.x, point.y
@@ -293,14 +299,13 @@ def chart_gradient(matrix, point, z):
     vals = {name: entries[name].eval(coords) for name in entries}
     value = sum(vals[name] * w for name, w in weights.items())
 
-    partials = {name: _partials(poly) for name, poly in entries.items()}
+    partials = {name: _partial_values(poly, coords) for name, poly in entries.items()}
     grads = []
     ncox = params.n_x + 3
     for v in range(ncox):
         if v == jx or v == params.n_x:
             continue
-        grads.append(sum(partials[name][v].eval(coords) * w
-                         for name, w in weights.items()))
+        grads.append(sum(partials[name][v] * w for name, w in weights.items()))
     zgrad = [
         2 * (vals["s1"] * zn[0] + vals["s2"] * zn[1] + vals["lam1"] * zn[2]),
         2 * (vals["s2"] * zn[0] + vals["s3"] * zn[1] + vals["lam2"] * zn[2]),

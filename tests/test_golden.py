@@ -36,6 +36,10 @@ DIGESTS = {
     # fiber pencil draw has v_y0 = 0 and is redrawn
     "verify --m 2 --seed 192285 --samples 6 --coeff-range 100 --format json":
         (0, "b5ea11d7602c8c88961a3d7229ecc7d4c5595599e794585df57ee7a34917af93"),
+    # the perturbed verify command of the benchmark at its seed 46, whose first
+    # chart line draw runs through V and is redrawn
+    "verify --m 2 --seed 43787 --samples 3 --coeff-range 100 --perturb --format json":
+        (0, "dd20ae46c22eba380513a8b981da823436a04ecfc107bb45f95a0a77da406505"),
     # re-recorded when the certificate dropped its seven checks that repeated
     # another check or could not fail (36 -> 29 checks); nothing else changed
     "certificate --m 2 --format json":

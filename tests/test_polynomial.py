@@ -23,7 +23,6 @@ from fanoconic.polynomial import (
 
 from .oracles import (
     diff,
-    eval_gradient_terms,
     eval_terms,
     from_pairs,
     gens,
@@ -185,14 +184,6 @@ small_poly = st.dictionaries(
 point3 = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
 
 
-@settings(max_examples=100, deadline=None)
-@given(small_poly, point3)
-def test_eval_with_gradient_matches_diff(p, pt):
-    value, grad = p.eval_with_gradient(pt)
-    assert value == p.eval(pt) == eval_terms(p, pt)
-    assert grad == eval_gradient_terms(p, pt)
-
-
 R5 = PolyRing(["a", "b", "c", "d", "e"])
 
 scalar = st.one_of(
@@ -213,9 +204,7 @@ point5 = st.tuples(*[st.one_of(st.just(0), scalar)] * 5)
 @settings(max_examples=150, deadline=None)
 @given(wide_poly, point5)
 def test_eval_matches_term_oracle(p, pt):
-    value, grad = p.eval_with_gradient(pt)
-    assert p.eval(pt) == value == eval_terms(p, pt)
-    assert grad == eval_gradient_terms(p, pt)
+    assert p.eval(pt) == eval_terms(p, pt)
     # the cached plan gives the same answers on a second point
     shifted = tuple(v + 1 for v in pt)
     assert p.eval(list(shifted)) == eval_terms(p, shifted)
@@ -228,19 +217,6 @@ def test_trailing_split_is_the_longest_block_with_few_patterns(p):
     assert all(len({e[k:] for e in p.terms}) <= 5 for k in range(start, 6))
     assert start == 0 or len({e[start - 1:] for e in p.terms}) > 5
     assert _trailing_split([()], 0) == 0
-
-
-@settings(max_examples=150, deadline=None)
-@given(wide_poly, point5)
-def test_gradient_after_a_point_with_vanishing_tail(p, pt):
-    # gradient partials are built per trailing pattern, on the first call
-    # where that pattern's monomial is nonzero; a first point with its last
-    # two coordinates 0 (like y1 = y2 = 0 on V) leaves some unbuilt, and
-    # the next point must build them
-    for q in (pt[:3] + (0, 0), pt):
-        value, grad = p.eval_with_gradient(q)
-        assert value == eval_terms(p, q)
-        assert grad == eval_gradient_terms(p, q)
 
 
 @pytest.mark.parametrize("p", [
@@ -257,9 +233,7 @@ def test_gradient_after_a_point_with_vanishing_tail(p, pt):
     (Fraction(1, 2), 3, Fraction(-4, 3), 0, 2),
 ], ids=["origin", "int", "fraction"])
 def test_eval_edge_polynomials(p, pt):
-    value, grad = p.eval_with_gradient(pt)
-    assert p.eval(pt) == value == eval_terms(p, pt)
-    assert grad == eval_gradient_terms(p, pt)
+    assert p.eval(pt) == eval_terms(p, pt)
 
 
 @settings(max_examples=100, deadline=None)

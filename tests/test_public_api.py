@@ -53,6 +53,11 @@ REMOVED = [
     (coxring, "CoxGrading"),
     (conicbundle, "SplitBundleOnY"),
     (verifier, "check_smooth_at_V_point"),
+    (verifier, "_audit_gradient"),
+    (verifier, "_entry_evals"),
+    (verifier, "_chart_frame"),
+    (verifier, "_chart_values"),
+    (polynomial.Poly, "eval_with_gradient"),
     (verifier.CoxPointY, "on_V"),
     (picard.DivisorClassY, "parse"),
     (verifier.FiberDiagnosis, "as_dict"),
@@ -156,9 +161,11 @@ def test_unknown_name_raises_attribute_error(footprint):
 
 def test_conic_matrix_checks_hold_under_optimized_mode():
     # python -O strips assert statements; the degree and ring checks of
-    # ConicMatrix are raises, so a bad entry is still refused
+    # ConicMatrix and the rank check of the node verdict are raises, so a
+    # bad entry and a rank-3 point are still refused
     code = """if True:
-        from fanoconic import ConicMatrix, ConstructionParams, cox_ring, instantiate_sections
+        from fanoconic import (ConicMatrix, ConstructionParams, CoxPointY,
+                               check_smooth_at_node, cox_ring, instantiate_sections)
         m2, m3 = ConstructionParams(2), ConstructionParams(3)
         drawn = instantiate_sections(m2, 1)
         entries = dict(drawn.named_entries(), sigma_prime=drawn.sigma_prime)
@@ -169,6 +176,10 @@ def test_conic_matrix_checks_hold_under_optimized_mode():
                 ConicMatrix(m2, **given)
             except ValueError as exc:
                 print(name, "refused:", exc)
+        try:
+            check_smooth_at_node(drawn, CoxPointY((1,) * 7, (1, 2, 3)))
+        except ValueError as exc:
+            print("node refused:", exc)
     """
     done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR)),
@@ -177,4 +188,5 @@ def test_conic_matrix_checks_hold_under_optimized_mode():
     assert done.stdout.splitlines() == [
         "degree refused: polynomial is not bigraded homogeneous: 1D+0H, 2D-2H",
         "ring refused: entry sigma is not in the ring of m = 2",
+        "node refused: fiber does not have rank 2 at this point",
     ]

@@ -1,5 +1,6 @@
-"""Pointwise audits of instantiated conic bundles: fiber diagnosis, chart
-gradients, the boundary identity, and line probes of the discriminant."""
+"""Pointwise audits of instantiated conic bundles: fiber diagnosis, the
+verdicts over V and at nodes, the boundary identity, and line probes of
+the discriminant."""
 
 import dataclasses
 import json
@@ -32,6 +33,7 @@ from fanoconic.verifier import (
     Z_GRID,
     CoxPointY,
     FiberType,
+    LineProbe,
     boundary_identity_verdict,
     check_smooth_at_node,
     diagnose_conic,
@@ -40,12 +42,12 @@ from fanoconic.verifier import (
     run_instance,
     sample_generic_point,
     sample_v_point,
-    _audit_gradient,
-    _entry_evals,
     _line_degree_bound,
     _restrict_entry,
     _sample_chart_line,
     _sample_fiber_line,
+    _v_coefficients,
+    _w_gradient_nonzero,
 )
 
 from .oracles import (
@@ -53,12 +55,13 @@ from .oracles import (
     boundary_identity_by_form,
     chart_gradient,
     conic_ring,
-    diff,
     direct_restriction,
+    enumerate_monomials,
     eval_gradient_terms,
     eval_terms,
     quadratic_form,
     restrict_line,
+    rref_rank,
     subs,
 )
 
@@ -290,11 +293,8 @@ def test_entry_evaluation_matches_term_oracle(
     points += [tuple(p + t * d for p, d in zip(point, direction))
                for t in (0, 1, -1)]
     for name, poly in matrix.named_entries():
-        partials = [diff(poly, i) for i in range(poly.ring.n)]
         for pt in points:
-            value, grad = poly.eval_with_gradient(pt)
-            assert poly.eval(pt) == value == eval_terms(poly, pt), name
-            assert grad == [eval_terms(d, pt) for d in partials], name
+            assert poly.eval(pt) == eval_terms(poly, pt), name
 
 
 # -- fibers -----------------------------------------------------------------
@@ -352,6 +352,8 @@ def test_deterministic_line_pair_witness(default_matrix):
     assert diag.fiber_type is FiberType.LINE_PAIR
     assert diag.node == (0, 1, 0)
     assert check_smooth_at_node(default_matrix, p)
+    assert chart_gradient(default_matrix, p, _chart_node(default_matrix, p, diag.node)) \
+        == (True, True)
 
 
 def test_node_check_rejects_wrong_rank(default_matrix):
@@ -362,9 +364,47 @@ def test_node_check_rejects_wrong_rank(default_matrix):
         check_smooth_at_node(default_matrix, p)
 
 
-def test_node_check_rejects_y0_zero(default_matrix):
-    with pytest.raises(ValueError):
-        check_smooth_at_node(default_matrix, CoxPointY((1,) * 7, (0, 1, 1)))
+def _node_gradient_nonzero(matrix, point, node):
+    """Whether some Cox-coordinate partial of F = z^T S z is nonzero at
+    (point, node), each partial by diff; the z-partials 2 S node vanish."""
+    k0, k1, k2 = node
+    weights = (k0 * k0, 2 * k0 * k1, k1 * k1, 2 * k0 * k2, 2 * k1 * k2, k2 * k2)
+    grads = [eval_gradient_terms(poly, point.coords) for _, poly in matrix.named_entries()]
+    return any(sum(w * g[v] for w, g in zip(weights, grads))
+               for v in range(len(point.coords)))
+
+
+def test_node_verdict_off_the_y0_chart(default_matrix):
+    # at y0 = 0 the default shape leaves S = [[0, 0, l1], [0, 0, l2],
+    # [l1, l2, 0]], a rank-2 fiber, and only dF/dy0 can be nonzero; the
+    # hand-built matrices have S = diag(1, 1, 0) at the point, with sigma
+    # vanishing to second order there or not
+    ring = cox_ring(M2)
+    x0, x1, y1, y2 = (ring.var(v) for v in ("x0", "x1", "y1", "y2"))
+    z = ring.zero()
+    s1, s3 = x0 ** 4 * y1 * y1, x0 ** 4 * y2 * y2
+    cases = [
+        (default_matrix, CoxPointY((1, 2, -1, 3, 1, -2, 1), (0, 1, 2)), True),
+        (ConicMatrix(M2, s1, z, s3, z, z, z, sigma_prime=Y0),
+         CoxPointY((1,) + (0,) * 6, (0, 1, 1)), False),
+        (ConicMatrix(M2, s1, z, s3, z, z, x0 ** 7 * x1 * y1 * y1, sigma_prime=Y0),
+         CoxPointY((1,) + (0,) * 6, (0, 1, 1)), True),
+    ]
+    for matrix, p, smooth in cases:
+        diag = fiber_at(matrix, p)
+        assert diag.rank == 2
+        assert check_smooth_at_node(matrix, p) is smooth \
+            == _node_gradient_nonzero(matrix, p, diag.node)
+
+
+def test_node_check_refuses_non_integer_data(default_matrix):
+    p = _rank_two_witness(default_matrix)
+    with pytest.raises(ValueError, match="integers"):
+        check_smooth_at_node(default_matrix, CoxPointY(
+            (Fraction(1),) + p.x[1:], p.y))
+    halved = dataclasses.replace(default_matrix, lam2=default_matrix.lam2 * Fraction(1, 2))
+    with pytest.raises(ValueError, match="lam2 has a non-integer coefficient"):
+        check_smooth_at_node(halved, p)
 
 
 def test_singular_node_is_reported():
@@ -380,97 +420,13 @@ def test_singular_node_is_reported():
     assert diag.fiber_type is FiberType.LINE_PAIR
     assert diag.node == (0, 0, 1)
     assert check_smooth_at_node(matrix, p) is False
+    assert chart_gradient(matrix, p, diag.node) == (True, False)
 
 
 def test_whole_plane_on_zero_matrix():
     matrix = ConicMatrix(M2, *_zero_entries(), sigma_prime=Y0)
     p = CoxPointY((1,) * 7, (1, 2, 3))
     assert fiber_at(matrix, p).fiber_type is FiberType.WHOLE_PLANE
-
-
-# -- gradient audits --------------------------------------------------------
-
-
-def test_smoothness_over_V(default_matrix):
-    # every point of the W grid lies on X, with a nonzero gradient
-    rng = random.Random(9)
-    for _ in range(3):
-        p = sample_v_point(M2, rng, coeff_range=30)
-        evals = _entry_evals(default_matrix, p)
-        for z in Z_GRID:
-            assert _audit_gradient(default_matrix, p, z, evals) == (True, True)
-
-
-def test_v_point_audit_validation(default_matrix):
-    on_v = CoxPointY((1,) * 7, (1, 0, 0))
-    evals = _entry_evals(default_matrix, on_v)
-    with pytest.raises(ValueError, match="zero fiber direction"):
-        _audit_gradient(default_matrix, on_v, (0, 0, 0), evals)
-
-
-def test_audit_matches_rescaling_oracle(default_matrix, perturbed_matrix):
-    rng = random.Random(12)
-    cases = []
-    for matrix, n_v, n_g in ((default_matrix, 3, 2), (perturbed_matrix, 2, 1)):
-        for _ in range(n_v):
-            p = sample_v_point(M2, rng, coeff_range=25)
-            cases.extend((matrix, p, z) for z in Z_GRID)
-        for _ in range(n_g):
-            p = sample_generic_point(M2, rng, coeff_range=25)
-            cases.append((matrix, p, (1, 1, 1)))
-            cases.append((matrix, p, (2, -1, 3)))
-    for matrix, p, z in cases:
-        evals = _entry_evals(matrix, p)
-        assert _audit_gradient(matrix, p, z, evals) == chart_gradient(matrix, p, z)
-
-
-def test_audit_counts_the_fiber_direction_gradient():
-    # s2 = y0 y2 is the only nonzero entry: at z = (1, 0, 0) the form and
-    # all its Cox-ring partials vanish, and only dF/dz1 = 2 s2 z0 is nonzero
-    ring = cox_ring(M2)
-    z = ring.zero()
-    matrix = ConicMatrix(M2, z, ring.var("y0") * ring.var("y2"), z, z, z, z,
-                         sigma_prime=Y0)
-    p = CoxPointY((1,) * 7, (1, 1, 1))
-    assert _audit_gradient(matrix, p, (1, 0, 0), _entry_evals(matrix, p)) == \
-        chart_gradient(matrix, p, (1, 0, 0)) == (True, True)
-
-
-def _fresh_entries(matrix):
-    """The matrix with its entries copied, so no evaluation plan is built."""
-    return dataclasses.replace(matrix, **{
-        name: Poly(poly.ring, poly.terms) for name, poly in matrix.named_entries()})
-
-
-def test_lazy_gradients_on_the_perturbed_entries(perturbed_matrix):
-    # a V point first builds only the partials of the patterns free of y1
-    # and y2; the generic point after it builds the rest
-    rng = random.Random(41)
-    points = (sample_v_point(M2, rng, coeff_range=25),
-              sample_generic_point(M2, rng, coeff_range=25))
-    matrix = _fresh_entries(perturbed_matrix)
-    for p in points:
-        for name, (value, grad) in _entry_evals(matrix, p).items():
-            poly = getattr(matrix, name)
-            assert value == eval_terms(poly, p.coords)
-            assert grad == eval_gradient_terms(poly, p.coords)
-
-
-def test_v_point_builds_no_partials_for_vanishing_tails(perturbed_matrix):
-    matrix = _fresh_entries(perturbed_matrix)
-    p = sample_v_point(M2, random.Random(43), coeff_range=25)
-    _entry_evals(matrix, p)
-    built = skipped = 0
-    for _, poly in matrix.named_entries():
-        for group in poly._plan.groups:
-            if any(p.coords[i] == 0 for i, _ in group.tail):
-                assert group.partials is None
-                skipped += len(group.coeffs)
-            else:
-                assert group.partials is not None
-                built += len(group.coeffs)
-    # most terms of the perturbed entries carry a y1 or y2
-    assert skipped > built > 0
 
 
 # -- the boundary identity --------------------------------------------------
@@ -552,6 +508,129 @@ def test_drawn_boundary_identity_matches_form_oracle(seed, perturb):
     matrix = instantiate_sections(M2, seed=seed, coeff_range=9, perturb=perturb)
     assert boundary_identity_verdict(matrix) == boundary_identity_by_form(matrix) \
         == boundary_identity_by_calculus(matrix) == "PASS"
+
+
+# -- verdicts against the chart-gradient oracle -----------------------------
+
+
+def _chart_node(matrix, point, node):
+    # chart_gradient moves the point to x_{j*} = 1, y0 = 1, which turns S
+    # into diag(nu, nu, 1) S diag(nu, nu, 1) up to a scalar, nu = x_{j*}^m,
+    # so its kernel is diag(1, 1, nu) node up to a scalar
+    nu = max(point.x, key=abs) ** matrix.params.m
+    return node[0], node[1], node[2] * nu
+
+
+@pytest.fixture(scope="module")
+def section_monomials():
+    """The exponent tuples of each class the hand-built matrices use."""
+    return {cls: enumerate_monomials(*cls, M2.twist, M2.n_x)
+            for cls in ((2, -4), (2, -2), (2, 0), (1, -2), (1, 0))}
+
+
+def _node_case(rng, monomials, singular):
+    """A matrix whose S has the kernel (1, k1, k2) at a random point.
+
+    Each entry is a few random terms, shifted by a multiple of a unit
+    monomial (one that is 1 at the point) until S k = 0 there.  In the
+    singular case k^T S k = q^2 + 2 k2 q r + k2^2 w^2 with q, r and w
+    vanishing at the point, so F is singular at the node."""
+    ring = cox_ring(M2)
+    x0, y0, y1 = ring.var("x0"), ring.var("y0"), ring.var("y1")
+    units = {(2, -4): y0 * y1, (2, -2): x0 ** 2 * y0 * y1, (2, 0): y0 * y0,
+             (1, -2): x0 ** 2 * y1, (1, 0): y0}
+    coords = (1,) + tuple(rng.randint(-3, 3) for _ in range(6)) \
+        + (1, 1, rng.randint(-3, 3))
+
+    def section(cls, at_point=None):
+        poly = Poly(ring, {rng.choice(monomials[cls]): rng.choice((-3, -2, -1, 1, 2, 3))
+                           for _ in range(3)})
+        if at_point is None:
+            return poly
+        return poly + (at_point - poly.eval(coords)) * units[cls]
+
+    k1, k2 = rng.randint(-2, 2), rng.randint(-2, 2)
+    s3, lam2 = section((2, -4)), section((2, -2))
+    s2 = section((2, -4), -k1 * s3.eval(coords) - k2 * lam2.eval(coords))
+    if singular:
+        q, r, w = section((1, -2), 0), section((1, 0), 0), section((1, 0), 0)
+        s1, lam1, sigma = q * q - 2 * k1 * s2 - k1 * k1 * s3, q * r - k1 * lam2, w * w
+    else:
+        sigma = section((2, 0))
+        lam1 = section((2, -2), -k1 * lam2.eval(coords) - k2 * sigma.eval(coords))
+        s1 = section((2, -4), -k1 * s2.eval(coords) - k2 * lam1.eval(coords))
+    matrix = ConicMatrix(M2, s1, s2, s3, lam1, lam2, sigma, sigma_prime=Y0)
+    return matrix, CoxPointY(coords[:M2.n_x], coords[M2.n_x:])
+
+
+def test_audit_matches_rescaling_oracle(section_monomials):
+    # the node verdict from det S against chart_gradient at the node, on
+    # hand-built matrices with smooth and with singular nodes
+    rng = random.Random(13)
+    verdicts = []
+    for i in range(60):
+        matrix, p = _node_case(rng, section_monomials, singular=i % 2)
+        diag = fiber_at(matrix, p)
+        if diag.rank != 2:
+            continue
+        verdict = check_smooth_at_node(matrix, p)
+        assert chart_gradient(matrix, p, _chart_node(matrix, p, diag.node)) \
+            == (True, verdict)
+        assert not (i % 2 and verdict)
+        verdicts.append(verdict)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+def _v_cases():
+    yield "zero entries", ConicMatrix(M2, *_zero_entries(), sigma_prime=Y0)
+    yield from _boundary_variants()
+
+
+@pytest.mark.parametrize("label", ["default draw", "perturbed draw"]
+                         + [label for label, _ in _v_cases()])
+def test_v_verdicts_match_rescaling_oracle(label, default_matrix, perturbed_matrix,
+                                           monkeypatch):
+    # the V fibers and the z-grid are decided from _v_coefficients; redo
+    # each at the reported V points, by ranks of term-by-term values and
+    # by chart_gradient.  Line probes need integer entries and are tested
+    # on their own, so they are stubbed here
+    matrix = {"default draw": default_matrix, "perturbed draw": perturbed_matrix,
+              **dict(_v_cases())}[label]
+    monkeypatch.setattr(verifier, "_draw_matrix", lambda *args: matrix)
+    monkeypatch.setattr(verifier, "discriminant_on_line",
+                        lambda *args: LineProbe(6, True, False))
+    report = run_instance(M2, seed=17, n_samples=2, coeff_range=25)
+    v = report.v_fibers
+    failed = {(f["index"], tuple(f["z"])) for f in report.failures
+              if f["check"] == "gradient_on_W"}
+    assert all(z[2] == 0 for z in Z_GRID)
+    for i, sample in enumerate(v["samples"]):
+        p = CoxPointY(sample["x"], (sample["y0"], 0, 0))
+        values = [eval_terms(poly, p.coords) for _, poly in matrix.named_entries()]
+        rank = rref_rank(_s_rows(*values))
+        assert sample["fiber"] == ("DOUBLE_LINE" if rank == 1 else "WHOLE_PLANE")
+        assert sample["sigma_nonzero"] == (values[-1] != 0)
+        grid = [chart_gradient(matrix, p, z) for z in Z_GRID]
+        assert all(on_x for on_x, _ in grid)
+        assert [(i, z) not in failed for z in Z_GRID] == [ok for _, ok in grid]
+        assert sample["grid_ok"] == all(ok for _, ok in grid)
+    assert v["double_line"] == sum(s["fiber"] == "DOUBLE_LINE" for s in v["samples"])
+    assert v["sigma_nonzero"] == sum(s["sigma_nonzero"] for s in v["samples"])
+    assert v["grid_ok"] == sum(s["grid_ok"] for s in v["samples"])
+    assert (v["grid_ok"] == 0) == (label in {
+        "zero entries", "sigma prime zero on V", "sigma prime zero on V, s1 first order"})
+
+
+def test_smoothness_over_V(default_matrix):
+    # every point of the W grid over a V point lies on X, with a nonzero
+    # gradient, by the verdict from the pairs and by chart_gradient
+    _, pairs = _v_coefficients(default_matrix)
+    rng = random.Random(9)
+    for _ in range(3):
+        p = sample_v_point(M2, rng, coeff_range=30)
+        for z in Z_GRID:
+            assert _w_gradient_nonzero(pairs, z)
+            assert chart_gradient(default_matrix, p, z) == (True, True)
 
 
 # -- line probes ------------------------------------------------------------
@@ -687,6 +766,22 @@ def test_line_inside_V_is_identically_zero(default_matrix):
     assert probe.squarefree is None
 
 
+@pytest.mark.parametrize("perturb", [False, True])
+def test_chart_line_through_V_has_a_repeated_root(default_matrix, perturbed_matrix,
+                                                  perturb):
+    # adj S = 0 on V, so d(det S) = tr(adj S dS) vanishes there: Delta is
+    # singular along V.  The y-part (1, 2 + 4t, -3 - 6t) of this chart line
+    # meets V at t = -1/2, a root of det S on the line and of its derivative
+    matrix = perturbed_matrix if perturb else default_matrix
+    point = (1, 2, -1, 3, 1, -2, 1) + (1, 2, -3)
+    direction = (0, 1, 2, -1, 1, 3, -2) + (0, 4, -6)
+    det = direct_restriction(matrix, point, direction)
+    t = Fraction(-1, 2)
+    assert det and sum(c * t ** k for k, c in enumerate(det)) == 0
+    assert sum(k * c * t ** (k - 1) for k, c in enumerate(det) if k) == 0
+    assert discriminant_on_line(matrix, point, direction).squarefree is False
+
+
 def _assert_probe_matches_oracle(matrix, point, direction):
     probe = discriminant_on_line(matrix, point, direction)
     direct = direct_restriction(matrix, point, direction)
@@ -812,6 +907,29 @@ def test_samplers():
         assert q.y[1:] != (0, 0) and q.is_admissible() and q.y[0] != 0
     rng_a, rng_b = random.Random(5), random.Random(5)
     assert sample_v_point(M2, rng_a, 10) == sample_v_point(M2, rng_b, 10)
+
+
+def _meets_V(point, direction):
+    # does the y-part (1, p + t d) of a chart line reach y1 = y2 = 0?
+    p, d = point[M2.n_x + 1:], direction[M2.n_x + 1:]
+    if d == (0, 0):
+        return p == (0, 0)
+    t = next(Fraction(-a, b) for a, b in zip(p, d) if b)
+    return all(a + t * b == 0 for a, b in zip(p, d))
+
+
+def test_chart_lines_miss_V():
+    # at bound 1 many raw draws meet V, some with p_y = 0 and d_y = 0 or
+    # with p_y = 0 alone; each such line is redrawn whole
+    rng = random.Random(26)
+    for _ in range(300):
+        point, direction = _sample_chart_line(M2, rng, 1)
+        assert any(direction) and not _meets_V(point, direction)
+    # the oracle itself sees each way a line can meet V
+    lines = [((1,) * 8 + ys, (0,) * 8 + ds) for ys, ds in [
+        ((2, -3), (4, -6)), ((0, 0), (1, 1)), ((0, 0), (0, 0)), ((1, 0), (-2, 0))]]
+    assert [_meets_V(*line) for line in lines] == [True, True, True, True]
+    assert not _meets_V((1,) * 8 + (1, 0), (0,) * 8 + (0, 1))
 
 
 # -- full instance runs -----------------------------------------------------
