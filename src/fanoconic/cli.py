@@ -19,7 +19,7 @@ import sys
 
 from .conicbundle import build_certificate
 from .cones import chamber_decomposition, classify, effective_cone, nef_cone
-from .coxring import base_locus, count_sections, generator_degrees
+from .coxring import base_locus, count_sections
 from .picard import ConstructionParams, DivisorClassY, parse_divisor_class
 from .verifier import run_instance
 
@@ -168,17 +168,18 @@ def _render_cones(doc: dict) -> str:
 
 
 # -- command bodies ---------------------------------------------------------
+#
+# Each takes the params, the class (None but for baselocus, classify and h0)
+# and the parsed arguments, all built once in main.
 
 
-def cmd_certificate(args) -> tuple[int, dict, str]:
-    params = ConstructionParams(args.m)
+def cmd_certificate(params, cls_, args) -> tuple[int, dict, str]:
     cert = build_certificate(params)
     doc = cert.as_dict()
     return (0 if cert.valid else 1), doc, _render_certificate(doc)
 
 
-def cmd_verify(args) -> tuple[int, dict, str]:
-    params = ConstructionParams(args.m)
+def cmd_verify(params, cls_, args) -> tuple[int, dict, str]:
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
     if args.coeff_range < 1:
@@ -189,26 +190,19 @@ def cmd_verify(args) -> tuple[int, dict, str]:
     return (0 if report.passed else 1), doc, _render_report(doc)
 
 
-def cmd_baselocus(args) -> tuple[int, dict, str]:
-    params = ConstructionParams(args.m)
-    cls_ = parse_divisor_class(args.cls)
-    result = base_locus(cls_, params)
+def cmd_baselocus(params, cls_, args) -> tuple[int, dict, str]:
     doc = {"m": params.m}
-    doc.update(result.as_dict())
+    doc.update(base_locus(cls_, params).as_dict())
     return 0, doc, _render_baselocus(doc)
 
 
-def cmd_classify(args) -> tuple[int, dict, str]:
-    params = ConstructionParams(args.m)
-    cls_ = parse_divisor_class(args.cls)
+def cmd_classify(params, cls_, args) -> tuple[int, dict, str]:
     doc = {"m": params.m}
     doc.update(classify(cls_, params).as_dict())
     return 0, doc, _render_classify(doc)
 
 
-def cmd_h0(args) -> tuple[int, dict, str]:
-    params = ConstructionParams(args.m)
-    cls_ = parse_divisor_class(args.cls)
+def cmd_h0(params, cls_, args) -> tuple[int, dict, str]:
     # the count is printed, so it may have at most as many digits as str()
     # converts; count_sections gives up early on a count far past that
     digits = sys.get_int_max_str_digits()
@@ -221,9 +215,8 @@ def cmd_h0(args) -> tuple[int, dict, str]:
     return 0, doc, _render_h0(doc)
 
 
-def cmd_cones(args) -> tuple[int, dict, str]:
-    params = ConstructionParams(args.m)
-    decomp = chamber_decomposition(generator_degrees(params), params)
+def cmd_cones(params, cls_, args) -> tuple[int, dict, str]:
+    decomp = chamber_decomposition(params)
     doc = {
         "m": params.m,
         "nef_rays": [list(r) for r in nef_cone(params).rays()],
@@ -254,7 +247,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code, doc, text = _COMMANDS[args.command](args)
+        # m is checked first, then the class of the class queries
+        params = ConstructionParams(args.m)
+        cls_ = parse_divisor_class(args.cls) if "cls" in args else None
+        code, doc, text = _COMMANDS[args.command](params, cls_, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from math import gcd
 
+from .coxring import generator_degrees
 from .picard import ConstructionParams, DivisorClassY
 
 NEF_LABEL = "NEF_Y"
@@ -130,31 +131,18 @@ class ChamberDecomposition:
         return self.walls[1:-1]
 
 
-def chamber_decomposition(degrees, params: ConstructionParams) -> ChamberDecomposition:
-    """Mori chambers of the movable cone cut by the given generator degrees.
+def chamber_decomposition(params: ConstructionParams) -> ChamberDecomposition:
+    """Mori chambers of the movable cone, cut by the generator degrees.
 
-    Walls are the distinct rays through the degrees, swept from H down to
+    The chambers of a Mori dream space are cut by the rays through the
+    degrees of its Cox ring generators (Hu-Keel, "Mori dream spaces and
+    GIT", 2000), and this grading has three distinct ones (generator_degrees),
+    each primitive.  Walls are their rays, swept clockwise from H down to
     the effective boundary; consecutive walls bound a chamber.  The chamber
-    equal to Nef(Y) is labeled NEF_Y, everything else FLIP_CHAMBER.  Rays
-    must lie in the right half-plane a >= 0 (all effective classes do) and
-    must span a full cone.
+    equal to Nef(Y) is labeled NEF_Y, everything else FLIP_CHAMBER.
     """
-    rays = []
-    for deg in degrees:
-        vec = (deg.a, deg.b) if isinstance(deg, DivisorClassY) else tuple(deg)
-        ray = primitive_ray(vec)
-        if ray[0] < 0:
-            raise ValueError(f"degree {vec} lies outside the right half-plane")
-        if ray not in rays:
-            rays.append(ray)
-    if len(rays) < 2:
-        raise ValueError("degrees span a single ray, no chambers to cut")
-
-    def clockwise(u, v):
-        c = cross(u, v)
-        return -1 if c < 0 else (1 if c > 0 else 0)
-
-    walls = tuple(sorted(rays, key=cmp_to_key(clockwise)))
+    degrees = ((deg.a, deg.b) for deg in generator_degrees(params))
+    walls = tuple(sorted(degrees, key=cmp_to_key(cross)))
     chambers = tuple(
         Cone2D.span(walls[i], walls[i + 1]) for i in range(len(walls) - 1)
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .chow import bundle_of_G, bundle_of_Y, intersection_number
 from .cones import chamber_decomposition, classify, effective_cone, nef_cone
-from .coxring import Stratum, base_locus, generator_degrees, is_effective
+from .coxring import Stratum, base_locus, is_effective
 from .picard import ConstructionParams, DivisorClassY, anticanonical_class, standard_classes
 
 
@@ -299,7 +299,7 @@ def build_certificate(params: ConstructionParams) -> ExampleCertificate:
     # cone picture
     nef = nef_cone(params)
     eff = effective_cone(params)
-    dec = chamber_decomposition(generator_degrees(params), params)
+    dec = chamber_decomposition(params)
     chk("nef_cone_rays", [[1, 0], [0, 1]], [list(r) for r in nef.rays()])
     chk("effective_cone_rays", [[1, -t], [0, 1]], [list(r) for r in eff.rays()])
     chk("chamber_count", 2, len(dec.chambers))

@@ -52,14 +52,13 @@ from .polynomial import Poly, PolyRing
 
 
 @lru_cache(maxsize=None)
-def _cox_ring(m: int) -> PolyRing:
-    names = [f"x{i}" for i in range(3 * m + 1)] + ["y0", "y1", "y2"]
-    return PolyRing(names)
+def _cox_ring(n_x: int) -> PolyRing:
+    return PolyRing([f"x{i}" for i in range(n_x)] + ["y0", "y1", "y2"])
 
 
 def cox_ring(params: ConstructionParams) -> PolyRing:
     """The polynomial ring in x_0..x_{3m}, y_0, y_1, y_2 (in that order)."""
-    return _cox_ring(params.m)
+    return _cox_ring(params.n_x)
 
 
 def y_indices(params: ConstructionParams) -> tuple[int, int, int]:
@@ -85,11 +84,12 @@ def poly_degree(poly: Poly, params: ConstructionParams) -> DivisorClassY | None:
     return DivisorClassY(*degrees.pop())
 
 
-def generator_degrees(params: ConstructionParams) -> list[DivisorClassY]:
-    """Degrees of the coordinate variables, with multiplicity."""
-    t = params.twist
-    return [DivisorClassY(0, 1)] * params.n_x \
-        + [DivisorClassY(1, 0), DivisorClassY(1, -t), DivisorClassY(1, -t)]
+def generator_degrees(params: ConstructionParams) -> dict[DivisorClassY, int]:
+    """The distinct degrees of the coordinate variables, each with the number
+    of variables of that degree: H for x_0..x_{3m}, D for y_0 and D - 2mH for
+    y_1, y_2.  Three entries for every m."""
+    return {DivisorClassY(0, 1): params.n_x, DivisorClassY(1, 0): 1,
+            DivisorClassY(1, -params.twist): 2}
 
 
 def is_effective(cls_: DivisorClassY, params: ConstructionParams) -> bool:
@@ -198,9 +198,6 @@ class BaseLocusResult:
         }
 
 
-_ALPHABET = ("y0", "y1", "y2", "X")
-
-
 def base_locus(cls_: DivisorClassY, params: ConstructionParams) -> BaseLocusResult:
     """Base locus of |aD + bH| as minimal primes of its monomial ideal.
 
@@ -209,39 +206,26 @@ def base_locus(cls_: DivisorClassY, params: ConstructionParams) -> BaseLocusResu
     pattern with positive x-degree contains the monomial concentrated on any
     single x-variable, so a prime avoiding the pattern's y-variables must
     contain every x.  Primes containing all x or all y cut the irrelevant
-    loci and are dropped; what survives is mapped to named strata.
+    loci and are dropped, so the primes kept are sets of one or two y's.
+    Every nonempty proper subset of such a set is again one, so minimality
+    is decided among these six candidates alone.  What survives is mapped
+    to named strata.
     """
     if not is_effective(cls_, params):
         return BaseLocusResult(cls_, frozenset({Stratum.FULL}), ())
 
     supports = set()
-    unit_ideal = False
     for k0, k1, k2, d in y_patterns(cls_, params):
         sup = frozenset(
             name for name, k in (("y0", k0), ("y1", k1), ("y2", k2), ("X", d)) if k
         )
         if not sup:
-            unit_ideal = True
-            break
+            return BaseLocusResult(cls_, frozenset({Stratum.EMPTY}), ())
         supports.add(sup)
-    if unit_ideal:
-        return BaseLocusResult(cls_, frozenset({Stratum.EMPTY}), ())
 
-    hitting = []
-    for r in range(1, len(_ALPHABET) + 1):
-        for cand in combinations(_ALPHABET, r):
-            cs = frozenset(cand)
-            if all(cs & sup for sup in supports):
-                hitting.append(cs)
-    minimal = [h for h in hitting if not any(other < h for other in hitting)]
-
-    survivors = []
-    for h in minimal:
-        if "X" in h:
-            continue
-        if h >= {"y0", "y1", "y2"}:
-            continue
-        survivors.append(h)
+    hitting = [frozenset(c) for r in (1, 2) for c in combinations(("y0", "y1", "y2"), r)
+               if all(sup.intersection(c) for sup in supports)]
+    survivors = [h for h in hitting if not any(other < h for other in hitting)]
 
     strata = set()
     for h in survivors:

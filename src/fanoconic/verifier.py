@@ -365,37 +365,45 @@ def sample_generic_point(params: ConstructionParams, rng: random.Random,
 
 
 def _sample_chart_line(params, rng, bound):
-    """A random line inside the chart x0 = 1, y0 = 1 that misses V.
+    """A random line inside the chart x0 = 1, y0 = 1 whose y-part moves and
+    misses V.
 
     Delta is singular along V (adj S = 0 there), so det S has a repeated
     root on every line through V.  The y-part (1, p + t d) of the line
-    meets y1 = y2 = 0 iff p and d are parallel and d != 0, or p = 0; such a
-    line is redrawn whole, since a new direction alone never helps p = 0.
+    meets y1 = y2 = 0 iff p and d are parallel and d != 0, or p = 0.  On
+    the default shape det S also has a square factor on {y2 = 0} and on
+    {y1 = y2} (it is -y0 y1 lam2^2 and -y0 y1 (lam1 - lam2)^2 there); a line
+    inside either one has d = 0 or d parallel to p.  So a line is kept iff
+    d != 0 and p, d are not parallel, and is otherwise redrawn whole, since
+    a new direction alone never helps p = 0.
     """
     nx = params.n_x
     while True:
         point = (1,) + tuple(rng.randint(-bound, bound) for _ in range(nx - 1)) \
             + (1, rng.randint(-bound, bound), rng.randint(-bound, bound))
-        while True:
-            direction = (0,) + tuple(rng.randint(-bound, bound) for _ in range(nx - 1)) \
-                + (0, rng.randint(-bound, bound), rng.randint(-bound, bound))
-            if any(direction):
-                break
+        direction = (0,) + tuple(rng.randint(-bound, bound) for _ in range(nx - 1)) \
+            + (0, rng.randint(-bound, bound), rng.randint(-bound, bound))
         (p1, p2), (d1, d2) = point[nx + 1:], direction[nx + 1:]
-        if p1 * d2 != p2 * d1 or not (d1 or d2 or not (p1 or p2)):
+        if (d1 or d2) and p1 * d2 != p2 * d1:
             return point, direction
 
 
 def _sample_fiber_line(params, rng, bound):
-    """A random line inside one fiber of Y -> P^{3m}: x frozen, y a pencil."""
+    """A random line inside one fiber of Y -> P^{3m}: x frozen, y the pencil
+    u + t v, with v off {y0 = 0} and off V.
+
+    y0 divides det S on the default shape, so v_y0 = 0 would put a root at
+    t = infinity; a v on V (v_y1 = v_y2 = 0) meets V at t = infinity, where
+    Delta is singular, so det S would lose at least two degrees.
+    """
     nx = params.n_x
     xs = _sample_x(params, rng, bound)
     while True:
         u = tuple(rng.randint(-bound, bound) for _ in range(3))
         v = tuple(rng.randint(-bound, bound) for _ in range(3))
-        # y0 divides det S on the default shape, so v_y0 = 0 would put a root
-        # at t = infinity; given v_y0 != 0, two minors decide if u, v span a pencil
-        if v[0] and (u[0] * v[1] - u[1] * v[0], u[0] * v[2] - u[2] * v[0]) != (0, 0):
+        # given v_y0 != 0, two minors decide if u, v span a pencil
+        if v[0] and (v[1] or v[2]) \
+                and (u[0] * v[1] - u[1] * v[0], u[0] * v[2] - u[2] * v[0]) != (0, 0):
             return xs + u, (0,) * nx + v
 
 

@@ -15,8 +15,9 @@ form F = z^T S z in a ring extended by the fiber coordinates, instead of
 by reading seven coefficients, nefness comes from pairings with curves
 instead of cone membership, and nonzero coefficients are drawn by randint
 instead of by rejection on getrandbits, bidegrees are read term by term,
-and the drawn member is assembled by polynomial arithmetic instead of in
-one pass.  The one exception is
+the drawn member is assembled by polynomial arithmetic instead of in
+one pass, and base loci are the minimal hitting sets among all 15 subsets
+of y0, y1, y2, X instead of six.  The one exception is
 squarefree_by_gcd: it is the exact gcd route of u_is_squarefree without
 the mod-p certificate in front of it.
 
@@ -28,6 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 from fanoconic.coxring import cox_ring, y_indices
@@ -144,6 +146,42 @@ def draw_by_arithmetic(params, seed: int, coeff_range: int = 100,
         "sigma": sigma_prime * sigma_prime + w, "sigma_prime": sigma_prime,
     }
     return {name: poly.terms for name, poly in entries.items()}
+
+
+# -- base loci ----------------------------------------------------------------
+
+
+def base_locus_by_hitting_sets(a: int, b: int, twist: int) -> dict:
+    """base_locus(...).as_dict() of (a, b) by the full enumeration.
+
+    The support of each monomial is read over the alphabet y0, y1, y2, X
+    (X: some x), every nonempty subset of the alphabet that meets all
+    supports is a hitting set, and the minimal ones without X and not
+    holding all three y's are the primes kept.
+    """
+    name = str(DivisorClassY(a, b))
+    supports = set()
+    for k1 in range(a + 1):
+        for k2 in range(a - k1 + 1):
+            d = b + twist * (k1 + k2)
+            if d >= 0:
+                supports.add(frozenset(
+                    v for v, k in (("y0", a - k1 - k2), ("y1", k1), ("y2", k2), ("X", d))
+                    if k))
+    if not supports:
+        return {"class": name, "strata": ["FULL"], "raw_primes": []}
+    if frozenset() in supports:
+        return {"class": name, "strata": ["EMPTY"], "raw_primes": []}
+    alphabet = ("y0", "y1", "y2", "X")
+    hitting = [set(c) for r in range(1, 5) for c in combinations(alphabet, r)
+               if all(sup & set(c) for sup in supports)]
+    minimal = [h for h in hitting if not any(other < h for other in hitting)]
+    kept = sorted(sorted(h) for h in minimal
+                  if "X" not in h and not h >= {"y0", "y1", "y2"})
+    strata = {("y1", "y2"): "V", ("y0",): "Y0_DIVISOR"}
+    return {"class": name,
+            "strata": sorted({strata[tuple(h)] for h in kept}) or ["EMPTY"],
+            "raw_primes": kept}
 
 
 # -- polynomial arithmetic and evaluation -----------------------------------

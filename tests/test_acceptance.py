@@ -24,7 +24,6 @@ from fanoconic.coxring import (
     Stratum,
     base_locus,
     count_sections,
-    generator_degrees,
     is_effective,
 )
 from fanoconic.picard import (
@@ -176,7 +175,7 @@ def test_two_chamber_mori_picture(announce):
         for m in TESTED_M:
             params = ConstructionParams(m)
             t = 2 * m
-            dec = chamber_decomposition(generator_degrees(params), params)
+            dec = chamber_decomposition(params)
             if dec.walls != ((0, 1), (1, 0), (1, -t)):
                 failures.append(f"m={m}: walls {dec.walls}")
             ray_sets = [frozenset(c.rays()) for c in dec.chambers]

@@ -80,6 +80,37 @@ def test_rejects_bad_coeff_range(capsys):
     assert code == 2
 
 
+def test_m_is_checked_before_the_class_and_the_options(capsys):
+    for argv in (("baselocus", "--m", "1", "--class", "2X+1"),
+                 ("verify", "--m", "1", "--samples", "0")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "m must be at least 2" in err
+
+
+HUGE_M = 10**22
+
+
+@pytest.mark.parametrize("command", [
+    ("certificate",), ("cones",), ("verify", "--samples", "1"),
+    ("baselocus", "--class", "3D-4H"), ("classify", "--class", "3D-4H"),
+    ("h0", "--class", "3D-4H"),
+])
+def test_every_command_answers_or_refuses_at_huge_m(command):
+    proc = run_cli_process(*command, "--m", str(HUGE_M), timeout=30)
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stderr
+
+
+def test_certificate_at_huge_m_passes_every_check(capsys):
+    # three Cox degrees cut the chambers, so no list of 3m + 4 degrees is built
+    code, out, _ = run_cli(capsys, "certificate", "--m", str(HUGE_M), "--format", "json")
+    doc = json.loads(out)
+    assert code == 0
+    assert [c["pass"] for c in doc["checks"]] == [True] * 29
+    assert doc["cones"]["walls"] == [[0, 1], [1, 0], [1, -2 * HUGE_M]]
+
+
 @pytest.mark.parametrize("argv", [("--m", "4"), ("--m", "3", "--perturb"),
                                   ("--m", "100000")])
 def test_rejects_oversize_section_draw(argv):

@@ -15,7 +15,7 @@ from fanoconic.cones import (
     nef_cone,
     primitive_ray,
 )
-from fanoconic.coxring import generator_degrees, is_effective
+from fanoconic.coxring import is_effective
 from fanoconic.picard import ConstructionParams, DivisorClassY, anticanonical_class
 
 from .oracles import nef_by_duality
@@ -143,7 +143,7 @@ def test_classification_is_scale_invariant(a, b, k):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_two_chambers_from_generator_degrees(m):
     params = ConstructionParams(m)
-    dec = chamber_decomposition(generator_degrees(params), params)
+    dec = chamber_decomposition(params)
     assert dec.walls == ((0, 1), (1, 0), (1, -params.twist))
     assert dec.labels == (NEF_LABEL, FLIP_LABEL)
     assert dec.chambers[0] == nef_cone(params)
@@ -152,7 +152,7 @@ def test_two_chambers_from_generator_degrees(m):
 
 
 def test_chambers_cover_movable_cone():
-    dec = chamber_decomposition(generator_degrees(M2), M2)
+    dec = chamber_decomposition(M2)
     mov = effective_cone(M2)  # Mov(Y) = Eff(Y)
     for a in range(0, 8):
         for b in range(-4 * 8, 9):
@@ -170,7 +170,7 @@ def test_chambers_cover_movable_cone():
 
 
 def test_decomposition_as_dict():
-    doc = chamber_decomposition(generator_degrees(M2), M2).as_dict()
+    doc = chamber_decomposition(M2).as_dict()
     assert doc == {
         "walls": [[0, 1], [1, 0], [1, -4]],
         "chambers": [
@@ -178,23 +178,6 @@ def test_decomposition_as_dict():
             {"rays": [[1, -4], [1, 0]], "label": FLIP_LABEL},
         ],
     }
-
-
-def test_decomposition_accepts_raw_tuples():
-    dec = chamber_decomposition([(0, 2), (3, 0), (2, -8)], M2)
-    assert dec.walls == ((0, 1), (1, 0), (1, -4))
-
-
-def test_decomposition_rejects_left_half_plane():
-    with pytest.raises(ValueError):
-        chamber_decomposition([DivisorClassY(-1, 2), DivisorClassY(0, 1)], M2)
-
-
-def test_decomposition_rejects_single_ray():
-    with pytest.raises(ValueError):
-        chamber_decomposition([DivisorClassY(0, 1), DivisorClassY(0, 3)], M2)
-    with pytest.raises(ValueError):
-        chamber_decomposition([], M2)
 
 
 @settings(max_examples=60, deadline=None)

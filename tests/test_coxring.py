@@ -28,6 +28,7 @@ from fanoconic.picard import ConstructionParams, DivisorClassY
 from fanoconic.polynomial import Poly
 
 from .oracles import (
+    base_locus_by_hitting_sets,
     count_monomials,
     count_sections_by_sum,
     draw_by_arithmetic,
@@ -77,14 +78,18 @@ def test_ring_names_and_caching():
 
 
 def test_variable_degrees():
-    degs = generator_degrees(M2)
-    assert len(degs) == 10
-    assert degs[:7] == [DivisorClassY(0, 1)] * 7
-    assert degs[7:] == [
-        DivisorClassY(1, 0),
-        DivisorClassY(1, -4),
-        DivisorClassY(1, -4),
-    ]
+    assert generator_degrees(M2) == {
+        DivisorClassY(0, 1): 7,
+        DivisorClassY(1, 0): 1,
+        DivisorClassY(1, -4): 2,
+    }
+    # one entry per distinct degree, however many x's there are
+    m = 10**100
+    assert generator_degrees(ConstructionParams(m)) == {
+        DivisorClassY(0, 1): 3 * m + 1,
+        DivisorClassY(1, 0): 1,
+        DivisorClassY(1, -2 * m): 2,
+    }
 
 
 def test_monomial_degree():
@@ -279,6 +284,15 @@ def test_base_locus_scales_with_m(m):
     assert base_locus(DivisorClassY(1, 0), params).strata == frozenset(
         {Stratum.EMPTY}
     )
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_base_locus_matches_full_hitting_set_oracle(m):
+    params = ConstructionParams(m)
+    for a in range(-40, 41):
+        for b in range(-40, 41):
+            assert base_locus(DivisorClassY(a, b), params).as_dict() == \
+                base_locus_by_hitting_sets(a, b, params.twist), (a, b)
 
 
 def test_base_locus_agrees_with_point_sampling():

@@ -40,6 +40,15 @@ DIGESTS = {
     # chart line draw runs through V and is redrawn
     "verify --m 2 --seed 43787 --samples 3 --coeff-range 100 --perturb --format json":
         (0, "dd20ae46c22eba380513a8b981da823436a04ecfc107bb45f95a0a77da406505"),
+    # a fiber pencil whose direction lies on V loses two degrees of det S,
+    # and a chart line whose y-part stays on {y2 = 0} or {y1 = y2} has a
+    # square factor; each of these commands drew such a line, now redrawn
+    "verify --m 2 --seed 6845 --samples 6 --coeff-range 100 --format json":
+        (0, "c5d1e5ad83236094ae7c5f3eb6da61a716196b9d5a415b45b86bf4997eac2200"),
+    "verify --m 2 --seed 7 --samples 3 --coeff-range 1 --format json":
+        (0, "c7c9e51b5108534671535515824ecbd3bff1faa6701e4b56781f528dd558887c"),
+    "verify --m 2 --seed 5 --samples 3 --coeff-range 1 --format json":
+        (0, "e13deae6a6e291d64a45ab78f8d7613881627f3f6b419e5dae51b446993bfe39"),
     # re-recorded when the certificate dropped its seven checks that repeated
     # another check or could not fail (36 -> 29 checks); nothing else changed
     "certificate --m 2 --format json":

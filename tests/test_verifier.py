@@ -27,7 +27,7 @@ from fanoconic.coxring import (
     instantiate_sections,
 )
 from fanoconic.picard import ConstructionParams, DivisorClassY
-from fanoconic.polynomial import Poly, PolyRing, u_degree, u_is_squarefree
+from fanoconic.polynomial import Poly, PolyRing, u_degree, u_is_squarefree, u_mul
 from fanoconic.verifier import (
     LINE_RESAMPLE_CAP,
     Z_GRID,
@@ -868,6 +868,33 @@ def test_fiber_pencils_move_y0(default_matrix):
     assert discriminant_on_line(default_matrix, point, flat).degree == 5
 
 
+def test_fiber_pencils_move_off_V(default_matrix):
+    # a pencil direction on V (v_y1 = v_y2 = 0) meets V at t = infinity,
+    # where Delta is singular, so det S loses at least two degrees; at
+    # bound 1 two of the 27 raw directions have v_y0 != 0 and lie on V
+    nx = M2.n_x
+    rng = random.Random(27)
+    for _ in range(30):
+        assert any(_sample_fiber_line(M2, rng, 1)[1][nx + 1:])
+    point, direction = _sample_fiber_line(M2, rng, 9)
+    on_v = (0,) * nx + (direction[nx], 0, 0)
+    assert discriminant_on_line(default_matrix, point, on_v).degree <= 4
+
+
+def test_chart_lines_with_fixed_y_on_the_square_divisors(default_matrix):
+    # on the default shape det S = -y0 y1 lam2^2 on {y2 = 0} and
+    # -y0 y1 (lam1 - lam2)^2 on {y1 = y2}, so a chart line whose y-part
+    # stays on either divisor restricts det S to a square times -y1
+    x_point, x_direction = (1, 2, -1, 3, 1, -2, 1), (0, 1, 2, -1, 1, 3, -2)
+    lam1, lam2 = default_matrix.lam1, default_matrix.lam2
+    for ys, square in (((1, 3, 0), lam2), ((1, 2, 2), lam1 - lam2)):
+        point, direction = x_point + ys, x_direction + (0, 0, 0)
+        root = restrict_line(square, point, direction)
+        assert direct_restriction(default_matrix, point, direction) == \
+            u_mul([-ys[1]], u_mul(root, root))
+        assert discriminant_on_line(default_matrix, point, direction).squarefree is False
+
+
 @pytest.mark.parametrize("support", [(8,), (0,), (7, 8, 9), tuple(range(10))])
 def test_line_degree_bound_is_the_largest_support_degree(perturbed_matrix, support):
     for _, poly in perturbed_matrix.named_entries():
@@ -925,6 +952,8 @@ def test_chart_lines_miss_V():
     for _ in range(300):
         point, direction = _sample_chart_line(M2, rng, 1)
         assert any(direction) and not _meets_V(point, direction)
+        # the y-part moves, so the line is inside neither {y2 = 0} nor {y1 = y2}
+        assert any(direction[M2.n_x + 1:])
     # the oracle itself sees each way a line can meet V
     lines = [((1,) * 8 + ys, (0,) * 8 + ds) for ys, ds in [
         ((2, -3), (4, -6)), ((0, 0), (1, 1)), ((0, 0), (0, 0)), ((1, 0), (-2, 0))]]
