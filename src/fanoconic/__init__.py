@@ -21,18 +21,17 @@ _EXPORTS = {
     "picard": ("ConstructionParams", "DivisorClassY", "anticanonical_class",
                "parse_divisor_class", "standard_classes"),
     "chow": ("bundle_of_G", "bundle_of_Y"),
-    "coxring": ("BaseLocusResult", "ConicMatrix", "Stratum", "base_locus",
-                "count_sections", "cox_ring", "generator_degrees",
-                "instantiate_sections", "is_effective"),
-    "cones": ("ChamberDecomposition", "Cone2D", "PositivityReport",
-              "chamber_decomposition", "classify", "effective_cone", "nef_cone"),
-    "conicbundle": ("DivisorClassZ", "ExampleCertificate", "antiK_Z",
-                    "build_certificate", "discriminant_class",
-                    "standard_bundle", "sym2_decomposition"),
-    "verifier": ("CoxPointY", "FiberDiagnosis", "FiberType", "InstanceReport",
-                 "LineProbe", "boundary_identity_verdict",
-                 "check_smooth_at_node", "diagnose_conic",
-                 "discriminant_on_line", "fiber_at", "run_instance"),
+    "coxring": ("ConicMatrix", "base_locus", "count_sections", "cox_ring",
+                "generator_degrees", "instantiate_sections", "is_effective"),
+    "cones": ("ChamberDecomposition", "Cone2D", "chamber_decomposition",
+              "classify", "effective_cone", "nef_cone"),
+    "conicbundle": ("DivisorClassZ", "antiK_Z", "build_certificate",
+                    "discriminant_class", "standard_bundle",
+                    "sym2_decomposition"),
+    "verifier": ("CoxPointY", "FiberDiagnosis", "FiberType", "LineProbe",
+                 "boundary_identity_verdict", "check_smooth_at_node",
+                 "diagnose_conic", "discriminant_on_line", "fiber_at",
+                 "run_instance"),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -2,7 +2,9 @@
 
 Every subcommand renders one document dict, as indented JSON or as a text
 summary built from the same dict, so the JSON view always carries at least
-what the text view shows.  All randomness is seeded (default printed in
+what the text view shows.  The document is the library's answer as it is:
+build_certificate and run_instance return it whole, and base_locus and
+classify return it but for the leading "m".  All randomness is seeded (default printed in
 the header) and the renderers iterate dicts in insertion order, making
 repeated runs byte-identical.
 
@@ -174,9 +176,8 @@ def _render_cones(doc: dict) -> str:
 
 
 def cmd_certificate(params, cls_, args) -> tuple[int, dict, str]:
-    cert = build_certificate(params)
-    doc = cert.as_dict()
-    return (0 if cert.valid else 1), doc, _render_certificate(doc)
+    doc = build_certificate(params)
+    return (0 if doc["valid"] else 1), doc, _render_certificate(doc)
 
 
 def cmd_verify(params, cls_, args) -> tuple[int, dict, str]:
@@ -184,21 +185,18 @@ def cmd_verify(params, cls_, args) -> tuple[int, dict, str]:
         raise ValueError("--samples must be at least 1")
     if args.coeff_range < 1:
         raise ValueError("--coeff-range must be at least 1")
-    report = run_instance(params, seed=args.seed, n_samples=args.samples,
-                          coeff_range=args.coeff_range, perturb=args.perturb)
-    doc = report.as_dict()
-    return (0 if report.passed else 1), doc, _render_report(doc)
+    doc = run_instance(params, seed=args.seed, n_samples=args.samples,
+                       coeff_range=args.coeff_range, perturb=args.perturb)
+    return (0 if doc["passed"] else 1), doc, _render_report(doc)
 
 
 def cmd_baselocus(params, cls_, args) -> tuple[int, dict, str]:
-    doc = {"m": params.m}
-    doc.update(base_locus(cls_, params).as_dict())
+    doc = {"m": params.m, **base_locus(cls_, params)}
     return 0, doc, _render_baselocus(doc)
 
 
 def cmd_classify(params, cls_, args) -> tuple[int, dict, str]:
-    doc = {"m": params.m}
-    doc.update(classify(cls_, params).as_dict())
+    doc = {"m": params.m, **classify(cls_, params)}
     return 0, doc, _render_classify(doc)
 
 

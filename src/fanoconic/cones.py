@@ -72,28 +72,9 @@ def effective_cone(params: ConstructionParams) -> Cone2D:
     return Cone2D.span((0, 1), (1, -params.twist))
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    cls_: DivisorClassY
-    effective: bool
-    big: bool
-    movable: bool
-    nef: bool
-    ample: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "class": str(self.cls_),
-            "effective": self.effective,
-            "big": self.big,
-            "movable": self.movable,
-            "nef": self.nef,
-            "ample": self.ample,
-        }
-
-
-def classify(cls_: DivisorClassY, params: ConstructionParams) -> PositivityReport:
-    """Positivity flags of a class, all by exact cone membership.
+def classify(cls_: DivisorClassY, params: ConstructionParams) -> dict:
+    """Positivity flags of a class, all by exact cone membership:
+    {"class": str(cls_), "effective", "big", "movable", "nef", "ample"}.
 
     big is interior-of-effective, ample is interior-of-nef, movable is
     effective (Mov = Eff, the certificate's movable_equals_effective); nef
@@ -102,14 +83,14 @@ def classify(cls_: DivisorClassY, params: ConstructionParams) -> PositivityRepor
     vec = (cls_.a, cls_.b)
     eff = effective_cone(params)
     nef = nef_cone(params)
-    return PositivityReport(
-        cls_=cls_,
-        effective=eff.contains(vec),
-        big=eff.contains_interior(vec),
-        movable=eff.contains(vec),
-        nef=nef.contains(vec),
-        ample=nef.contains_interior(vec),
-    )
+    return {
+        "class": str(cls_),
+        "effective": eff.contains(vec),
+        "big": eff.contains_interior(vec),
+        "movable": eff.contains(vec),
+        "nef": nef.contains(vec),
+        "ample": nef.contains_interior(vec),
+    }
 
 
 @dataclass(frozen=True)

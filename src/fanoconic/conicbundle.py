@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .chow import bundle_of_G, bundle_of_Y, intersection_number
 from .cones import chamber_decomposition, classify, effective_cone, nef_cone
-from .coxring import Stratum, base_locus, is_effective
+from .coxring import base_locus, is_effective
 from .picard import ConstructionParams, DivisorClassY, anticanonical_class, standard_classes
 
 
@@ -133,7 +133,7 @@ def sym2_decomposition(bundle: tuple,
 def ampleness_via_summands(bundle: tuple,
                            params: ConstructionParams) -> bool:
     """A split bundle is ample iff every summand is; exact for direct sums."""
-    return all(classify(s, params).ample for s in bundle)
+    return all(classify(s, params)["ample"] for s in bundle)
 
 
 def discriminant_class(bundle: tuple,
@@ -150,50 +150,6 @@ def discriminant_class(bundle: tuple,
 
 
 # -- the certificate -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    expected: object
-    computed: object
-    passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "computed": self.computed,
-            "pass": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class ExampleCertificate:
-    m: int
-    dims: dict
-    picard_numbers: dict
-    classes: dict
-    classes_on_Z: dict
-    sym2_summands: tuple
-    cones: dict
-    checks: tuple
-    prose_claims: tuple
-    valid: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "dims": dict(self.dims),
-            "picard": dict(self.picard_numbers),
-            "classes": dict(self.classes),
-            "classes_on_Z": dict(self.classes_on_Z),
-            "sym2_summands": list(self.sym2_summands),
-            "cones": dict(self.cones),
-            "checks": [c.as_dict() for c in self.checks],
-            "prose_claims": [dict(p) for p in self.prose_claims],
-            "valid": self.valid,
-        }
 
 
 _PROSE_CLAIMS = (
@@ -237,10 +193,14 @@ _PROSE_CLAIMS = (
 )
 
 
-def build_certificate(params: ConstructionParams) -> ExampleCertificate:
-    """Run every divisor-level check of one example and bundle the results.
+def build_certificate(params: ConstructionParams) -> dict:
+    """Run every divisor-level check of one example and bundle the results
+    into the certificate document: m, dims, picard, classes, classes_on_Z,
+    sym2_summands, cones, checks (each {name, expected, computed, pass}),
+    prose_claims and valid.
 
-    Deterministic: two calls with the same m produce identical certificates.
+    Deterministic: two calls with the same m produce equal documents, each
+    built afresh.
     """
     m = params.m
     t = params.twist
@@ -253,7 +213,7 @@ def build_certificate(params: ConstructionParams) -> ExampleCertificate:
     h_cls = named["H"]
     d_cls = named["D"]
 
-    checks: list[CheckRecord] = []
+    checks: list[dict] = []
 
     # a line in a fiber is D H^{3m}; a line in V = G_1 G_2 is G^2 H^{3m-1}
     ell_f = {d_cls: 1, h_cls: params.n_base}
@@ -264,7 +224,8 @@ def build_certificate(params: ConstructionParams) -> ExampleCertificate:
         return intersection_number(params.n_base, bundle_of_Y(params), factors)
 
     def chk(name, expected, computed):
-        checks.append(CheckRecord(name, expected, computed, expected == computed))
+        checks.append({"name": name, "expected": expected, "computed": computed,
+                       "pass": expected == computed})
 
     # anticanonical class of Y, two independent routes
     chk(
@@ -274,7 +235,7 @@ def build_certificate(params: ConstructionParams) -> ExampleCertificate:
     )
     chk("antiK_Y_dot_ell_V", 1 - m, dot(antiK_Y, ell_v))
     chk("antiK_Y_dot_ell_f", 3, dot(antiK_Y, ell_f))
-    flags = classify(antiK_Y, params).as_dict()
+    flags = classify(antiK_Y, params)
     flags.pop("class")
     chk(
         "antiK_Y_positivity_flags",
@@ -294,7 +255,7 @@ def build_certificate(params: ConstructionParams) -> ExampleCertificate:
         DivisorClassY(3, -t),
         delta,
     ):
-        chk(f"base_locus_{cls_}", ["V"], base_locus(cls_, params).strata_names())
+        chk(f"base_locus_{cls_}", ["V"], base_locus(cls_, params)["strata"])
 
     # cone picture
     nef = nef_cone(params)
@@ -346,7 +307,7 @@ def build_certificate(params: ConstructionParams) -> ExampleCertificate:
     chk(
         "discriminant_effective_both_tests",
         True,
-        classify(delta_computed, params).effective
+        classify(delta_computed, params)["effective"]
         and is_effective(delta_computed, params),
     )
 
@@ -368,22 +329,23 @@ def build_certificate(params: ConstructionParams) -> ExampleCertificate:
         "nef": [list(ray) for ray in nef.rays()],
         "effective": [list(ray) for ray in eff.rays()],
         # a class whose base locus has codimension >= 2 is movable, so
-        # Mov(Y) = Eff(Y) once neither ray of Eff(Y) has a divisorial one
-        "movable_equals_effective": not any(
-            Stratum.Y0_DIVISOR in base_locus(DivisorClassY(*ray), params).strata
+        # Mov(Y) = Eff(Y) once both rays of Eff(Y) have an empty base locus
+        # or V
+        "movable_equals_effective": all(
+            base_locus(DivisorClassY(*ray), params)["strata"] in (["EMPTY"], ["V"])
             for ray in eff.rays()),
         **dec.as_dict(),
     }
 
-    return ExampleCertificate(
-        m=m,
-        dims=dims,
-        picard_numbers=picard_numbers,
-        classes=classes,
-        classes_on_Z=classes_on_z,
-        sym2_summands=tuple(str(c) for c in sym2),
-        cones=cones_summary,
-        checks=tuple(checks),
-        prose_claims=_PROSE_CLAIMS,
-        valid=all(c.passed for c in checks),
-    )
+    return {
+        "m": m,
+        "dims": dims,
+        "picard": picard_numbers,
+        "classes": classes,
+        "classes_on_Z": classes_on_z,
+        "sym2_summands": [str(c) for c in sym2],
+        "cones": cones_summary,
+        "checks": checks,
+        "prose_claims": [dict(claim) for claim in _PROSE_CLAIMS],
+        "valid": all(c["pass"] for c in checks),
+    }

@@ -21,12 +21,12 @@ because a monomial basis is enumerated by the split k_1 + k_2 = s (with
 s+1 choices) times the x-monomials of degree b + 2ms.  From its first
 nonzero term on, the sum is a polynomial of degree 3m + 2 in a, so
 count_sections adds up 3m + 2 terms at most and extrapolates the rest by
-forward differences.  Base loci are
-computed as minimal primes of the monomial ideal of the class, which for
-monomial ideals are minimal hitting sets of the monomial supports; the
+forward differences.  Base loci are the minimal primes of the monomial
+ideal of the class, the minimal hitting sets of its monomial supports; the
 x-variables enter only through the collapsed question "does the monomial
 use any x at all", since x-monomials of a fixed positive degree realize
-every single-variable support.
+every single-variable support.  On this grading the only prime that can
+survive is (y1, y2), so a base locus is empty, V, or all of Y.
 
 The member the audit checks is drawn here too (instantiate_sections),
 so drawing one loads only picard, polynomial and this module.  Each
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import combinations, groupby
 from math import comb
@@ -174,45 +173,24 @@ def _compositions(total: int, parts: int):
         yield tuple(out)
 
 
-class Stratum(str, Enum):
-    EMPTY = "EMPTY"
-    V = "V"
-    Y0_DIVISOR = "Y0_DIVISOR"
-    FULL = "FULL"
+def base_locus(cls_: DivisorClassY, params: ConstructionParams) -> dict:
+    """Base locus of |aD + bH|: {"class": str(cls_), "strata": [...],
+    "raw_primes": [...]}.
 
-
-@dataclass(frozen=True)
-class BaseLocusResult:
-    cls_: DivisorClassY
-    strata: frozenset
-    raw_primes: tuple
-
-    def strata_names(self) -> list[str]:
-        return sorted(s.value for s in self.strata)
-
-    def as_dict(self) -> dict:
-        return {
-            "class": str(self.cls_),
-            "strata": self.strata_names(),
-            "raw_primes": [list(p) for p in self.raw_primes],
-        }
-
-
-def base_locus(cls_: DivisorClassY, params: ConstructionParams) -> BaseLocusResult:
-    """Base locus of |aD + bH| as minimal primes of its monomial ideal.
-
-    Supports are collapsed to the pattern level before the hitting-set
-    computation: an "X" marker stands for the whole x-block, because a
-    pattern with positive x-degree contains the monomial concentrated on any
-    single x-variable, so a prime avoiding the pattern's y-variables must
-    contain every x.  Primes containing all x or all y cut the irrelevant
-    loci and are dropped, so the primes kept are sets of one or two y's.
-    Every nonempty proper subset of such a set is again one, so minimality
-    is decided among these six candidates alone.  What survives is mapped
-    to named strata.
+    The minimal primes of a monomial ideal are the minimal hitting sets of
+    its monomial supports.  Supports are collapsed to the pattern level: an
+    "X" marker stands for the whole x-block, because a pattern with positive
+    x-degree contains the monomial on any single x-variable.  Primes holding
+    all x or all y cut the irrelevant loci, so only sets of one or two y's
+    count, and on this grading only {y1, y2} can hit: for a >= 1 the split
+    s = a has a support without y0, one without y1 and one without y2, and
+    for a = 0 no y occurs.  So the answer is FULL off the effective cone, V
+    when {y1, y2} meets every support, and EMPTY otherwise, the unit ideal
+    (an empty support) included.
     """
+    label = str(cls_)
     if not is_effective(cls_, params):
-        return BaseLocusResult(cls_, frozenset({Stratum.FULL}), ())
+        return {"class": label, "strata": ["FULL"], "raw_primes": []}
 
     supports = set()
     for k0, k1, k2, d in y_patterns(cls_, params):
@@ -220,26 +198,12 @@ def base_locus(cls_: DivisorClassY, params: ConstructionParams) -> BaseLocusResu
             name for name, k in (("y0", k0), ("y1", k1), ("y2", k2), ("X", d)) if k
         )
         if not sup:
-            return BaseLocusResult(cls_, frozenset({Stratum.EMPTY}), ())
+            return {"class": label, "strata": ["EMPTY"], "raw_primes": []}
         supports.add(sup)
 
-    hitting = [frozenset(c) for r in (1, 2) for c in combinations(("y0", "y1", "y2"), r)
-               if all(sup.intersection(c) for sup in supports)]
-    survivors = [h for h in hitting if not any(other < h for other in hitting)]
-
-    strata = set()
-    for h in survivors:
-        if h == {"y1", "y2"}:
-            strata.add(Stratum.V)
-        elif h == {"y0"}:
-            strata.add(Stratum.Y0_DIVISOR)
-        else:
-            raise ValueError(f"unclassified base-locus component {sorted(h)}")
-    if not strata:
-        strata.add(Stratum.EMPTY)
-
-    raw = tuple(sorted(tuple(sorted(h)) for h in survivors))
-    return BaseLocusResult(cls_, frozenset(strata), raw)
+    if all(sup.intersection(("y1", "y2")) for sup in supports):
+        return {"class": label, "strata": ["V"], "raw_primes": [["y1", "y2"]]}
+    return {"class": label, "strata": ["EMPTY"], "raw_primes": []}
 
 
 def _nonzero_draws(rng: random.Random, bound: int, count: int) -> list:

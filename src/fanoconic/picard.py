@@ -116,8 +116,10 @@ _TERM = re.compile(r"([+-]?)(\d*)([DH])")
 def parse_divisor_class(text: str) -> DivisorClassY:
     """Parse the aD+bH grammar: signed integer coefficients, default 1.
 
-    Accepts e.g. "2D-4H", "D", "-H+3D", "0D+1H"; round-trips the output of
-    str() bit-exactly.  ASCII and unicode minus both work.
+    Accepts e.g. "2D-4H", "D", "-H+3D", "0D+1H", "D+D-H"; round-trips the
+    output of str() bit-exactly.  ASCII and unicode minus both work, and
+    spaces are ignored.  Every term after the first needs its sign, so
+    "2D3H" and "DD" are refused.
     """
     s = text.replace("−", "-").replace(" ", "")
     if not s:
@@ -125,7 +127,7 @@ def parse_divisor_class(text: str) -> DivisorClassY:
     a = b = 0
     pos = 0
     for match in _TERM.finditer(s):
-        if match.start() != pos:
+        if match.start() != pos or (pos and not match.group(1)):
             raise ValueError(f"cannot parse divisor class {text!r}")
         sign = -1 if match.group(1) == "-" else 1
         coeff = int(match.group(2)) if match.group(2) else 1

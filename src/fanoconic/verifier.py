@@ -410,43 +410,12 @@ def _sample_fiber_line(params, rng, bound):
 # -- the instance report -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InstanceReport:
-    m: int
-    seed: int
-    n_samples: int
-    coeff_range: int
-    perturb: bool
-    section_terms: dict
-    v_fibers: dict
-    generic_fibers: dict
-    boundary_identity: str
-    chart_lines: dict
-    fiber_lines: dict
-    failures: tuple
-    passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "seed": self.seed,
-            "n_samples": self.n_samples,
-            "coeff_range": self.coeff_range,
-            "perturb": self.perturb,
-            "section_terms": dict(self.section_terms),
-            "v_fibers": dict(self.v_fibers),
-            "generic_fibers": dict(self.generic_fibers),
-            "boundary_identity": self.boundary_identity,
-            "chart_lines": dict(self.chart_lines),
-            "fiber_lines": dict(self.fiber_lines),
-            "failures": [dict(f) for f in self.failures],
-            "passed": self.passed,
-        }
-
-
 def run_instance(params: ConstructionParams, seed: int, n_samples: int,
-                 coeff_range: int = 100, perturb: bool = False) -> InstanceReport:
-    """Draw one instance and run the full sampling audit.
+                 coeff_range: int = 100, perturb: bool = False) -> dict:
+    """Draw one instance and run the full sampling audit; return the report
+    document: m, seed, n_samples, coeff_range, perturb, section_terms,
+    v_fibers, generic_fibers, boundary_identity, chart_lines, fiber_lines,
+    failures and passed.
 
     Draw order (all from one generator seeded with seed): section matrix,
     V points, generic points, chart lines, fiber lines; resamples consume
@@ -562,34 +531,32 @@ def run_instance(params: ConstructionParams, seed: int, n_samples: int,
         _sample_fiber_line, n_fiber_lines, "fiber_line", "degree",
         lambda probe: probe.degree == 6)
 
-    passed = not failures
-
-    return InstanceReport(
-        m=params.m,
-        seed=seed,
-        n_samples=n_samples,
-        coeff_range=coeff_range,
-        perturb=perturb,
-        section_terms={name: len(poly) for name, poly in matrix.named_entries()},
-        v_fibers={
+    return {
+        "m": params.m,
+        "seed": seed,
+        "n_samples": n_samples,
+        "coeff_range": coeff_range,
+        "perturb": perturb,
+        "section_terms": {name: len(poly) for name, poly in matrix.named_entries()},
+        "v_fibers": {
             "count": n_samples, "double_line": n_v_ok,
             "sigma_nonzero": n_v_ok, "grid_ok": 0 if bad_z else n_samples,
             "grid_points_per_sample": len(Z_GRID), "samples": v_samples,
         },
-        generic_fibers={
+        "generic_fibers": {
             "count": n_samples, "smooth_conic": n_smooth,
             "line_pair": n_pair, "line_pair_smooth": n_pair_smooth,
             "samples": g_samples,
         },
-        boundary_identity=verdict,
-        chart_lines={
+        "boundary_identity": verdict,
+        "chart_lines": {
             "count": n_samples, "squarefree": n_sqfree,
             "resampled_zero": c_resampled, "samples": c_samples,
         },
-        fiber_lines={
+        "fiber_lines": {
             "count": n_fiber_lines, "degree_six": n_deg6,
             "resampled_zero": f_resampled, "samples": f_samples,
         },
-        failures=tuple(failures),
-        passed=passed,
-    )
+        "failures": failures,
+        "passed": not failures,
+    }

@@ -152,7 +152,7 @@ def draw_by_arithmetic(params, seed: int, coeff_range: int = 100,
 
 
 def base_locus_by_hitting_sets(a: int, b: int, twist: int) -> dict:
-    """base_locus(...).as_dict() of (a, b) by the full enumeration.
+    """base_locus(...) of (a, b) by the full enumeration.
 
     The support of each monomial is read over the alphabet y0, y1, y2, X
     (X: some x), every nonempty subset of the alphabet that meets all

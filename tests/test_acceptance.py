@@ -21,7 +21,6 @@ from fanoconic.cones import (
     nef_cone,
 )
 from fanoconic.coxring import (
-    Stratum,
     base_locus,
     count_sections,
     is_effective,
@@ -75,8 +74,8 @@ def test_certificate_identities_are_exact_and_fast(announce):
             elapsed = time.perf_counter() - start
             if elapsed >= 1.0:
                 failures.append(f"m={m}: certificate took {elapsed:.3f}s")
-            if not cert.valid:
-                bad = [c.name for c in cert.checks if not c.passed]
+            if not cert["valid"]:
+                bad = [c["name"] for c in cert["checks"] if not c["pass"]]
                 failures.append(f"m={m}: failing checks {bad}")
 
             antiK = anticanonical_class(params)
@@ -86,7 +85,7 @@ def test_certificate_identities_are_exact_and_fast(announce):
                 failures.append(
                     f"m={m}: -K_Y . ell_V = {pair(antiK, ELL_V)}")
 
-            by_name = {c.name: c for c in cert.checks}
+            by_name = {c["name"]: c for c in cert["checks"]}
             for name in (
                 "antiK_Y_from_projbundle_formula",
                 "adjunction_G",
@@ -101,26 +100,26 @@ def test_certificate_identities_are_exact_and_fast(announce):
             ):
                 if name not in by_name:
                     failures.append(f"m={m}: missing check {name}")
-                elif not by_name[name].passed:
+                elif not by_name[name]["pass"]:
                     failures.append(f"m={m}: check {name} did not pass")
 
-            if cert.classes_on_Z["antiK_Z"] != f"3ξ+0D{1 - t:+d}H":
+            if cert["classes_on_Z"]["antiK_Z"] != f"3ξ+0D{1 - t:+d}H":
                 failures.append(
-                    f"m={m}: -K_Z is {cert.classes_on_Z['antiK_Z']}")
-            if cert.classes_on_Z["antiK_Z_minus_X"] != "1ξ+0D+1H":
+                    f"m={m}: -K_Z is {cert['classes_on_Z']['antiK_Z']}")
+            if cert["classes_on_Z"]["antiK_Z_minus_X"] != "1ξ+0D+1H":
                 failures.append(
                     f"m={m}: -K_Z - X is "
-                    f"{cert.classes_on_Z['antiK_Z_minus_X']}")
+                    f"{cert['classes_on_Z']['antiK_Z_minus_X']}")
             want_sym2 = sorted(
                 [f"2D-{t}H"] * 3 + [f"2D-{m}H"] * 2 + ["2D+0H"])
-            if sorted(cert.sym2_summands) != want_sym2:
-                failures.append(f"m={m}: Sym^2 pattern {cert.sym2_summands}")
-            if by_name["discriminant_dot_ell_V"].computed != -2 * t:
+            if sorted(cert["sym2_summands"]) != want_sym2:
+                failures.append(f"m={m}: Sym^2 pattern {cert['sym2_summands']}")
+            if by_name["discriminant_dot_ell_V"]["computed"] != -2 * t:
                 failures.append(
                     f"m={m}: Delta . ell_V = "
-                    f"{by_name['discriminant_dot_ell_V'].computed}")
-            if cert.dims["dim_X"] != 3 * (m + 1):
-                failures.append(f"m={m}: dim_X = {cert.dims['dim_X']}")
+                    f"{by_name['discriminant_dot_ell_V']['computed']}")
+            if cert["dims"]["dim_X"] != 3 * (m + 1):
+                failures.append(f"m={m}: dim_X = {cert['dims']['dim_X']}")
     except Exception as exc:
         failures.append(f"unexpected error: {exc!r}")
     announce(1, "certificate_identities", not failures)
@@ -148,17 +147,17 @@ def test_base_loci_collapse_to_V(announce):
                 elapsed = time.perf_counter() - start
                 if elapsed >= 1.0:
                     failures.append(f"m={m} {cls_}: took {elapsed:.3f}s")
-                if result.strata != frozenset({Stratum.V}):
+                if result["strata"] != ["V"]:
                     failures.append(
-                        f"m={m} {cls_}: strata {result.strata_names()}")
+                        f"m={m} {cls_}: strata {result['strata']}")
             start = time.perf_counter()
             contained = base_locus(DivisorClassY(3, -t), params)
             elapsed = time.perf_counter() - start
             if elapsed >= 1.0:
                 failures.append(f"m={m} 3D-{t}H: took {elapsed:.3f}s")
-            if not contained.strata <= frozenset({Stratum.V}):
+            if not set(contained["strata"]) <= {"V"}:
                 failures.append(
-                    f"m={m} 3D-{t}H: strata {contained.strata_names()} "
+                    f"m={m} 3D-{t}H: strata {contained['strata']} "
                     "escape V")
     except Exception as exc:
         failures.append(f"unexpected error: {exc!r}")
@@ -183,17 +182,17 @@ def test_two_chamber_mori_picture(announce):
                             frozenset({(1, 0), (1, -t)})]:
                 failures.append(f"m={m}: chamber rays {ray_sets}")
             eff = effective_cone(params)
-            if not build_certificate(params).cones["movable_equals_effective"]:
+            if not build_certificate(params)["cones"]["movable_equals_effective"]:
                 failures.append(f"m={m}: movable cone differs from effective")
             if (dec.walls[0], dec.walls[-1]) != (eff.ray2, eff.ray1):
                 failures.append(f"m={m}: chambers do not fill the cone")
 
             antiK_flags = classify(anticanonical_class(params), params)
-            if not (antiK_flags.big and not antiK_flags.nef):
-                failures.append(f"m={m}: -K_Y flags {antiK_flags.as_dict()}")
+            if not (antiK_flags["big"] and not antiK_flags["nef"]):
+                failures.append(f"m={m}: -K_Y flags {antiK_flags}")
             d_flags = classify(DivisorClassY(1, 0), params)
-            if not (d_flags.nef and d_flags.big and not d_flags.ample):
-                failures.append(f"m={m}: D flags {d_flags.as_dict()}")
+            if not (d_flags["nef"] and d_flags["big"] and not d_flags["ample"]):
+                failures.append(f"m={m}: D flags {d_flags}")
 
             nef = nef_cone(params)
             for a in range(-10, 11):
@@ -260,7 +259,7 @@ def test_counting_and_base_loci_match_oracles(announce):
                      (1, 0), (0, 1), (0, 0), (2, 1)):
             cls_ = DivisorClassY(a, b)
             monos = enumerate_monomials(a, b, 4, 7)
-            v_in_locus = Stratum.V in base_locus(cls_, params).strata
+            v_in_locus = "V" in base_locus(cls_, params)["strata"]
             all_vanish = True
             for _ in range(100):
                 point = tuple(rng.choice(nonzero) for _ in range(8)) + (0, 0)
@@ -296,29 +295,29 @@ def test_seeded_instance_verification(announce, seeded_reports):
     if elapsed >= 300.0:
         failures.append(f"both runs took {elapsed:.1f}s")
     for tag, report in (("default", default), ("perturb", perturbed)):
-        v = report.v_fibers
+        v = report["v_fibers"]
         if (v["double_line"], v["sigma_nonzero"], v["grid_ok"]) != (100,) * 3:
             failures.append(
                 f"{tag}: V fibers {v['double_line']}/{v['sigma_nonzero']}"
                 f"/{v['grid_ok']} of {v['count']}")
-        g = report.generic_fibers
+        g = report["generic_fibers"]
         if g["smooth_conic"] != 100:
             failures.append(
                 f"{tag}: {g['smooth_conic']}/100 generic smooth conics")
-        if report.boundary_identity != "PASS":
+        if report["boundary_identity"] != "PASS":
             failures.append(
-                f"{tag}: boundary identity {report.boundary_identity}")
-        c = report.chart_lines
+                f"{tag}: boundary identity {report['boundary_identity']}")
+        c = report["chart_lines"]
         if c["squarefree"] != 100:
             failures.append(
                 f"{tag}: {c['squarefree']}/100 squarefree chart lines")
-        f = report.fiber_lines
+        f = report["fiber_lines"]
         if (f["count"], f["degree_six"]) != (20, 20):
             failures.append(
                 f"{tag}: {f['degree_six']}/{f['count']} sextic fiber lines")
-        if report.failures:
-            failures.append(f"{tag}: reported {list(report.failures)}")
-        if not report.passed:
+        if report["failures"]:
+            failures.append(f"{tag}: reported {report['failures']}")
+        if not report["passed"]:
             failures.append(f"{tag}: run not passed")
     announce(5, "seeded_instance_verification", not failures)
     assert not failures, "\n".join(failures)
@@ -332,15 +331,15 @@ def test_fano_bundle_onto_non_weak_fano_base(announce, seeded_reports):
     failures = []
     try:
         for m in TESTED_M:
-            if not build_certificate(ConstructionParams(m)).valid:
+            if not build_certificate(ConstructionParams(m))["valid"]:
                 failures.append(f"m={m}: certificate invalid")
         params = ConstructionParams(2)
         flags = classify(anticanonical_class(params), params)
-        if not (flags.effective and flags.big):
-            failures.append(f"-K_Y not big: {flags.as_dict()}")
-        if flags.nef:
+        if not (flags["effective"] and flags["big"]):
+            failures.append(f"-K_Y not big: {flags}")
+        if flags["nef"]:
             failures.append("-K_Y certified nef; the base would be weak Fano")
-        v = default.v_fibers
+        v = default["v_fibers"]
         if not (v["count"] == 100 and v["double_line"] == v["count"]):
             failures.append(
                 f"non-reduced fibers over V not observed: "

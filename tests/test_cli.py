@@ -11,6 +11,11 @@ import pytest
 
 import fanoconic
 from fanoconic.cli import build_parser, main
+from fanoconic.conicbundle import build_certificate
+from fanoconic.cones import classify
+from fanoconic.coxring import base_locus
+from fanoconic.picard import ConstructionParams, DivisorClassY, parse_divisor_class
+from fanoconic.verifier import run_instance
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fanoconic.__file__)))
 
@@ -55,6 +60,23 @@ def test_rejects_garbage_class(capsys):
     code, out, err = run_cli(capsys, "baselocus", "--m", "2", "--class", "2X+1")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("cls_", ["2D3H", "DD", "HD", "D H", "3H2D"])
+def test_rejects_terms_not_joined_by_a_sign(capsys, cls_):
+    code, out, err = run_cli(capsys, "baselocus", "--m", "2", "--class", cls_)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse divisor class {cls_!r}\n"
+
+
+@pytest.mark.parametrize("cls_, shown", [
+    ("D+D-H", "2D-1H"), (" 3 D + 2 H ", "3D+2H"), ("2D−4H", "2D-4H"),
+])
+def test_accepts_terms_joined_by_a_sign(capsys, cls_, shown):
+    code, out, err = run_cli(capsys, "baselocus", "--m", "2", "--class", cls_,
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["class"] == shown
 
 
 def test_rejects_missing_subcommand(capsys):
@@ -256,6 +278,62 @@ def test_verify_text_run(capsys):
     assert "V fibers: 2/2 double lines" in out
     assert "boundary identity dF|_W: PASS" in out
     assert "passed: True" in out
+
+
+# -- the library answer is the printed document ----------------------------
+
+
+@pytest.mark.parametrize("argv, answer", [
+    (("certificate", "--m", "2"), lambda: build_certificate(ConstructionParams(2))),
+    (("certificate", "--m", "5"), lambda: build_certificate(ConstructionParams(5))),
+    (("verify", "--m", "2", "--samples", "2", "--seed", "7"),
+     lambda: run_instance(ConstructionParams(2), seed=7, n_samples=2)),
+    (("verify", "--m", "2", "--samples", "1", "--seed", "3", "--coeff-range", "5",
+      "--perturb"),
+     lambda: run_instance(ConstructionParams(2), seed=3, n_samples=1,
+                          coeff_range=5, perturb=True)),
+])
+def test_document_is_the_library_answer(capsys, argv, answer):
+    _, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert json.loads(out) == answer()
+
+
+@pytest.mark.parametrize("command, query", [
+    ("baselocus", base_locus), ("classify", classify),
+])
+@pytest.mark.parametrize("m, cls_", [
+    (2, "2D-8H"), (2, "3D-1H"), (3, "1D+0H"), (3, "-1D+2H"), (2, "0D+0H"),
+])
+def test_class_query_document_is_the_library_answer(capsys, command, query, m, cls_):
+    _, out, _ = run_cli(capsys, command, "--m", str(m), f"--class={cls_}",
+                        "--format", "json")
+    params = ConstructionParams(m)
+    assert json.loads(out) == {"m": m, **query(parse_divisor_class(cls_), params)}
+
+
+def test_answers_are_built_afresh():
+    # a caller may change what it gets; the next answer must not see it
+    params = ConstructionParams(2)
+    cls_ = DivisorClassY(2, -8)
+    for answer in (lambda: build_certificate(params),
+                   lambda: run_instance(params, seed=7, n_samples=1),
+                   lambda: base_locus(cls_, params),
+                   lambda: classify(cls_, params)):
+        first, expected = answer(), json.dumps(answer())
+        _scribble(first)
+        assert json.dumps(answer()) == expected
+
+
+def _scribble(doc):
+    # change every dict and list in place, nested ones included
+    items = list(doc.values()) if isinstance(doc, dict) else list(doc)
+    for item in items:
+        if isinstance(item, (dict, list)):
+            _scribble(item)
+    if isinstance(doc, dict):
+        doc["scribbled"] = True
+    else:
+        doc.append("scribbled")
 
 
 # -- determinism ------------------------------------------------------------

@@ -85,29 +85,29 @@ def test_effective_cone_matches_section_counts(m):
 def test_anticanonical_is_big_but_not_nef(m):
     params = ConstructionParams(m)
     report = classify(anticanonical_class(params), params)
-    assert report.big
-    assert report.effective
-    assert not report.nef
-    assert not report.ample
+    assert report["big"]
+    assert report["effective"]
+    assert not report["nef"]
+    assert not report["ample"]
 
 
 def test_D_is_nef_big_not_ample():
     report = classify(DivisorClassY(1, 0), M2)
-    assert report.nef
-    assert report.big
-    assert report.movable
-    assert not report.ample
+    assert report["nef"]
+    assert report["big"]
+    assert report["movable"]
+    assert not report["ample"]
 
 
 def test_H_is_nef_not_big():
     report = classify(DivisorClassY(0, 1), M2)
-    assert report.nef
-    assert not report.big
-    assert not report.ample
+    assert report["nef"]
+    assert not report["big"]
+    assert not report["ample"]
 
 
 def test_classify_as_dict():
-    doc = classify(DivisorClassY(3, -1), M2).as_dict()
+    doc = classify(DivisorClassY(3, -1), M2)
     assert doc == {
         "class": "3D-1H",
         "effective": True,
@@ -124,7 +124,7 @@ def test_nef_matches_duality_on_grid(m):
     for a in range(-10, 11):
         for b in range(-10, 11):
             cls_ = DivisorClassY(a, b)
-            assert classify(cls_, params).nef == nef_by_duality(cls_, params), (a, b)
+            assert classify(cls_, params)["nef"] == nef_by_duality(cls_, params), (a, b)
 
 
 @settings(max_examples=80, deadline=None)
@@ -134,7 +134,7 @@ def test_classification_is_scale_invariant(a, b, k):
     base = classify(cls_, M2)
     scaled = classify(cls_ * k, M2)
     for flag in ("effective", "big", "movable", "nef", "ample"):
-        assert getattr(scaled, flag) == getattr(base, flag)
+        assert scaled[flag] == base[flag]
 
 
 # -- chamber decomposition --------------------------------------------------

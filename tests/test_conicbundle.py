@@ -1,6 +1,5 @@
 """Divisor-level certificate of the conic bundle construction."""
 
-import dataclasses
 import json
 
 import pytest
@@ -23,7 +22,6 @@ from fanoconic.conicbundle import (
     sym2_decomposition,
     x_class_on_Z,
 )
-from fanoconic.coxring import Stratum
 from fanoconic.picard import ConstructionParams, DivisorClassY, anticanonical_class
 
 M2 = ConstructionParams(2)
@@ -163,14 +161,14 @@ def test_discriminant_invariant_under_retwist():
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_certificate_is_valid(m):
     cert = build_certificate(ConstructionParams(m))
-    assert cert.valid
-    assert len(cert.checks) == 29
-    assert all(c.passed for c in cert.checks)
+    assert cert["valid"]
+    assert len(cert["checks"]) == 29
+    assert all(c["pass"] for c in cert["checks"])
 
 
 def test_certificate_has_no_repeated_or_constant_checks():
     # each of these repeated another check or compared a value with itself
-    names = {c.name for c in build_certificate(M2).checks}
+    names = {c["name"] for c in build_certificate(M2)["checks"]}
     assert not names & {
         "G_shift_vanishes", "discriminant_equals_twice_3D_minus_2mH",
         "base_not_fano_forces_degenerate_fibers", "adjunction_additivity_on_Z",
@@ -181,18 +179,16 @@ def test_certificate_has_no_repeated_or_constant_checks():
 
 def test_certificate_check_names_unique():
     cert = build_certificate(M2)
-    names = [c.name for c in cert.checks]
+    names = [c["name"] for c in cert["checks"]]
     assert len(names) == len(set(names))
 
 
 def test_certificate_deterministic():
-    assert build_certificate(M2).as_dict() == build_certificate(
-        ConstructionParams(2)
-    ).as_dict()
+    assert build_certificate(M2) == build_certificate(ConstructionParams(2))
 
 
 def test_certificate_spot_values_m2():
-    doc = build_certificate(M2).as_dict()
+    doc = build_certificate(M2)
     assert doc["m"] == 2
     assert doc["dims"] == {"dim_Y": 8, "dim_Z": 10, "dim_X": 9}
     assert doc["picard"] == {
@@ -222,40 +218,38 @@ def test_curve_pairings_come_from_intersection_numbers(m, monkeypatch):
     monkeypatch.setattr(conicbundle, "intersection_number",
                         lambda *args: real(*args) + 1)
     cert = build_certificate(ConstructionParams(m))
-    failed = {c.name for c in cert.checks if not c.passed}
+    failed = {c["name"] for c in cert["checks"] if not c["pass"]}
     assert failed == {"antiK_Y_dot_ell_f", "antiK_Y_dot_ell_V",
                       "discriminant_dot_ell_f", "discriminant_dot_ell_V"}
-    assert not cert.valid
+    assert not cert["valid"]
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_movable_equals_effective_reads_the_base_loci(m, monkeypatch):
-    # Mov = Eff fails as soon as a ray of Eff(Y) has the divisor {y0 = 0}
-    # in its base locus; here D - 2mH is made to report one
+    # Mov = Eff fails as soon as a ray of Eff(Y) has a base locus other than
+    # the empty set or V; here each ray in turn is made to report all of Y
     params = ConstructionParams(m)
-    assert build_certificate(params).cones["movable_equals_effective"] is True
+    assert build_certificate(params)["cones"]["movable_equals_effective"] is True
     real = conicbundle.base_locus
-    ray = DivisorClassY(1, -params.twist)
+    for ray in (DivisorClassY(0, 1), DivisorClassY(1, -params.twist)):
 
-    def divisorial(cls_, params):
-        result = real(cls_, params)
-        if cls_ != ray:
-            return result
-        return dataclasses.replace(result, strata=frozenset({Stratum.Y0_DIVISOR}))
+        def full_on_ray(cls_, params, ray=ray):
+            result = real(cls_, params)
+            return {**result, "strata": ["FULL"]} if cls_ == ray else result
 
-    monkeypatch.setattr(conicbundle, "base_locus", divisorial)
-    assert build_certificate(params).cones["movable_equals_effective"] is False
+        monkeypatch.setattr(conicbundle, "base_locus", full_on_ray)
+        assert build_certificate(params)["cones"]["movable_equals_effective"] is False
 
 
 @pytest.mark.parametrize("m", [2, 5])
 def test_certificate_dim_X_scales(m):
-    doc = build_certificate(ConstructionParams(m)).as_dict()
+    doc = build_certificate(ConstructionParams(m))
     assert doc["dims"]["dim_X"] == 3 * (m + 1)
 
 
 def test_certificate_prose_claims():
     cert = build_certificate(M2)
-    names = [p["name"] for p in cert.prose_claims]
+    names = [p["name"] for p in cert["prose_claims"]]
     assert names == [
         "conic_bundle_in_p2_bundle",
         "pushforward_normalization",
@@ -264,19 +258,18 @@ def test_certificate_prose_claims():
         "flip_side_chamber",
         "genericity_by_sampling",
     ]
-    for claim in cert.prose_claims:
+    for claim in cert["prose_claims"]:
         assert claim["statement"]
 
 
 def test_certificate_checks_record_both_sides():
     cert = build_certificate(M2)
-    for check in cert.checks:
-        doc = check.as_dict()
-        assert set(doc) == {"name", "expected", "computed", "pass"}
-        assert doc["pass"] is True
-        assert doc["expected"] == doc["computed"]
+    for check in cert["checks"]:
+        assert list(check) == ["name", "expected", "computed", "pass"]
+        assert check["pass"] is True
+        assert check["expected"] == check["computed"]
 
 
 def test_certificate_json_serializable():
-    text = json.dumps(build_certificate(M2).as_dict())
+    text = json.dumps(build_certificate(M2))
     assert json.loads(text)["valid"] is True

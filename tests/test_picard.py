@@ -112,6 +112,17 @@ def test_parse_rejects_garbage():
             parse_divisor_class(bad)
 
 
+def test_parse_requires_a_sign_between_terms():
+    # each term after the first starts with its sign; a bare juxtaposition
+    # was once read as a sum
+    for bad in ("2D3H", "DD", "HD", "D H", "D 2H", "3H2D", "D-H2D"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_divisor_class(bad)
+    assert parse_divisor_class("+D") == DivisorClassY(1, 0)
+    assert parse_divisor_class("D+D-H") == DivisorClassY(2, -1)
+    assert parse_divisor_class("-2D-3H") == DivisorClassY(-2, -3)
+
+
 @settings(deadline=None)
 @given(st.integers(-50, 50), st.integers(-50, 50),
        st.integers(-50, 50), st.integers(-50, 50))

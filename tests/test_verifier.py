@@ -600,8 +600,8 @@ def test_v_verdicts_match_rescaling_oracle(label, default_matrix, perturbed_matr
     monkeypatch.setattr(verifier, "discriminant_on_line",
                         lambda *args: LineProbe(6, True, False))
     report = run_instance(M2, seed=17, n_samples=2, coeff_range=25)
-    v = report.v_fibers
-    failed = {(f["index"], tuple(f["z"])) for f in report.failures
+    v = report["v_fibers"]
+    failed = {(f["index"], tuple(f["z"])) for f in report["failures"]
               if f["check"] == "gradient_on_W"}
     assert all(z[2] == 0 for z in Z_GRID)
     for i, sample in enumerate(v["samples"]):
@@ -971,48 +971,48 @@ def test_run_instance_rejects_bad_sample_count():
 
 def test_run_instance_happy_path():
     report = run_instance(M2, seed=42, n_samples=5)
-    assert report.passed
-    assert report.failures == ()
-    assert report.boundary_identity == "PASS"
-    assert report.v_fibers["double_line"] == 5
-    assert report.v_fibers["sigma_nonzero"] == 5
-    assert report.v_fibers["grid_ok"] == 5
-    assert report.v_fibers["grid_points_per_sample"] == len(Z_GRID)
-    assert report.generic_fibers["smooth_conic"] \
-        + report.generic_fibers["line_pair"] == 5
-    assert report.generic_fibers["line_pair_smooth"] \
-        == report.generic_fibers["line_pair"]
-    assert report.chart_lines["squarefree"] == 5
-    assert report.fiber_lines["count"] == 1
-    assert report.fiber_lines["degree_six"] == 1
-    assert report.section_terms["s1"] == 1
-    assert report.section_terms["lam1"] == 2828
+    assert report["passed"]
+    assert report["failures"] == []
+    assert report["boundary_identity"] == "PASS"
+    assert report["v_fibers"]["double_line"] == 5
+    assert report["v_fibers"]["sigma_nonzero"] == 5
+    assert report["v_fibers"]["grid_ok"] == 5
+    assert report["v_fibers"]["grid_points_per_sample"] == len(Z_GRID)
+    assert report["generic_fibers"]["smooth_conic"] \
+        + report["generic_fibers"]["line_pair"] == 5
+    assert report["generic_fibers"]["line_pair_smooth"] \
+        == report["generic_fibers"]["line_pair"]
+    assert report["chart_lines"]["squarefree"] == 5
+    assert report["fiber_lines"]["count"] == 1
+    assert report["fiber_lines"]["degree_six"] == 1
+    assert report["section_terms"]["s1"] == 1
+    assert report["section_terms"]["lam1"] == 2828
 
 
 def test_run_instance_deterministic():
     a = run_instance(M2, seed=11, n_samples=2, coeff_range=40)
     b = run_instance(M2, seed=11, n_samples=2, coeff_range=40)
-    assert a.as_dict() == b.as_dict()
+    assert a == b
 
 
 def test_run_instance_perturbed():
     report = run_instance(M2, seed=42, n_samples=2, perturb=True)
-    assert report.passed
-    assert report.perturb
-    assert report.boundary_identity == "PASS"
-    assert report.section_terms["s1"] > 1
-    assert report.section_terms["sigma"] > 1
+    assert report["passed"]
+    assert report["perturb"]
+    assert report["boundary_identity"] == "PASS"
+    assert report["section_terms"]["s1"] > 1
+    assert report["section_terms"]["sigma"] > 1
 
 
 def test_run_instance_reports_honest_failures(monkeypatch):
     matrix = ConicMatrix(M2, *_zero_entries(), sigma_prime=Y0)
     monkeypatch.setattr(verifier, "_draw_matrix", lambda *args: matrix)
     report = run_instance(M2, seed=3, n_samples=2)
-    assert not report.passed
-    assert report.boundary_identity == "FAIL"
-    assert report.v_fibers["double_line"] == 0
-    assert report.generic_fibers["smooth_conic"] == 0
-    checks = {f["check"] for f in report.failures}
+    assert not report["passed"]
+    assert report["boundary_identity"] == "FAIL"
+    assert report["v_fibers"]["double_line"] == 0
+    assert report["generic_fibers"]["smooth_conic"] == 0
+    checks = {f["check"] for f in report["failures"]}
     assert "v_fiber_double_line" in checks
     assert "sigma_nonzero_on_V" in checks
     assert "gradient_on_W" in checks
@@ -1020,12 +1020,12 @@ def test_run_instance_reports_honest_failures(monkeypatch):
     assert "generic_fiber_rank" in checks
     assert "chart_line_resample_exhausted" in checks
     assert "fiber_line_resample_exhausted" in checks
-    assert report.chart_lines["resampled_zero"] == 2 * LINE_RESAMPLE_CAP
+    assert report["chart_lines"]["resampled_zero"] == 2 * LINE_RESAMPLE_CAP
 
 
 def test_report_round_trips_through_json():
     report = run_instance(M2, seed=2, n_samples=1, coeff_range=30)
-    doc = json.loads(json.dumps(report.as_dict()))
+    doc = json.loads(json.dumps(report))
     assert doc["passed"] is True
     assert doc["m"] == 2 and doc["seed"] == 2
     assert len(doc["v_fibers"]["samples"]) == 1
