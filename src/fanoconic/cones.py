@@ -8,12 +8,11 @@ splits into exactly two Mori chambers separated by the wall at D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 from math import gcd
 
 from .coxring import generator_degrees
-from .picard import ConstructionParams, DivisorClassY
+from .picard import ConstructionParams, DivisorClassY, _Record
 
 NEF_LABEL = "NEF_Y"
 FLIP_LABEL = "FLIP_CHAMBER"
@@ -31,8 +30,7 @@ def primitive_ray(vec) -> tuple[int, int]:
     return (a // g, b // g)
 
 
-@dataclass(frozen=True)
-class Cone2D:
+class Cone2D(_Record):
     """A strictly convex 2D cone, rays primitive and counterclockwise."""
 
     ray1: tuple[int, int]
@@ -93,8 +91,7 @@ def classify(cls_: DivisorClassY, params: ConstructionParams) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ChamberDecomposition:
+class ChamberDecomposition(_Record):
     walls: tuple
     chambers: tuple
     labels: tuple

@@ -16,12 +16,11 @@ or points (that is the verifier's job).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chow import bundle_of_G, bundle_of_Y, intersection_number
 from .cones import chamber_decomposition, classify, effective_cone, nef_cone
 from .coxring import base_locus, is_effective
-from .picard import ConstructionParams, DivisorClassY, anticanonical_class, standard_classes
+from .picard import (ConstructionParams, DivisorClassY, _Record, anticanonical_class,
+                     standard_classes)
 
 
 def standard_bundle(params: ConstructionParams) -> tuple:
@@ -36,8 +35,7 @@ def _det(classes) -> DivisorClassY:
     return sum(classes, DivisorClassY(0, 0))
 
 
-@dataclass(frozen=True)
-class DivisorClassZ:
+class DivisorClassZ(_Record):
     """xi_coeff * xi + a * p*D + b * p*H on Z = P(E)."""
 
     xi: int

@@ -40,13 +40,12 @@ together.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, groupby
 from math import comb
 from operator import itemgetter
 
-from .picard import ConstructionParams, DivisorClassY
+from .picard import ConstructionParams, DivisorClassY, _Record
 from .polynomial import Poly, PolyRing
 
 
@@ -294,8 +293,7 @@ def _slot_degrees(params: ConstructionParams) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ConicMatrix:
+class ConicMatrix(_Record):
     """The six section entries of S, plus sigma'.
 
     sigma_prime is required: the boundary identity is stated through it,
@@ -323,6 +321,9 @@ class ConicMatrix:
             deg = poly_degree(poly, self.params) if name in wants else None
             if deg is not None and deg != wants[name]:
                 raise ValueError(f"entry {name} has degree {deg}, expected {wants[name]}")
+        # per-slot line degree bounds of the audit's line probes, memoized by
+        # the direction support
+        self.__dict__["_line_bounds"] = {}
 
     def named_entries(self):
         return tuple((name, getattr(self, name)) for name in _SLOT_NAMES)
@@ -331,12 +332,6 @@ class ConicMatrix:
         """The rows of S at a point with Cox coordinates point.coords."""
         c = point.coords
         return _s_rows(*(poly.eval(c) for _, poly in self.named_entries()))
-
-    @cached_property
-    def _line_bounds(self) -> dict:
-        """Per-slot line degree bounds of the audit's line probes, memoized
-        by the direction support."""
-        return {}
 
     @cached_property
     def _entry_sizes(self) -> dict:

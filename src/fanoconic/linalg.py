@@ -7,7 +7,6 @@ A*adj(A) = det(A)*I.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -17,17 +16,8 @@ def clear_denominators(rows):
     A single global scale keeps symmetric matrices symmetric and changes
     neither rank nor kernel.
     """
-    denoms = [
-        c.denominator
-        for row in rows
-        for c in row
-        if isinstance(c, Fraction) and c.denominator != 1
-    ]
-    scale = lcm(*denoms) if denoms else 1
-    out = []
-    for row in rows:
-        out.append([int(c * scale) if isinstance(c, Fraction) else c * scale for c in row])
-    return out
+    scale = lcm(*(c.denominator for row in rows for c in row))
+    return [[c.numerator * (scale // c.denominator) for c in row] for row in rows]
 
 
 def adjugate3(a):

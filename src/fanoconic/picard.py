@@ -18,13 +18,53 @@ The headline feature of the family is that the anticanonical class
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 MIN_M = 2
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
+class _Record:
+    """A frozen dataclass without loading dataclasses and inspect: the fields
+    are the annotated names, given in order or by keyword and checked by
+    __post_init__; equality, hash and repr read them, equal only to the same
+    type, and assignment raises."""
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self._fields, args), **kwargs)
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, key) for key in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, key, *value):
+        raise AttributeError(f"cannot assign or delete field {key!r}")
+
+    __delattr__ = __setattr__
+
+
+class ConstructionParams(_Record):
     """The single integer parameter of the family, validated once."""
 
     m: int
@@ -55,8 +95,7 @@ class ConstructionParams:
         return 3 * self.m + 1
 
 
-@dataclass(frozen=True)
-class DivisorClassY:
+class DivisorClassY(_Record):
     """aD + bH as an integer lattice point."""
 
     a: int
@@ -110,16 +149,18 @@ def standard_classes(params: ConstructionParams) -> dict[str, DivisorClassY]:
     }
 
 
-_TERM = re.compile(r"([+-]?)(\d*)([DH])")
+_TERM = re.compile(r"([+-]?)([0-9]*)([DH])")
+_SPLIT_NUMBER = re.compile(r"[0-9] +[0-9]")
 
 
 def parse_divisor_class(text: str) -> DivisorClassY:
     """Parse the aD+bH grammar: signed integer coefficients, default 1.
 
-    Accepts e.g. "2D-4H", "D", "-H+3D", "0D+1H", "D+D-H"; round-trips the
-    output of str() bit-exactly.  ASCII and unicode minus both work, and
-    spaces are ignored.  Every term after the first needs its sign, so
-    "2D3H" and "DD" are refused.
+    Accepts e.g. "2D-4H", "D", "-H+3D", "0D+1H", "D+D-H", " 3 D + 2 H ";
+    round-trips the output of str() bit-exactly.  ASCII and unicode minus
+    both work, and spaces are ignored, except that a coefficient is ASCII
+    digits with no space inside: "1 2D" and "١٢D" are refused.  Every term
+    after the first needs its sign, so "2D3H" and "DD" are refused.
     """
     s = text.replace("−", "-").replace(" ", "")
     if not s:
@@ -136,6 +177,6 @@ def parse_divisor_class(text: str) -> DivisorClassY:
         else:
             b += sign * coeff
         pos = match.end()
-    if pos != len(s):
+    if pos != len(s) or _SPLIT_NUMBER.search(text):
         raise ValueError(f"cannot parse divisor class {text!r}")
     return DivisorClassY(a, b)

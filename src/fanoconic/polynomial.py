@@ -22,11 +22,9 @@ names are interchangeable.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from operator import add, lshift, mul
-
-Scalar = int | Fraction
 
 
 class PolyRing:
@@ -46,7 +44,7 @@ class PolyRing:
         exps[which] = 1
         return Poly(self, {tuple(exps): 1})
 
-    def constant(self, c: Scalar) -> "Poly":
+    def constant(self, c: Rational) -> "Poly":
         if c == 0:
             return Poly(self, {})
         return Poly(self, {(0,) * self.n: c})
@@ -57,7 +55,7 @@ class PolyRing:
     def one(self) -> "Poly":
         return self.constant(1)
 
-    def monomial(self, exps, coeff: Scalar = 1) -> "Poly":
+    def monomial(self, exps, coeff: Rational = 1) -> "Poly":
         exps = tuple(exps)
         if len(exps) != self.n:
             raise ValueError("exponent tuple has wrong length")
@@ -106,7 +104,7 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.ring.names == other.ring.names and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             return self == self.ring.constant(other)
         return NotImplemented
 
@@ -120,7 +118,7 @@ class Poly:
             raise ValueError("polynomials live in different rings")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             other = self.ring.constant(other)
         self._check(other)
         out = dict(self.terms)
@@ -134,8 +132,6 @@ class Poly:
         return Poly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -144,7 +140,7 @@ class Poly:
     def __mul__(self, other):
         """Product with a scalar or a polynomial of the same ring, term by
         term, the exponent tuples added entry by entry."""
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             if other == 0:
                 return self.ring.zero()
             return Poly(self.ring, {e: c * other for e, c in self.terms.items()})
@@ -174,7 +170,7 @@ class Poly:
             self._plan = _build_plan(self.terms, self.ring.n)
         return self._plan
 
-    def eval(self, values) -> Scalar:
+    def eval(self, values) -> Rational:
         if len(values) != self.ring.n:
             raise ValueError("wrong number of values")
         levels, groups = self._eval_plan()
@@ -357,11 +353,9 @@ def _u_primitive_int(f: list) -> list:
     """Scale a rational coefficient list to a primitive integer one."""
     if not f:
         return []
-    scale = lcm(*(Fraction(c).denominator for c in f))
-    ints = [int(Fraction(c) * scale) for c in f]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
+    scale = lcm(*(c.denominator for c in f))
+    ints = [c.numerator * (scale // c.denominator) for c in f]
+    g = gcd(*ints)
     if ints[-1] < 0:
         g = -g
     return [c // g for c in ints]
@@ -401,8 +395,8 @@ def u_gcd(f: list, g: list) -> list:
     while g:
         f, g = g, _u_primitive_int(_u_pseudo_mod(f, g))
     if f:
-        lead = f[-1]
-        f = [Fraction(c, lead) for c in f]
+        from fractions import Fraction  # only here, to keep it off every import
+        f = [Fraction(c, f[-1]) for c in f]
     return f
 
 

@@ -37,13 +37,12 @@ terms never contribute first-order terms along V.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter, mul
 
 from .coxring import ConicMatrix, _draw_matrix, _nonzero_draws
 from .linalg import rank_and_kernel_3x3
-from .picard import ConstructionParams
+from .picard import ConstructionParams, _Record
 from .polynomial import (
     Poly,
     u_add,
@@ -57,16 +56,14 @@ Z_GRID = ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (1, -2, 0))
 LINE_RESAMPLE_CAP = 25
 
 
-@dataclass(frozen=True)
-class CoxPointY:
+class CoxPointY(_Record):
     """A point of Y in Cox coordinates, exact rational entries."""
 
     x: tuple
     y: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(self.x))
-        object.__setattr__(self, "y", tuple(self.y))
+        self.__dict__.update(x=tuple(self.x), y=tuple(self.y))
         if len(self.y) != 3:
             raise ValueError("y must have three coordinates")
 
@@ -93,8 +90,7 @@ _RANK_TO_TYPE = {
 }
 
 
-@dataclass(frozen=True)
-class FiberDiagnosis:
+class FiberDiagnosis(_Record):
     rank: int
     fiber_type: FiberType
     node: tuple | None  # primitive integer kernel direction when rank is 2
@@ -217,8 +213,7 @@ def boundary_identity_verdict(matrix: ConicMatrix) -> str:
 # -- line probes ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LineProbe:
+class LineProbe(_Record):
     degree: int              # degree in t of det S on the line, -1 if zero
     squarefree: bool | None  # None when the restriction vanishes identically
     identically_zero: bool

@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from fanoconic.coxring import cox_ring, y_indices
+from fanoconic.coxring import ConicMatrix, cox_ring, y_indices
 from fanoconic.picard import DivisorClassY
 from fanoconic.polynomial import Poly, PolyRing, u_add, u_diff, u_gcd, u_mul, u_trim
 
@@ -351,6 +351,17 @@ def chart_gradient(matrix, point, z):
     ]
     grads += [zgrad[k] for k in range(3) if k != kz]
     return value == 0, any(g != 0 for g in grads)
+
+
+# -- rebuilt matrices ---------------------------------------------------------
+
+
+def rebuilt_matrix(matrix, **changes) -> ConicMatrix:
+    """The matrix with the given entries replaced, built again through the
+    ConicMatrix constructor, so that its ring and degree checks run on the
+    new entries."""
+    entries = {**dict(matrix.named_entries()), "sigma_prime": matrix.sigma_prime, **changes}
+    return ConicMatrix(matrix.params, **entries)
 
 
 # -- the boundary identity by calculus on the entries -----------------------

@@ -69,6 +69,13 @@ def test_rejects_terms_not_joined_by_a_sign(capsys, cls_):
     assert err == f"error: cannot parse divisor class {cls_!r}\n"
 
 
+@pytest.mark.parametrize("cls_", ["1 2D", "D+1 2H", "١٢D", "D+٣H"])
+def test_rejects_split_and_non_ascii_numbers(capsys, cls_):
+    code, out, err = run_cli(capsys, "baselocus", "--m", "2", "--class", cls_)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse divisor class {cls_!r}\n"
+
+
 @pytest.mark.parametrize("cls_, shown", [
     ("D+D-H", "2D-1H"), (" 3 D + 2 H ", "3D+2H"), ("2D−4H", "2D-4H"),
 ])

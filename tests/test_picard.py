@@ -104,10 +104,15 @@ def test_parse_accepts_loose_forms():
     assert parse_divisor_class("H+D") == DivisorClassY(1, 1)
     assert parse_divisor_class("D+D-H") == DivisorClassY(2, -1)
     assert parse_divisor_class("2D−4H") == DivisorClassY(2, -4)
+    assert parse_divisor_class(" 12 D - 3 H ") == DivisorClassY(12, -3)
+    assert parse_divisor_class("- 1D + 2 H") == DivisorClassY(-1, 2)
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "2X", "Dfoo", "2D--4H", "12", "D+"):
+    # a space between two digits would join two numbers into one, and
+    # int() reads any Unicode digit, so both are refused
+    for bad in ("", "2X", "Dfoo", "2D--4H", "12", "D+",
+                "1 2D", "D+1 2H", "- 1 0 H", "١٢D", "D+٣H", "１D"):
         with pytest.raises(ValueError):
             parse_divisor_class(bad)
 

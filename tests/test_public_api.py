@@ -1,6 +1,7 @@
 """The public API: every exported name is package code, the helpers that
-only the tests use live in tests/oracles.py, not in the package, and
-importing the package loads a module only when one of its names is used."""
+only the tests use live in tests/oracles.py, not in the package, the value
+types behave as frozen dataclasses, and importing the package loads a
+module only when one of its names is used."""
 
 import inspect
 import json
@@ -99,6 +100,101 @@ def test_moved_helper_is_gone(owner, attr):
     assert attr not in fanoconic.__all__
 
 
+M2 = picard.ConstructionParams(2)
+_DRAWN = [coxring.instantiate_sections(M2, seed) for seed in (1, 2)]
+_CHAMBERS = [cones.chamber_decomposition(picard.ConstructionParams(m)) for m in (2, 3)]
+
+# (type, field names, field values, other field values) of each value type
+VALUES = [
+    (picard.ConstructionParams, ("m",), (2,), (3,)),
+    (picard.DivisorClassY, ("a", "b"), (1, -4), (1, 4)),
+    (coxring.ConicMatrix, ("params",) + coxring._SLOT_NAMES + ("sigma_prime",), *[
+        (M2, *(p for _, p in m.named_entries()), m.sigma_prime) for m in _DRAWN]),
+    (verifier.CoxPointY, ("x", "y"), ((1,) * 7, (1, 0, 0)), ((1,) * 7, (1, 0, 1))),
+    (verifier.FiberDiagnosis, ("rank", "fiber_type", "node"),
+     (2, verifier.FiberType.LINE_PAIR, (0, 0, 1)), (3, verifier.FiberType.SMOOTH_CONIC, None)),
+    (verifier.LineProbe, ("degree", "squarefree", "identically_zero"),
+     (6, True, False), (-1, None, True)),
+    (cones.Cone2D, ("ray1", "ray2"), ((1, 0), (0, 1)), ((0, 1), (-1, 0))),
+    (cones.ChamberDecomposition, ("walls", "chambers", "labels"),
+     *[(c.walls, c.chambers, c.labels) for c in _CHAMBERS]),
+    (conicbundle.DivisorClassZ, ("xi", "a", "b"), (2, 0, -4), (2, 0, -6)),
+]
+
+
+@pytest.mark.parametrize("cls, fields, values, other", VALUES,
+                         ids=[v[0].__name__ for v in VALUES])
+def test_value_types_behave_as_frozen_dataclasses(cls, fields, values, other):
+    given = cls(*values)
+    by_keyword = cls(**dict(zip(fields, values)))
+    assert given == by_keyword and hash(given) == hash(by_keyword)
+    assert [getattr(given, name) for name in fields] == list(values)
+    assert given != cls(*other)
+    # equal only to the same type: not to the tuple of its fields, and
+    # not to a subclass with the same fields
+    assert given != tuple(values) and tuple(values) != given
+    assert given != type("Sub", (cls,), {})(*values)
+    for name in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(given, name, values[0])
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(given, name)
+    assert given == by_keyword
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
+    assert repr(given) == f"{cls.__name__}({shown})"
+    # a missing, extra, repeated or unknown field is refused
+    for args, kwargs in ((values[:-1], {}), (values + values[:1], {}),
+                         (values, {fields[0]: values[0]}),
+                         (values[:-1], {"unknown": values[-1]})):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+def _message(make) -> str:
+    with pytest.raises(ValueError) as exc:
+        make()
+    return str(exc.value)
+
+
+def test_value_types_keep_their_arithmetic_and_messages():
+    D, H = picard.DivisorClassY(1, 0), picard.DivisorClassY(0, 1)
+    assert (D + H, D - H, -D, 3 * D, D * -2) == (
+        picard.DivisorClassY(1, 1), picard.DivisorClassY(1, -1), picard.DivisorClassY(-1, 0),
+        picard.DivisorClassY(3, 0), picard.DivisorClassY(-2, 0))
+    assert str(3 * D - 4 * H) == "3D-4H"
+    for k in (True, 1.5):
+        with pytest.raises(TypeError):
+            D * k
+    Z = conicbundle.DivisorClassZ
+    assert Z(2, 0, -4) + Z(-1, 1, 5) == Z(1, 1, 1)
+    assert Z(2, 0, -4) - Z(-1, 1, 5) == Z(3, -1, -9)
+    assert str(Z(2, 0, -4)) == "2ξ+0D-4H"
+
+    entries = dict(_DRAWN[0].named_entries(), sigma_prime=_DRAWN[0].sigma_prime)
+    y0 = coxring.cox_ring(M2).var("y0")
+    m3_y0 = coxring.cox_ring(picard.ConstructionParams(3)).var("y0")
+    assert [_message(make) for make in (
+        lambda: picard.ConstructionParams("2"),
+        lambda: picard.ConstructionParams(True),
+        lambda: picard.ConstructionParams(1),
+        lambda: cones.Cone2D((0, 1), (1, 0)),
+        lambda: cones.Cone2D.span((1, 0), (2, 0)),
+        lambda: verifier.CoxPointY((1,) * 7, (1, 2)),
+        lambda: coxring.ConicMatrix(M2, **dict(entries, lam1=y0 * y0)),
+        lambda: coxring.ConicMatrix(M2, **dict(entries, sigma=m3_y0 * m3_y0)),
+    )] == [
+        "m must be an integer, got '2'",
+        "m must be an integer, got True",
+        "m must be at least 2, got 1",
+        "rays must be stored counterclockwise",
+        "rays are parallel, the span is not a full cone",
+        "y must have three coordinates",
+        "entry lam1 has degree 2D+0H, expected 2D-2H",
+        "entry sigma is not in the ring of m = 2",
+    ]
+
+
 # Run in a fresh interpreter: which package modules are loaded after each
 # step, what a star import binds, and what an unknown name raises.
 FOOTPRINT = """
@@ -109,10 +205,14 @@ def loaded():
 
 import fanoconic
 steps = {"import": loaded()}
+before = set(sys.modules)
 fanoconic.instantiate_sections(fanoconic.ConstructionParams(2), 1)
 steps["instantiate_sections"] = loaded()
+steps["instantiate_sections_new"] = sorted(set(sys.modules) - before)
+before = set(sys.modules)
 import fanoconic.cli
 steps["cli"] = loaded()
+steps["cli_new"] = sorted(set(sys.modules) - before)
 names = {}
 exec("from fanoconic import *", names)
 steps["star"] = sorted(set(names) - {"__builtins__"})
@@ -152,6 +252,16 @@ def test_the_cli_loads_every_module(footprint):
                if name.endswith(".py") and name != "__init__.py"}
     assert len(modules) == 9
     assert set(footprint["cli"]) == modules
+
+
+@pytest.mark.parametrize("step, module", [("instantiate_sections", "fanoconic.coxring"),
+                                          ("cli", "fanoconic.cli")])
+def test_step_loads_no_heavy_standard_module(footprint, step, module):
+    # dataclasses loads inspect (with ast, dis and tokenize), and fractions
+    # loads decimal: together most of what a fresh draw used to cost
+    new = footprint[f"{step}_new"]
+    assert module in new
+    assert not {"dataclasses", "inspect", "fractions", "decimal"} & set(new)
 
 
 def test_star_import_binds_exactly_all(footprint):
