@@ -8,6 +8,9 @@ divisor X inside it, and a seeded pointwise audit of the drawn member
 (fiber degenerations over the section V, chart smoothness, discriminant
 probes along lines).
 
+Not verified: X -> Y as built is not flat (it has P^2 fibers off V), and
+the default-shape member is singular over {y0 = 0}, where no sample goes.
+
 Importing the package loads none of its modules: each public name is
 imported from its home module on first access (PEP 562), so a caller
 that only draws a member (instantiate_sections, in coxring) loads
@@ -25,14 +28,13 @@ _EXPORTS = {
     "chow": ("bundle_of_G", "bundle_of_Y"),
     "coxring": ("ConicMatrix", "base_locus", "count_sections", "cox_ring",
                 "generator_degrees", "instantiate_sections", "is_effective"),
-    "cones": ("ChamberDecomposition", "Cone2D", "chamber_decomposition",
-              "classify", "effective_cone", "nef_cone"),
+    "cones": ("Cone2D", "chamber_decomposition", "classify", "effective_cone",
+              "nef_cone"),
     "conicbundle": ("DivisorClassZ", "antiK_Z", "build_certificate",
                     "discriminant_class", "standard_bundle",
                     "sym2_decomposition"),
-    "verifier": ("CoxPointY", "FiberDiagnosis", "FiberType", "LineProbe",
-                 "boundary_identity_verdict", "check_smooth_at_node",
-                 "diagnose_conic", "discriminant_on_line", "fiber_at",
+    "verifier": ("CoxPointY", "LineProbe", "boundary_identity_verdict",
+                 "check_smooth_at_node", "discriminant_on_line", "fiber_at",
                  "run_instance"),
 }
 

@@ -28,6 +28,8 @@ from .verifier import run_instance
 DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 100
 DEFAULT_COEFF_RANGE = 100
+# time, memory and output grow linearly with --samples (see README)
+MAX_SAMPLES = 10000
 
 
 @functools.cache
@@ -183,6 +185,8 @@ def cmd_certificate(params, cls_, args) -> tuple[int, dict, str]:
 def cmd_verify(params, cls_, args) -> tuple[int, dict, str]:
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {MAX_SAMPLES}")
     if args.coeff_range < 1:
         raise ValueError("--coeff-range must be at least 1")
     doc = run_instance(params, seed=args.seed, n_samples=args.samples,
@@ -214,17 +218,16 @@ def cmd_h0(params, cls_, args) -> tuple[int, dict, str]:
 
 
 def cmd_cones(params, cls_, args) -> tuple[int, dict, str]:
-    decomp = chamber_decomposition(params)
+    dec = chamber_decomposition(params)
+    interior = dec["walls"][1:-1]
     doc = {
         "m": params.m,
         "nef_rays": [list(r) for r in nef_cone(params).rays()],
         "effective_rays": [list(r) for r in effective_cone(params).rays()],
+        **dec,
+        "interior_walls": interior,
+        "interior_wall_classes": [str(DivisorClassY(a, b)) for a, b in interior],
     }
-    doc.update(decomp.as_dict())
-    doc["interior_walls"] = [list(w) for w in decomp.interior_walls()]
-    doc["interior_wall_classes"] = [
-        str(DivisorClassY(a, b)) for a, b in decomp.interior_walls()
-    ]
     return 0, doc, _render_cones(doc)
 
 

@@ -91,26 +91,9 @@ def classify(cls_: DivisorClassY, params: ConstructionParams) -> dict:
     }
 
 
-class ChamberDecomposition(_Record):
-    walls: tuple
-    chambers: tuple
-    labels: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "walls": [list(w) for w in self.walls],
-            "chambers": [
-                {"rays": [list(r) for r in c.rays()], "label": lab}
-                for c, lab in zip(self.chambers, self.labels)
-            ],
-        }
-
-    def interior_walls(self) -> tuple:
-        return self.walls[1:-1]
-
-
-def chamber_decomposition(params: ConstructionParams) -> ChamberDecomposition:
-    """Mori chambers of the movable cone, cut by the generator degrees.
+def chamber_decomposition(params: ConstructionParams) -> dict:
+    """Mori chambers of the movable cone, cut by the generator degrees:
+    {"walls": [[a, b], ...], "chambers": [{"rays": [...], "label": ...}, ...]}.
 
     The chambers of a Mori dream space are cut by the rays through the
     degrees of its Cox ring generators (Hu-Keel, "Mori dream spaces and
@@ -120,10 +103,11 @@ def chamber_decomposition(params: ConstructionParams) -> ChamberDecomposition:
     equal to Nef(Y) is labeled NEF_Y, everything else FLIP_CHAMBER.
     """
     degrees = ((deg.a, deg.b) for deg in generator_degrees(params))
-    walls = tuple(sorted(degrees, key=cmp_to_key(cross)))
-    chambers = tuple(
-        Cone2D.span(walls[i], walls[i + 1]) for i in range(len(walls) - 1)
-    )
+    walls = sorted(degrees, key=cmp_to_key(cross))
     nef = nef_cone(params)
-    labels = tuple(NEF_LABEL if c == nef else FLIP_LABEL for c in chambers)
-    return ChamberDecomposition(walls, chambers, labels)
+    chambers = []
+    for u, v in zip(walls, walls[1:]):
+        cone = Cone2D.span(u, v)
+        chambers.append({"rays": [list(r) for r in cone.rays()],
+                         "label": NEF_LABEL if cone == nef else FLIP_LABEL})
+    return {"walls": [list(w) for w in walls], "chambers": chambers}

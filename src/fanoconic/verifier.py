@@ -37,7 +37,6 @@ terms never contribute first-order terms along V.
 from __future__ import annotations
 
 import random
-from enum import Enum
 from operator import itemgetter, mul
 
 from .coxring import ConicMatrix, _draw_matrix, _nonzero_draws
@@ -75,42 +74,20 @@ class CoxPointY(_Record):
         return any(c != 0 for c in self.x) and any(c != 0 for c in self.y)
 
 
-class FiberType(str, Enum):
-    SMOOTH_CONIC = "SMOOTH_CONIC"
-    LINE_PAIR = "LINE_PAIR"
-    DOUBLE_LINE = "DOUBLE_LINE"
-    WHOLE_PLANE = "WHOLE_PLANE"
+# the printed name of a conic of each rank
+_FIBER_NAMES = ("WHOLE_PLANE", "DOUBLE_LINE", "LINE_PAIR", "SMOOTH_CONIC")
 
 
-_RANK_TO_TYPE = {
-    3: FiberType.SMOOTH_CONIC,
-    2: FiberType.LINE_PAIR,
-    1: FiberType.DOUBLE_LINE,
-    0: FiberType.WHOLE_PLANE,
-}
-
-
-class FiberDiagnosis(_Record):
-    rank: int
-    fiber_type: FiberType
-    node: tuple | None  # primitive integer kernel direction when rank is 2
-
-
-def diagnose_conic(rows) -> FiberDiagnosis:
-    """Classify a numeric symmetric 3x3 matrix as a plane conic."""
-    rank, node = rank_and_kernel_3x3(rows)
-    return FiberDiagnosis(rank, _RANK_TO_TYPE[rank], node)
-
-
-def fiber_at(matrix: ConicMatrix, point: CoxPointY) -> FiberDiagnosis:
-    """Exact rank diagnosis of the conic over one point.
+def fiber_at(matrix: ConicMatrix, point: CoxPointY) -> tuple:
+    """(rank, node) of the conic over one point, node the primitive integer
+    kernel direction when the rank is 2, else None (rank_and_kernel_3x3).
 
     Invariant under the torus scalings of the point because rescaling acts
     on S by a diagonal congruence.
     """
     if not point.is_admissible():
         raise ValueError("point hits an irrelevant locus")
-    return diagnose_conic(matrix.evaluate(point))
+    return rank_and_kernel_3x3(matrix.evaluate(point))
 
 
 def check_smooth_at_node(matrix: ConicMatrix, point: CoxPointY) -> bool:
@@ -434,7 +411,7 @@ def run_instance(params: ConstructionParams, seed: int, n_samples: int,
     # seeded stream
     sigma00, pairs = _v_coefficients(matrix)
     sigma_ok = sigma00 != 0
-    v_fiber = FiberType.DOUBLE_LINE if sigma_ok else FiberType.WHOLE_PLANE
+    v_fiber = "DOUBLE_LINE" if sigma_ok else "WHOLE_PLANE"
     bad_z = [z for z in Z_GRID if not _w_gradient_nonzero(pairs, z)]
     v_samples = []
     for i in range(n_samples):
@@ -442,7 +419,7 @@ def run_instance(params: ConstructionParams, seed: int, n_samples: int,
         if not sigma_ok:
             failures.append({
                 "check": "v_fiber_double_line", "index": i,
-                "x": list(p.x), "y": list(p.y), "got": v_fiber.value,
+                "x": list(p.x), "y": list(p.y), "got": v_fiber,
             })
             failures.append({
                 "check": "sigma_nonzero_on_V", "index": i,
@@ -453,7 +430,7 @@ def run_instance(params: ConstructionParams, seed: int, n_samples: int,
             "x": list(p.x), "y": list(p.y),
         } for z in bad_z)
         v_samples.append({
-            "x": list(p.x), "y0": p.y[0], "fiber": v_fiber.value,
+            "x": list(p.x), "y0": p.y[0], "fiber": v_fiber,
             "sigma_nonzero": sigma_ok, "grid_ok": not bad_z,
         })
     n_v_ok = n_samples if sigma_ok else 0
@@ -463,11 +440,11 @@ def run_instance(params: ConstructionParams, seed: int, n_samples: int,
     n_smooth = n_pair = n_pair_smooth = 0
     for i in range(n_samples):
         p = sample_generic_point(params, rng, coeff_range)
-        diag = fiber_at(matrix, p)
-        rec = {"x": list(p.x), "y": list(p.y), "fiber": diag.fiber_type.value}
-        if diag.fiber_type is FiberType.SMOOTH_CONIC:
+        rank, node = fiber_at(matrix, p)
+        rec = {"x": list(p.x), "y": list(p.y), "fiber": _FIBER_NAMES[rank]}
+        if rank == 3:
             n_smooth += 1
-        elif diag.fiber_type is FiberType.LINE_PAIR:
+        elif rank == 2:
             # a generic sample can land on the discriminant; diagnose, do
             # not fail, unless the node is actually a singular point of X
             n_pair += 1
@@ -477,12 +454,12 @@ def run_instance(params: ConstructionParams, seed: int, n_samples: int,
             if not node_ok:
                 failures.append({
                     "check": "node_smoothness", "index": i,
-                    "x": list(p.x), "y": list(p.y), "node": list(diag.node),
+                    "x": list(p.x), "y": list(p.y), "node": list(node),
                 })
         else:
             failures.append({
                 "check": "generic_fiber_rank", "index": i,
-                "x": list(p.x), "y": list(p.y), "got": diag.fiber_type.value,
+                "x": list(p.x), "y": list(p.y), "got": _FIBER_NAMES[rank],
             })
         g_samples.append(rec)
 

@@ -175,16 +175,16 @@ def test_two_chamber_mori_picture(announce):
             params = ConstructionParams(m)
             t = 2 * m
             dec = chamber_decomposition(params)
-            if dec.walls != ((0, 1), (1, 0), (1, -t)):
-                failures.append(f"m={m}: walls {dec.walls}")
-            ray_sets = [frozenset(c.rays()) for c in dec.chambers]
+            if dec["walls"] != [[0, 1], [1, 0], [1, -t]]:
+                failures.append(f"m={m}: walls {dec['walls']}")
+            ray_sets = [frozenset(map(tuple, c["rays"])) for c in dec["chambers"]]
             if ray_sets != [frozenset({(1, 0), (0, 1)}),
                             frozenset({(1, 0), (1, -t)})]:
                 failures.append(f"m={m}: chamber rays {ray_sets}")
             eff = effective_cone(params)
             if not build_certificate(params)["cones"]["movable_equals_effective"]:
                 failures.append(f"m={m}: movable cone differs from effective")
-            if (dec.walls[0], dec.walls[-1]) != (eff.ray2, eff.ray1):
+            if (dec["walls"][0], dec["walls"][-1]) != (list(eff.ray2), list(eff.ray1)):
                 failures.append(f"m={m}: chambers do not fill the cone")
 
             antiK_flags = classify(anticanonical_class(params), params)

@@ -10,7 +10,7 @@ import time
 import pytest
 
 import fanoconic
-from fanoconic.cli import build_parser, main
+from fanoconic.cli import MAX_SAMPLES, build_parser, main
 from fanoconic.conicbundle import build_certificate
 from fanoconic.cones import classify
 from fanoconic.coxring import base_locus
@@ -100,6 +100,15 @@ def test_rejects_bad_sample_count(capsys):
     code, out, err = run_cli(capsys, "verify", "--m", "2", "--samples", "0")
     assert code == 2
     assert "samples" in err
+
+
+def test_rejects_sample_count_above_the_cap(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--m", "2",
+                             "--samples", str(MAX_SAMPLES + 1))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: --samples must be at most 10000\n"
 
 
 def test_rejects_bad_coeff_range(capsys):

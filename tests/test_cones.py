@@ -144,33 +144,35 @@ def test_classification_is_scale_invariant(a, b, k):
 def test_two_chambers_from_generator_degrees(m):
     params = ConstructionParams(m)
     dec = chamber_decomposition(params)
-    assert dec.walls == ((0, 1), (1, 0), (1, -params.twist))
-    assert dec.labels == (NEF_LABEL, FLIP_LABEL)
-    assert dec.chambers[0] == nef_cone(params)
-    assert dec.chambers[1] == Cone2D.span((1, 0), (1, -params.twist))
-    assert dec.interior_walls() == ((1, 0),)
+    assert dec["walls"] == [[0, 1], [1, 0], [1, -params.twist]]
+    assert [c["label"] for c in dec["chambers"]] == [NEF_LABEL, FLIP_LABEL]
+    cones = [Cone2D(*map(tuple, c["rays"])) for c in dec["chambers"]]
+    assert cones[0] == nef_cone(params)
+    assert cones[1] == Cone2D.span((1, 0), (1, -params.twist))
+    assert dec["walls"][1:-1] == [[1, 0]]
 
 
 def test_chambers_cover_movable_cone():
-    dec = chamber_decomposition(M2)
+    chambers = [Cone2D(*map(tuple, c["rays"]))
+                for c in chamber_decomposition(M2)["chambers"]]
     mov = effective_cone(M2)  # Mov(Y) = Eff(Y)
     for a in range(0, 8):
         for b in range(-4 * 8, 9):
             if not mov.contains((a, b)):
                 continue
-            assert any(c.contains((a, b)) for c in dec.chambers), (a, b)
+            assert any(c.contains((a, b)) for c in chambers), (a, b)
     # and the chambers only overlap along the wall
     interior_both = [
         (a, b)
         for a in range(0, 8)
         for b in range(-32, 9)
-        if all(c.contains_interior((a, b)) for c in dec.chambers)
+        if all(c.contains_interior((a, b)) for c in chambers)
     ]
     assert interior_both == []
 
 
 def test_decomposition_as_dict():
-    doc = chamber_decomposition(M2).as_dict()
+    doc = chamber_decomposition(M2)
     assert doc == {
         "walls": [[0, 1], [1, 0], [1, -4]],
         "chambers": [

@@ -67,6 +67,23 @@ DIGESTS = {
         (0, "3f845c6b33de17eaa4df3dfb2a5ee266b3b7d6dbf70b289747c9dafeb8668cb6"),
     "certificate --m 5 --format text":
         (0, "7f9ddbb147a511ca4e8bd7507098a0ed34291ef531727a0f4dd45cf246e3da95"),
+    # recorded before the chamber decomposition became a plain dict
+    "cones --m 2 --format json":
+        (0, "1eedab03de8c2d84edd400c5bb8c5ed05871bead1e5a7971ad8356e0a7e71172"),
+    "cones --m 2 --format text":
+        (0, "3e21c7ab3b069ffeefa4ac6ed051bf9855c4358c41a197228fb1f293dd8dbb57"),
+    "cones --m 3 --format json":
+        (0, "969d5aa8d52f57aa75ba5c2a9bfb88f6bb1053af9bdff0ee7f05d9fb2ee0788f"),
+    "cones --m 3 --format text":
+        (0, "57e38730ff9a6fee7e82689c9225d4356678772aae18563dbe06e43ba1d89a29"),
+    "cones --m 4 --format json":
+        (0, "094fafdd4f1fbd51c97c79246ef7f2fe80f7ab78d801cf9fa182cfed357b6914"),
+    "cones --m 4 --format text":
+        (0, "490eb56d8b24e1752b2e55f65604bda02ca84fd9b7b9ec83c409f565728cc61f"),
+    "cones --m 5 --format json":
+        (0, "1c740e2ddb5905e93b5e79030277b3c80e29ecea1b5508ba78d290485fd95e23"),
+    "cones --m 5 --format text":
+        (0, "8e25d196c33b3342807b858a8045c1c48dee26ff3da603827e3bfea4fad08924"),
     "baselocus --m 2 --class=3D-4H --format json":
         (0, "7677e156623c7c5caddf671f2ee53ccdf6e117bdbe89cddf4a4fdf67955b05d9"),
     "baselocus --m 2 --class=2D-4H --format json":

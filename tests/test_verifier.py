@@ -25,17 +25,16 @@ from fanoconic.coxring import (
     cox_ring,
     instantiate_sections,
 )
+from fanoconic.linalg import rank_and_kernel_3x3
 from fanoconic.picard import ConstructionParams, DivisorClassY
 from fanoconic.polynomial import Poly, PolyRing, u_degree, u_is_squarefree, u_mul
 from fanoconic.verifier import (
     LINE_RESAMPLE_CAP,
     Z_GRID,
     CoxPointY,
-    FiberType,
     LineProbe,
     boundary_identity_verdict,
     check_smooth_at_node,
-    diagnose_conic,
     discriminant_on_line,
     fiber_at,
     run_instance,
@@ -111,31 +110,20 @@ def test_cox_point():
 
 
 def test_diagnose_ranks():
-    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    d = diagnose_conic(eye)
-    assert d.rank == 3 and d.fiber_type is FiberType.SMOOTH_CONIC
-    assert d.node is None
-
-    d = diagnose_conic([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-    assert d.rank == 2 and d.fiber_type is FiberType.LINE_PAIR
-    assert d.node == (0, 0, 1)
-
-    d = diagnose_conic([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    assert d.rank == 1 and d.fiber_type is FiberType.DOUBLE_LINE
-    assert d.node is None
-
-    d = diagnose_conic([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
-    assert d.rank == 0 and d.fiber_type is FiberType.WHOLE_PLANE
+    # fiber_at returns rank_and_kernel_3x3 of S at the point: the rank, and
+    # the node only when the conic is a line pair
+    assert rank_and_kernel_3x3([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (3, None)
+    assert rank_and_kernel_3x3([[1, 0, 0], [0, 1, 0], [0, 0, 0]]) == (2, (0, 0, 1))
+    assert rank_and_kernel_3x3([[1, 0, 0], [0, 0, 0], [0, 0, 0]]) == (1, None)
+    assert rank_and_kernel_3x3([[0, 0, 0], [0, 0, 0], [0, 0, 0]]) == (0, None)
 
 
 def test_diagnose_accepts_fractions():
-    d = diagnose_conic([
+    assert rank_and_kernel_3x3([
         [Fraction(1, 2), 0, 0],
         [0, Fraction(1, 3), 0],
         [0, 0, 0],
-    ])
-    assert d.fiber_type is FiberType.LINE_PAIR
-    assert d.node == (0, 0, 1)
+    ]) == (2, (0, 0, 1))
 
 
 # -- the section matrix -----------------------------------------------------
@@ -304,8 +292,7 @@ def test_fiber_over_V_is_double_line(default_matrix):
     rng = random.Random(3)
     for _ in range(5):
         p = sample_v_point(M2, rng, coeff_range=30)
-        diag = fiber_at(default_matrix, p)
-        assert diag.fiber_type is FiberType.DOUBLE_LINE
+        assert fiber_at(default_matrix, p) == (1, None)
         assert default_matrix.sigma.eval(p.coords) != 0
 
 
@@ -313,7 +300,7 @@ def test_generic_fiber_is_smooth_conic(default_matrix):
     rng = random.Random(4)
     for _ in range(5):
         p = sample_generic_point(M2, rng, coeff_range=30)
-        assert fiber_at(default_matrix, p).fiber_type is FiberType.SMOOTH_CONIC
+        assert fiber_at(default_matrix, p) == (3, None)
 
 
 def test_fiber_rejects_inadmissible_point(default_matrix):
@@ -330,9 +317,7 @@ def test_fiber_rank_is_torus_invariant(default_matrix):
             tuple(2 * c for c in p.x),
             (3 * p.y[0], Fraction(p.y[1], 16), Fraction(p.y[2], 16)),
         )
-        assert fiber_at(default_matrix, p).rank == fiber_at(
-            default_matrix, scaled
-        ).rank
+        assert fiber_at(default_matrix, p)[0] == fiber_at(default_matrix, scaled)[0]
 
 
 def _rank_two_witness(matrix):
@@ -348,18 +333,17 @@ def _rank_two_witness(matrix):
 
 def test_deterministic_line_pair_witness(default_matrix):
     p = _rank_two_witness(default_matrix)
-    diag = fiber_at(default_matrix, p)
-    assert diag.fiber_type is FiberType.LINE_PAIR
-    assert diag.node == (0, 1, 0)
+    rank, node = fiber_at(default_matrix, p)
+    assert (rank, node) == (2, (0, 1, 0))
     assert check_smooth_at_node(default_matrix, p)
-    assert chart_gradient(default_matrix, p, _chart_node(default_matrix, p, diag.node)) \
+    assert chart_gradient(default_matrix, p, _chart_node(default_matrix, p, node)) \
         == (True, True)
 
 
 def test_node_check_rejects_wrong_rank(default_matrix):
     rng = random.Random(6)
     p = sample_generic_point(M2, rng, coeff_range=20)
-    assert fiber_at(default_matrix, p).rank == 3
+    assert fiber_at(default_matrix, p)[0] == 3
     with pytest.raises(ValueError, match="rank 2"):
         check_smooth_at_node(default_matrix, p)
 
@@ -391,10 +375,10 @@ def test_node_verdict_off_the_y0_chart(default_matrix):
          CoxPointY((1,) + (0,) * 6, (0, 1, 1)), True),
     ]
     for matrix, p, smooth in cases:
-        diag = fiber_at(matrix, p)
-        assert diag.rank == 2
+        rank, node = fiber_at(matrix, p)
+        assert rank == 2
         assert check_smooth_at_node(matrix, p) is smooth \
-            == _node_gradient_nonzero(matrix, p, diag.node)
+            == _node_gradient_nonzero(matrix, p, node)
 
 
 def test_node_check_refuses_non_integer_data(default_matrix):
@@ -416,17 +400,15 @@ def test_singular_node_is_reported():
     z = ring.zero()
     matrix = ConicMatrix(M2, y0 * y1, z, y0 * y2, z, z, z, sigma_prime=y0)
     p = CoxPointY((1, 0, 0, 0, 0, 0, 0), (1, 1, 1))
-    diag = fiber_at(matrix, p)
-    assert diag.fiber_type is FiberType.LINE_PAIR
-    assert diag.node == (0, 0, 1)
+    assert fiber_at(matrix, p) == (2, (0, 0, 1))
     assert check_smooth_at_node(matrix, p) is False
-    assert chart_gradient(matrix, p, diag.node) == (True, False)
+    assert chart_gradient(matrix, p, (0, 0, 1)) == (True, False)
 
 
 def test_whole_plane_on_zero_matrix():
     matrix = ConicMatrix(M2, *_zero_entries(), sigma_prime=Y0)
     p = CoxPointY((1,) * 7, (1, 2, 3))
-    assert fiber_at(matrix, p).fiber_type is FiberType.WHOLE_PLANE
+    assert fiber_at(matrix, p) == (0, None)
 
 
 # -- the boundary identity --------------------------------------------------
@@ -570,11 +552,11 @@ def test_audit_matches_rescaling_oracle(section_monomials):
     verdicts = []
     for i in range(60):
         matrix, p = _node_case(rng, section_monomials, singular=i % 2)
-        diag = fiber_at(matrix, p)
-        if diag.rank != 2:
+        rank, node = fiber_at(matrix, p)
+        if rank != 2:
             continue
         verdict = check_smooth_at_node(matrix, p)
-        assert chart_gradient(matrix, p, _chart_node(matrix, p, diag.node)) \
+        assert chart_gradient(matrix, p, _chart_node(matrix, p, node)) \
             == (True, verdict)
         assert not (i % 2 and verdict)
         verdicts.append(verdict)
@@ -1021,6 +1003,42 @@ def test_run_instance_reports_honest_failures(monkeypatch):
     assert "chart_line_resample_exhausted" in checks
     assert "fiber_line_resample_exhausted" in checks
     assert report["chart_lines"]["resampled_zero"] == 2 * LINE_RESAMPLE_CAP
+    # S = 0 everywhere: every fiber is the whole plane, and each rank
+    # failure names it
+    assert [s["fiber"] for s in report["v_fibers"]["samples"]] == ["WHOLE_PLANE"] * 2
+    assert [s["fiber"] for s in report["generic_fibers"]["samples"]] == ["WHOLE_PLANE"] * 2
+    assert [(f["check"], f["got"]) for f in report["failures"] if "got" in f] == [
+        ("v_fiber_double_line", "WHOLE_PLANE"), ("v_fiber_double_line", "WHOLE_PLANE"),
+        ("generic_fiber_rank", "WHOLE_PLANE"), ("generic_fiber_rank", "WHOLE_PLANE")]
+
+
+def test_run_instance_reports_line_pairs_and_double_lines(monkeypatch):
+    # the matrix of test_singular_node_is_reported: every generic fiber is
+    # the line pair diag(y0 y1, y0 y2, 0) with node (0, 0, 1), singular on
+    # X because det S vanishes identically; with s3 = 0 as well it is the
+    # double line diag(y0 y1, 0, 0), a rank failure
+    ring = cox_ring(M2)
+    y0, y1, y2 = ring.var("y0"), ring.var("y1"), ring.var("y2")
+    z = ring.zero()
+    matrix = ConicMatrix(M2, y0 * y1, z, y0 * y2, z, z, z, sigma_prime=y0)
+    monkeypatch.setattr(verifier, "_draw_matrix", lambda *args: matrix)
+    report = run_instance(M2, seed=3, n_samples=2)
+    generic = report["generic_fibers"]
+    assert (generic["smooth_conic"], generic["line_pair"], generic["line_pair_smooth"]) \
+        == (0, 2, 0)
+    assert [(s["fiber"], s["node_smooth"]) for s in generic["samples"]] \
+        == [("LINE_PAIR", False)] * 2
+    nodes = [f for f in report["failures"] if f["check"] == "node_smoothness"]
+    assert [(f["index"], f["y"], f["node"]) for f in nodes] == [
+        (i, s["y"], [0, 0, 1]) for i, s in enumerate(generic["samples"])]
+    assert "generic_fiber_rank" not in {f["check"] for f in report["failures"]}
+
+    double = ConicMatrix(M2, y0 * y1, z, z, z, z, z, sigma_prime=y0)
+    monkeypatch.setattr(verifier, "_draw_matrix", lambda *args: double)
+    report = run_instance(M2, seed=3, n_samples=2)
+    assert [s["fiber"] for s in report["generic_fibers"]["samples"]] == ["DOUBLE_LINE"] * 2
+    assert [f["got"] for f in report["failures"]
+            if f["check"] == "generic_fiber_rank"] == ["DOUBLE_LINE"] * 2
 
 
 def test_report_round_trips_through_json():
