@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property, lru_cache
-from itertools import combinations, groupby
+from itertools import combinations, groupby, repeat
 from math import comb
 from operator import itemgetter
 
@@ -340,7 +340,7 @@ class ConicMatrix(_Record):
         sizes = {}
         for name, poly in self.named_entries():
             coeffs = poly.terms.values()
-            if not all(isinstance(c, int) for c in coeffs):
+            if not all(map(isinstance, coeffs, repeat(int))):
                 raise ValueError(f"entry {name} has a non-integer coefficient")
             sizes[name] = (sum(map(abs, coeffs)), max(map(sum, poly.terms), default=0))
         return sizes

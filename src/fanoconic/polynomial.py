@@ -7,10 +7,11 @@ int or Fraction coefficients.  All arithmetic is exact, nothing here ever
 touches floats.
 
 Point evaluation is the hot path of the instance audit, so each polynomial
-compiles its terms once, on first evaluation, into a plan: a table of the
-leading-variable monomials, built one multiplication per entry, and one
-coefficient/index list per trailing-variable pattern, evaluated as dot
-products (see _build_plan).  The plan is built on packed exponents.
+compiles its terms once into a plan: one dot product per trailing-variable
+pattern with the complete graded table of the leading-variable monomials,
+which the ring keeps for the next polynomial evaluated at the same point.
+The leading block shrinks before its table outgrows the polynomial, so it
+decides the speed, never the value.
 
 The univariate helpers at the end work on coefficient lists.  Their
 squarefree test is certified modulo one fixed prime first and falls back
@@ -22,19 +23,21 @@ names are interchangeable.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from itertools import count, repeat
+from math import comb, gcd, lcm
 from numbers import Rational
-from operator import add, lshift, mul
+from operator import add, itemgetter, mul
 
 
 class PolyRing:
-    __slots__ = ("names", "n")
+    __slots__ = ("names", "n", "_table")
 
     def __init__(self, names):
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")
         self.n = len(self.names)
+        self._table = None  # see _head_table
 
     def var(self, which) -> "Poly":
         """The variable given by index or name, as a polynomial."""
@@ -165,21 +168,20 @@ class Poly:
 
     # -- evaluation --------------------------------------------------------
 
-    def _eval_plan(self):
-        if self._plan is None:
-            self._plan = _build_plan(self.terms, self.ring.n)
-        return self._plan
-
     def eval(self, values) -> Rational:
         if len(values) != self.ring.n:
             raise ValueError("wrong number of values")
-        levels, groups = self._eval_plan()
-        get = _monomial_table(levels, values).__getitem__
+        if self._plan is None:
+            self._plan = _build_plan(self.terms, self.ring.n)
+        lead, top, groups = self._plan
+        get = _head_table(self.ring, tuple(values[:lead]), top).__getitem__
         total = 0
         for tail, coeffs, idx in groups:
             s = sum(map(mul, coeffs, map(get, idx)))
             if s:
-                total += s * _tail_value(tail, values)
+                for i, e in tail:
+                    s *= values[i] ** e
+                total += s
         return total
 
     # -- display -----------------------------------------------------------
@@ -213,23 +215,20 @@ class Poly:
 
 # -- evaluation plans --------------------------------------------------------
 #
-# A plan splits the variables into a leading block and a trailing block and
-# groups the terms by their trailing exponents.  Per call, the leading
-# monomials that the terms need, together with their parent chains, are
-# computed into one table, level by level in total degree, each entry one
-# multiplication of its parent entry by one variable.  Each group is then
-# a dot product of its coefficients with table entries, times its trailing
-# monomial.
+# A plan groups the terms by their exponents in a trailing block of variables;
+# each group is a dot product of its coefficients with entries of the table
+# of the leading block (_extend_table), times its trailing monomial.
 
 
-def _trailing_split(exponents, n: int) -> int:
-    """Start of the longest trailing block of variables on which the terms
-    show at most n distinct exponent patterns.
+def _trailing_split(exponents, n: int) -> tuple:
+    """(lead, top): the length of the leading block and its largest degree.
 
-    One pass: tails holds the distinct tails from start of the terms seen
-    so far.  When they pass n patterns, so do all the terms, and the block
-    drops its first variable; the shorter tails come from the distinct
-    longer ones, not from the terms.
+    The block first ends where the longest trailing block of variables
+    begins on which the terms show at most n exponent patterns (one pass:
+    when the distinct tails seen pass n, the block drops its first
+    variable, and the shorter tails come from the distinct longer ones).
+    It then drops its last variable while its complete table would hold
+    more entries than there are terms, or an exponent above 255.
     """
     start = 0
     tails = set()
@@ -238,75 +237,63 @@ def _trailing_split(exponents, n: int) -> int:
         while len(tails) > n and start < n:
             start += 1
             tails = {t[1:] for t in tails}
-    return start
+    while True:
+        top = max(map(sum, map(itemgetter(slice(0, start)), exponents)), default=0)
+        if not start or top < 256 and comb(top + start, start) <= len(exponents):
+            return start, top
+        start -= 1
+
+
+def _extend_table(table: list, head, done: int, top: int, op) -> None:
+    """Extend the complete graded table of the monomials in head from
+    degree done to top, each product by op.  Degree d lists, for i = 0, 1,
+    ..., head[i] times the monomials of degree d - 1 in head[i:], which end
+    the degree d - 1 part; so a table is a prefix of any of higher top."""
+    lead = len(head)
+    for d in range(done + 1, top + 1):
+        end = len(table)
+        for i, v in enumerate(head):
+            size = comb(d - 2 + lead - i, lead - 1 - i)
+            table.extend(map(op, table[end - size:end], repeat(v)))
 
 
 def _build_plan(terms: dict, n: int) -> tuple:
-    """The evaluation plan (levels, groups) of a term dict in n variables.
+    """The evaluation plan (lead, top, groups) of a term dict in n variables.
 
-    levels lists, per total degree from 1 up, the table indices of the
-    parents and the variables they are multiplied by.  groups holds one
-    (tail, coeffs, idx) per trailing pattern: the (variable, exponent)
-    pairs of the trailing monomial, and the coefficients of its terms and
-    the table indices of their leading monomials.
-
-    Each leading exponent tuple (head) is packed into one int, variable 0
-    in the highest field.  The parent of a head is the head divided by its
-    first variable, the key minus the unit of its highest nonzero field,
-    and the table holds every head with its chain of parents.
+    groups holds one (tail, coeffs, idx) per trailing pattern: the
+    (variable, exponent) pairs of the trailing monomial, the coefficients
+    of its terms and the table indices of their leading monomials, found
+    in the table of keys that pack the exponents into bytes.
     """
-    lead = _trailing_split(terms, n)
-    # a head exponent is at most the total degree, so no field carries
-    width = max(map(sum, terms), default=0).bit_length() or 1
-    shifts = [width * (lead - 1 - i) for i in range(lead)]
-    by_degree = {}
-    parent = {0: None}
+    lead, top = _trailing_split(terms, n)
+    keys = [0]
+    _extend_table(keys, [1 << 8 * (lead - 1 - i) for i in range(lead)], 0, top, add)
+    index = dict(zip(map(tuple, map(int.to_bytes, keys, repeat(lead), repeat("big"))),
+                     count()))
     grouped = {}
-    for exps, c in terms.items():
-        head = exps[:lead]
-        key = sum(map(lshift, head, shifts))
-        grouped.setdefault(exps[lead:], []).append((key, c))
-        d = sum(head)
-        while key not in parent:
-            field = (key.bit_length() - 1) // width
-            parent[key] = key - (1 << field * width), lead - 1 - field
-            by_degree.setdefault(d, []).append(key)
-            key = parent[key][0]
-            d -= 1
-    index = {0: 0}
-    levels = []
-    for d in range(1, len(by_degree) + 1):
-        parents, variables = [], []
-        for key in by_degree[d]:
-            up, variable = parent[key]
-            parents.append(index[up])
-            variables.append(variable)
-            index[key] = len(index)
-        levels.append((parents, variables))
-
-    groups = []
-    for pattern, members in grouped.items():
-        tail = tuple((lead + k, e) for k, e in enumerate(pattern) if e)
-        groups.append((tail, [c for _, c in members], [index[key] for key, _ in members]))
-    return levels, groups
+    for exps, c, i in zip(terms, terms.values(),
+                          map(index.__getitem__, map(itemgetter(slice(0, lead)), terms))):
+        members = grouped.get(exps[lead:])
+        if members is None:
+            members = grouped[exps[lead:]] = ([], [])
+        members[0].append(c)
+        members[1].append(i)
+    groups = tuple((tuple((lead + k, e) for k, e in enumerate(tail) if e), coeffs, idx)
+                   for tail, (coeffs, idx) in grouped.items())
+    return lead, top, groups
 
 
-def _monomial_table(levels, values) -> list:
-    # every parent lies on an earlier level, so the table may be read while
-    # a level is appended to it
-    table = [1]
-    for parents, variables in levels:
-        table.extend(map(mul, map(table.__getitem__, parents),
-                         map(values.__getitem__, variables)))
+def _head_table(ring: PolyRing, head: tuple, top: int) -> list:
+    """The table of the monomials in head up to degree top.  The ring keeps
+    the last one with its head values and their types, and extends it."""
+    key = (head, tuple(map(type, head)))
+    if ring._table is None or ring._table[0] != key:
+        ring._table = [key, [1], 0]
+    _, table, done = ring._table
+    if done < top:
+        _extend_table(table, head, done, top, mul)
+        ring._table[2] = top
     return table
-
-
-def _tail_value(tail, values):
-    """The trailing monomial at values."""
-    out = 1
-    for i, e in tail:
-        out *= values[i] ** e
-    return out
 
 
 # -- univariate helpers ----------------------------------------------------

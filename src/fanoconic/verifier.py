@@ -14,11 +14,11 @@ sampled points (all read off one adjugate of the numeric S), the fibers
 over V and the smoothness of X along W = {y1 = y2 = z2 = 0} from the
 coefficients of S along V, smoothness at a sampled node from the first
 derivatives of det S, and squarefree/degree probes of det S along
-integer lines (each entry restricted to the line on its own by one
-evaluation at a large power of two, det S expanded from the six
-univariates).  All
-randomness flows through one seeded generator in a documented order, so
-a report is a pure function of (m, seed, n_samples, flags).
+integer lines (the six entries evaluated at one point of the line, a
+large power of two along it, each read off as a univariate, det S
+expanded from the six).  All randomness flows through one seeded
+generator in a documented order, so a report is a pure function of
+(m, seed, n_samples, flags).
 
 The special shape of the default sections (s1 = sigma' y1, s2 = s3 =
 sigma' y2, sigma = sigma'^2 with sigma' = y0) forces the boundary identity
@@ -102,7 +102,9 @@ def check_smooth_at_node(matrix: ConicMatrix, point: CoxPointY) -> bool:
     Cox-coordinate derivative of det S is nonzero at the point, each read
     as the t-coefficient of det S on point + t e_v.  No chart is needed:
     det S is bihomogeneous, so its two Euler relations make the y0 and
-    x_{j*} derivatives vanish whenever all the others do.
+    x_{j*} derivatives vanish whenever all the others do.  The y-lines
+    come first: their points keep the x-part, where the entries' leading
+    monomials lie, so they reuse the table of the rank evaluation.
 
     The point and the entries must be integral, as for line probes;
     ValueError otherwise, on an inadmissible point, and when the fiber
@@ -116,8 +118,8 @@ def check_smooth_at_node(matrix: ConicMatrix, point: CoxPointY) -> bool:
     rank, _ = rank_and_kernel_3x3(matrix.evaluate(point))
     if rank != 2:
         raise ValueError("fiber does not have rank 2 at this point")
-    n = len(coords)
-    for v in range(n):
+    n, nx = len(coords), matrix.params.n_x
+    for v in (*range(nx, n), *range(nx)):
         det = _det_on_line(matrix, coords, tuple(int(i == v) for i in range(n)))
         if len(det) > 1 and det[1]:
             return True
@@ -208,34 +210,6 @@ def _line_degree_bound(poly: Poly, support) -> int | None:
     return max(map(sum, map(itemgetter(*support), poly.terms)))
 
 
-def _restrict_entry(poly: Poly, size, bound: int, point, direction) -> list:
-    """poly(point + t*direction) as an ascending, trimmed coefficient list,
-    read off the one value at t = 2^K (Kronecker substitution).
-
-    size is (||poly||_1, total degree), and bound + 1 the most coefficients
-    the restriction may have.  Each coefficient of prod_i (p_i + t d_i)^(a_i)
-    is at most prod_i (|p_i| + |d_i|)^(a_i) in absolute value, so every
-    coefficient of the restriction is at most B = ||poly||_1 * M^deg, with
-    M = max_i |p_i| + |d_i|.  With
-    K = B.bit_length() + 1 they all lie in (-2^(K-1), 2^(K-1)), and they
-    are the unique balanced base-2^K digits of the value.
-    """
-    norm, degree = size
-    reach = max(abs(p) + abs(d) for p, d in zip(point, direction))
-    k = (norm * reach ** degree).bit_length() + 1
-    value = poly.eval(tuple(p + (d << k) for p, d in zip(point, direction)))
-    half = 1 << (k - 1)
-    mask = (1 << k) - 1
-    digits = []
-    while value:
-        digit = ((value + half) & mask) - half
-        digits.append(digit)
-        value = (value - digit) >> k
-    if len(digits) > bound + 1:
-        raise AssertionError("restriction exceeds its line degree bound")
-    return digits
-
-
 # det S = s1 s3 sigma + 2 s2 lam1 lam2 - s3 lam1^2 - s1 lam2^2 - s2^2 sigma,
 # as (coefficient, factors) pairs
 _DET_TERMS = (
@@ -249,8 +223,19 @@ _DET_TERMS = (
 
 def _det_on_line(matrix: ConicMatrix, point, direction) -> list:
     """det S on the integer line point + t*direction, as a coefficient
-    list: each entry restricted by _restrict_entry, det S expanded from
-    the six univariates."""
+    list, from one evaluation of each nonzero entry at t = 2^K (Kronecker
+    substitution), all six at the same point.
+
+    Each coefficient of prod_i (p_i + t d_i)^(a_i) is at most
+    prod_i (|p_i| + |d_i|)^(a_i) in absolute value, so every coefficient of
+    an entry f restricted to the line is at most B = ||f||_1 * M^deg f,
+    with M = max_i |p_i| + |d_i|.  K is one more than the bit length of
+    the largest B of the six, so every coefficient lies in
+    (-2^(K-1), 2^(K-1)) and the coefficients of f are the unique balanced
+    base-2^K digits of its value.  A restriction with more digits than the
+    entry's line degree bound plus one raises.  det S is then expanded
+    from the six univariates.
+    """
     support = tuple(i for i, d in enumerate(direction) if d != 0)
     bounds = matrix._line_bounds.get(support)
     if bounds is None:
@@ -259,14 +244,23 @@ def _det_on_line(matrix: ConicMatrix, point, direction) -> list:
             for name, poly in matrix.named_entries()}
 
     sizes = matrix._entry_sizes
+    reach = max(abs(p) + abs(d) for p, d in zip(point, direction))
+    k = max(norm * reach ** degree for norm, degree in sizes.values()).bit_length() + 1
+    at = tuple(p + (d << k) for p, d in zip(point, direction))
+    half, mask = 1 << (k - 1), (1 << k) - 1
     on_line = {}
     for name, poly in matrix.named_entries():
-        b = bounds[name]
-        on_line[name] = [] if b is None else _restrict_entry(
-            poly, sizes[name], b, point, direction)
+        value = poly.eval(at) if poly else 0
+        digits = on_line[name] = []
+        while value:
+            if len(digits) > (bounds[name] or 0):
+                raise AssertionError("restriction exceeds its line degree bound")
+            digit = ((value + half) & mask) - half
+            digits.append(digit)
+            value = (value - digit) >> k
     det = []
-    for k, names in _DET_TERMS:
-        term = [k]
+    for c, names in _DET_TERMS:
+        term = [c]
         for name in names:
             term = u_mul(term, on_line[name])
         det = u_add(det, term)
@@ -279,11 +273,11 @@ def discriminant_on_line(matrix: ConicMatrix, point, direction) -> LineProbe:
     The point and direction must have int coordinates, the direction must
     be nonzero, and the line must not be contained in an irrelevant locus
     (its x-part and y-part must not both vanish identically).  The entries
-    must have int coefficients.  Each nonzero entry is restricted on its
-    own, by one evaluation at t = 2^K (see _restrict_entry); a restriction
-    with more coefficients than the entry's line degree bound plus one
-    raises.  det S is then expanded from the six univariates, so its degree
-    is exact; the squarefree test is u_is_squarefree.
+    must have int coefficients.  Each nonzero entry is restricted by one
+    evaluation at t = 2^K, one K for all six (see _det_on_line); a
+    restriction with more coefficients than the entry's line degree bound
+    plus one raises.  det S is then expanded from the six univariates, so
+    its degree is exact; the squarefree test is u_is_squarefree.
     """
     params = matrix.params
     nx = params.n_x

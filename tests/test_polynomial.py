@@ -1,12 +1,17 @@
 """Sparse multivariate arithmetic and the univariate helper layer."""
 
+import random
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanoconic import polynomial
+from fanoconic.coxring import cox_ring
+from fanoconic.picard import ConstructionParams
 from fanoconic.polynomial import (
     SQUAREFREE_PRIME,
     Poly,
@@ -212,11 +217,63 @@ def test_eval_matches_term_oracle(p, pt):
 
 @settings(max_examples=150, deadline=None)
 @given(wide_poly)
+# 301 and 256 powers of a: one leading variable fits its table, but a
+# leading exponent of 300 does not fit a byte of the packed key
+@example(Poly(R5, {(i, 0, 0, 0, 0): 1 for i in range(301)}))
+@example(Poly(R5, {(i, 0, 0, 0, 0): 1 for i in range(256)}))
 def test_trailing_split_is_the_longest_block_with_few_patterns(p):
-    start = _trailing_split(p.terms, 5)
-    assert all(len({e[k:] for e in p.terms}) <= 5 for k in range(start, 6))
-    assert start == 0 or len({e[start - 1:] for e in p.terms}) > 5
-    assert _trailing_split([()], 0) == 0
+    # the longest trailing block with at most 5 patterns, then the longest
+    # leading block before it whose complete table fits the terms
+    few = min(k for k in range(6)
+              if all(len({e[j:] for e in p.terms}) <= 5 for j in range(k, 6)))
+
+    def top(k):
+        return max((sum(e[:k]) for e in p.terms), default=0)
+
+    fits = [k for k in range(1, few + 1)
+            if top(k) < 256 and comb(top(k) + k, k) <= len(p.terms)]
+    lead = max(fits, default=0)
+    assert _trailing_split(p.terms, 5) == (lead, top(lead))
+    assert _trailing_split([()], 0) == (0, 0)
+
+
+values5 = st.tuples(*[st.one_of(st.just(0), st.integers(-6, 6),
+                                st.fractions(min_value=-3, max_value=3,
+                                             max_denominator=5))] * 5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(wide_poly, min_size=1, max_size=4),
+       st.lists(values5, min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=8))
+# six powers of a lead with a: its table at a = Fraction(2) must not serve a = 2
+@example([Poly(R5, {(i, 0, 0, 0, 0): 1 for i in range(6)})], [(2, 1, 1, 1, 1)], [(0, 0)])
+def test_shared_tables_match_term_oracle(polys, points, calls):
+    # polynomials of one ring share the last table of leading monomials;
+    # evaluate them in any order, at repeated points, each point after its
+    # twin with all values Fractions, and again with its whole values ints
+    for which, at in calls:
+        p, pt = polys[which % len(polys)], points[at % len(points)]
+        for q in (tuple(map(Fraction, pt)), pt,
+                  tuple(int(v) if v == int(v) else v for v in pt)):
+            value = p.eval(q)
+            assert value == eval_terms(p, q)
+            if all(isinstance(v, int) for v in q + tuple(p.terms.values())):
+                assert isinstance(value, int)
+
+
+def test_sparse_high_degree_polynomial_evaluates_term_by_term():
+    # 20 terms with exponents up to 300 in the ten Cox variables: a table
+    # of every leading monomial up to their degree would not fit in memory
+    ring = cox_ring(ConstructionParams(2))
+    rng = random.Random(5)
+    p = Poly(ring, {tuple(rng.randint(0, 300) for _ in range(ring.n)): rng.randint(-9, 9) or 1
+                    for _ in range(20)})
+    pt = tuple(rng.choice((-3, -1, 2, 5, Fraction(1, 3))) for _ in range(ring.n))
+    start = time.perf_counter()
+    value = p.eval(pt)
+    assert time.perf_counter() - start < 0.5
+    assert value == eval_terms(p, pt)
 
 
 @pytest.mark.parametrize("p", [

@@ -3,6 +3,7 @@ verdicts over V and at nodes, the boundary identity, and line probes of
 the discriminant."""
 
 import json
+import operator
 import os
 import random
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fanoconic
-from fanoconic import coxring, verifier
+from fanoconic import coxring, polynomial, verifier
 from fanoconic.coxring import (
     _SLOT_NAMES,
     MAX_SECTION_TERMS,
@@ -40,8 +41,8 @@ from fanoconic.verifier import (
     run_instance,
     sample_generic_point,
     sample_v_point,
+    _det_on_line,
     _line_degree_bound,
-    _restrict_entry,
     _sample_chart_line,
     _sample_fiber_line,
     _v_coefficients,
@@ -618,16 +619,24 @@ def test_smoothness_over_V(default_matrix):
 # -- line probes ------------------------------------------------------------
 
 
-def _entry_size(poly):
-    return (sum(abs(c) for c in poly.terms.values()),
-            max((sum(e) for e in poly.terms), default=0))
+class _OneEntry:
+    """A stand-in for ConicMatrix in _det_on_line whose det S is poly:
+    s1 = poly, s3 = sigma = 1 and the other entries zero."""
+
+    _entry_sizes = property(ConicMatrix._entry_sizes.func)
+
+    def __init__(self, poly):
+        zero, one = poly.ring.zero(), poly.ring.one()
+        self.entries = (("s1", poly), ("s2", zero), ("s3", one),
+                        ("lam1", zero), ("lam2", zero), ("sigma", one))
+        self._line_bounds = {}
+
+    def named_entries(self):
+        return self.entries
 
 
 def _restrict(poly, point, direction):
-    support = tuple(i for i, d in enumerate(direction) if d)
-    bound = _line_degree_bound(poly, support)
-    return _restrict_entry(poly, _entry_size(poly), 0 if bound is None else bound,
-                           point, direction)
+    return _det_on_line(_OneEntry(poly), point, direction)
 
 
 RING4 = PolyRing(("a", "b", "c", "d"))
@@ -660,15 +669,17 @@ def test_entry_restriction_at_the_coefficient_bound(sign):
     # and B = 2^7 - 1 is the largest coefficient the chosen K = 8 admits
     poly = Poly(RING4, {(2, 0, 1, 0): 100 * sign, (1, 1, 1, 0): 27 * sign})
     point, direction = (0, 0, 1, 0), (1, 1, 0, 0)
-    assert _entry_size(poly) == (127, 3)
+    assert _OneEntry(poly)._entry_sizes["s1"] == (127, 3)
     assert _restrict(poly, point, direction) == [0, 0, 127 * sign] \
         == restrict_line(poly, point, direction)
 
 
 def test_entry_restriction_rejects_a_low_bound():
-    poly = Poly(RING4, {(2, 0, 0, 0): 1})
+    stand_in = _OneEntry(Poly(RING4, {(2, 0, 0, 0): 1}))
+    stand_in._line_bounds[(0,)] = {"s1": 1, "s2": None, "s3": 0,
+                                   "lam1": None, "lam2": None, "sigma": 0}
     with pytest.raises(AssertionError, match="line degree bound"):
-        _restrict_entry(poly, (1, 2), 1, (1, 0, 0, 0), (1, 0, 0, 0))
+        _det_on_line(stand_in, (1, 0, 0, 0), (1, 0, 0, 0))
 
 
 def test_line_probe_low_bound_raises_under_optimized_mode():
@@ -823,6 +834,33 @@ def test_line_probe_work(perturbed_matrix, monkeypatch, sampler):
     # the counter sits where the fiber diagnosis looks the function up
     fiber_at(matrix, CoxPointY(point[:M2.n_x], point[M2.n_x:]))
     assert ranks == [1]
+
+
+def test_entries_share_one_table_per_point(perturbed_matrix, monkeypatch):
+    # every entry of the perturbed shape leads with the x block, so the
+    # six evaluations at a point, and the six at one line probe's point,
+    # fill one table of x-monomials, each entry of it once: the s-block
+    # asks for degree 4, lam for 6 and sigma for 8
+    fills = []
+    extend_table = polynomial._extend_table
+
+    def recording_extend(table, head, done, top, op):
+        if op is operator.mul:
+            fills.append((id(table), done, top))
+        extend_table(table, head, done, top, op)
+
+    monkeypatch.setattr(polynomial, "_extend_table", recording_extend)
+    monkeypatch.setattr(cox_ring(M2), "_table", None)
+    point = sample_generic_point(M2, random.Random(31), coeff_range=20)
+    perturbed_matrix.evaluate(point)
+    assert len({table for table, _, _ in fills}) == 1
+    assert [(done, top) for _, done, top in fills] == [(0, 4), (4, 6), (6, 8)]
+    perturbed_matrix.evaluate(point)
+    assert len(fills) == 3
+    fills.clear()
+    discriminant_on_line(perturbed_matrix, *_sample_chart_line(M2, random.Random(32), 9))
+    assert len({table for table, _, _ in fills}) == 1
+    assert [(done, top) for _, done, top in fills] == [(0, 4), (4, 6), (6, 8)]
 
 
 def test_fiber_line_is_sextic(default_matrix):
