@@ -28,14 +28,12 @@ _EXPORTS = {
     "chow": ("bundle_of_G", "bundle_of_Y"),
     "coxring": ("ConicMatrix", "base_locus", "count_sections", "cox_ring",
                 "generator_degrees", "instantiate_sections", "is_effective"),
-    "cones": ("Cone2D", "chamber_decomposition", "classify", "effective_cone",
-              "nef_cone"),
+    "cones": ("chamber_decomposition", "classify", "effective_cone", "nef_cone"),
     "conicbundle": ("DivisorClassZ", "antiK_Z", "build_certificate",
                     "discriminant_class", "standard_bundle",
                     "sym2_decomposition"),
-    "verifier": ("CoxPointY", "LineProbe", "boundary_identity_verdict",
-                 "check_smooth_at_node", "discriminant_on_line", "fiber_at",
-                 "run_instance"),
+    "verifier": ("LineProbe", "boundary_identity_verdict", "check_smooth_at_node",
+                 "discriminant_on_line", "fiber_at", "run_instance"),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

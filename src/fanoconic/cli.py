@@ -222,8 +222,8 @@ def cmd_cones(params, cls_, args) -> tuple[int, dict, str]:
     interior = dec["walls"][1:-1]
     doc = {
         "m": params.m,
-        "nef_rays": [list(r) for r in nef_cone(params).rays()],
-        "effective_rays": [list(r) for r in effective_cone(params).rays()],
+        "nef_rays": [list(r) for r in nef_cone(params)],
+        "effective_rays": [list(r) for r in effective_cone(params)],
         **dec,
         "interior_walls": interior,
         "interior_wall_classes": [str(DivisorClassY(a, b)) for a, b in interior],

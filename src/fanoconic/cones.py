@@ -1,7 +1,8 @@
 """Exact 2D cone calculus in the (D, H) divisor lattice.
 
-All cone tests are integer cross products, no floats anywhere.  The cones
-of the family are simple: Nef(Y) is spanned by D and H, the effective and
+A cone is the pair of its rays, primitive and counterclockwise, and all
+cone tests are integer cross products, no floats anywhere.  The cones of
+the family are simple: Nef(Y) is spanned by D and H, the effective and
 movable cones agree and are spanned by H and D - 2mH, and the movable cone
 splits into exactly two Mori chambers separated by the wall at D.
 """
@@ -9,10 +10,9 @@ splits into exactly two Mori chambers separated by the wall at D.
 from __future__ import annotations
 
 from functools import cmp_to_key
-from math import gcd
 
 from .coxring import generator_degrees
-from .picard import ConstructionParams, DivisorClassY, _Record
+from .picard import ConstructionParams, DivisorClassY
 
 NEF_LABEL = "NEF_Y"
 FLIP_LABEL = "FLIP_CHAMBER"
@@ -22,52 +22,14 @@ def cross(u, v) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def primitive_ray(vec) -> tuple[int, int]:
-    a, b = vec
-    if a == 0 and b == 0:
-        raise ValueError("zero vector spans no ray")
-    g = gcd(abs(a), abs(b))
-    return (a // g, b // g)
-
-
-class Cone2D(_Record):
-    """A strictly convex 2D cone, rays primitive and counterclockwise."""
-
-    ray1: tuple[int, int]
-    ray2: tuple[int, int]
-
-    @classmethod
-    def span(cls, u, v) -> "Cone2D":
-        r1, r2 = primitive_ray(u), primitive_ray(v)
-        c = cross(r1, r2)
-        if c == 0:
-            raise ValueError("rays are parallel, the span is not a full cone")
-        if c < 0:
-            r1, r2 = r2, r1
-        return cls(r1, r2)
-
-    def __post_init__(self):
-        if cross(self.ray1, self.ray2) <= 0:
-            raise ValueError("rays must be stored counterclockwise")
-
-    def contains(self, vec) -> bool:
-        return cross(self.ray1, vec) >= 0 and cross(vec, self.ray2) >= 0
-
-    def contains_interior(self, vec) -> bool:
-        return cross(self.ray1, vec) > 0 and cross(vec, self.ray2) > 0
-
-    def rays(self):
-        return (self.ray1, self.ray2)
-
-
-def nef_cone(params: ConstructionParams) -> Cone2D:
+def nef_cone(params: ConstructionParams) -> tuple:
     """Nef(Y) = <D, H>: duality against the fiber line and the line in V."""
-    return Cone2D.span((1, 0), (0, 1))
+    return ((1, 0), (0, 1))
 
 
-def effective_cone(params: ConstructionParams) -> Cone2D:
-    """Eff(Y) = <H, D - 2mH>, read off the coordinate degrees."""
-    return Cone2D.span((0, 1), (1, -params.twist))
+def effective_cone(params: ConstructionParams) -> tuple:
+    """Eff(Y) = <D - 2mH, H>, read off the coordinate degrees."""
+    return ((1, -params.twist), (0, 1))
 
 
 def classify(cls_: DivisorClassY, params: ConstructionParams) -> dict:
@@ -77,17 +39,19 @@ def classify(cls_: DivisorClassY, params: ConstructionParams) -> dict:
     big is interior-of-effective, ample is interior-of-nef, movable is
     effective (Mov = Eff, the certificate's movable_equals_effective); nef
     agrees with nonnegative pairing against ell_f and ell_V by construction.
+    A vector lies in the cone <r1, r2> iff cross(r1, v) and cross(v, r2) are
+    both >= 0, and in its interior iff both are > 0.
     """
     vec = (cls_.a, cls_.b)
-    eff = effective_cone(params)
-    nef = nef_cone(params)
+    eff, nef = (min(cross(r1, vec), cross(vec, r2))
+                for r1, r2 in (effective_cone(params), nef_cone(params)))
     return {
         "class": str(cls_),
-        "effective": eff.contains(vec),
-        "big": eff.contains_interior(vec),
-        "movable": eff.contains(vec),
-        "nef": nef.contains(vec),
-        "ample": nef.contains_interior(vec),
+        "effective": eff >= 0,
+        "big": eff > 0,
+        "movable": eff >= 0,
+        "nef": nef >= 0,
+        "ample": nef > 0,
     }
 
 
@@ -99,15 +63,14 @@ def chamber_decomposition(params: ConstructionParams) -> dict:
     degrees of its Cox ring generators (Hu-Keel, "Mori dream spaces and
     GIT", 2000), and this grading has three distinct ones (generator_degrees),
     each primitive.  Walls are their rays, swept clockwise from H down to
-    the effective boundary; consecutive walls bound a chamber.  The chamber
-    equal to Nef(Y) is labeled NEF_Y, everything else FLIP_CHAMBER.
+    the effective boundary; consecutive walls u, v bound the chamber whose
+    counterclockwise rays are (v, u).  The chamber equal to Nef(Y) is
+    labeled NEF_Y, everything else FLIP_CHAMBER.
     """
     degrees = ((deg.a, deg.b) for deg in generator_degrees(params))
     walls = sorted(degrees, key=cmp_to_key(cross))
     nef = nef_cone(params)
-    chambers = []
-    for u, v in zip(walls, walls[1:]):
-        cone = Cone2D.span(u, v)
-        chambers.append({"rays": [list(r) for r in cone.rays()],
-                         "label": NEF_LABEL if cone == nef else FLIP_LABEL})
+    chambers = [{"rays": [list(v), list(u)],
+                 "label": NEF_LABEL if (v, u) == nef else FLIP_LABEL}
+                for u, v in zip(walls, walls[1:])]
     return {"walls": [list(w) for w in walls], "chambers": chambers}

@@ -263,8 +263,13 @@ def build_certificate(params: ConstructionParams) -> dict:
     nef = nef_cone(params)
     eff = effective_cone(params)
     dec = chamber_decomposition(params)
-    chk("nef_cone_rays", [[1, 0], [0, 1]], [list(r) for r in nef.rays()])
-    chk("effective_cone_rays", [[1, -t], [0, 1]], [list(r) for r in eff.rays()])
+    # Nef(Y) is the cone dual to the curves ell_f and ell_V: with p_ell =
+    # (D.ell, H.ell) and p_f, p_V counterclockwise, its counterclockwise
+    # rays are p_V turned clockwise and p_f turned counterclockwise
+    p_f, p_v = ((dot(d_cls, ell), dot(h_cls, ell)) for ell in (ell_f, ell_v))
+    dual = [[p_v[1], -p_v[0]], [-p_f[1], p_f[0]]]
+    chk("nef_cone_rays", [list(r) for r in nef], dual)
+    chk("effective_cone_rays", [[1, -t], [0, 1]], [list(r) for r in eff])
     walls = dec["walls"]
     chk("chamber_count", 2, len(dec["chambers"]))
     chk("chamber_labels", ["NEF_Y", "FLIP_CHAMBER"], [c["label"] for c in dec["chambers"]])
@@ -272,7 +277,7 @@ def build_certificate(params: ConstructionParams) -> dict:
     chk(
         "chambers_cover_movable_cone",
         True,
-        walls[0] == list(eff.ray2) and walls[-1] == list(eff.ray1),
+        walls[0] == list(eff[1]) and walls[-1] == list(eff[0]),
     )
 
     # classes on Z and the adjunction bookkeeping
@@ -328,14 +333,14 @@ def build_certificate(params: ConstructionParams) -> dict:
         "antiK_Z_minus_X": str(restriction),
     }
     cones_summary = {
-        "nef": [list(ray) for ray in nef.rays()],
-        "effective": [list(ray) for ray in eff.rays()],
+        "nef": [list(ray) for ray in nef],
+        "effective": [list(ray) for ray in eff],
         # a class whose base locus has codimension >= 2 is movable, so
         # Mov(Y) = Eff(Y) once both rays of Eff(Y) have an empty base locus
         # or V
         "movable_equals_effective": all(
             base_locus(DivisorClassY(*ray), params)["strata"] in (["EMPTY"], ["V"])
-            for ray in eff.rays()),
+            for ray in eff),
         **dec,
     }
 

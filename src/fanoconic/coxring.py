@@ -329,9 +329,8 @@ class ConicMatrix(_Record):
         return tuple((name, getattr(self, name)) for name in _SLOT_NAMES)
 
     def evaluate(self, point):
-        """The rows of S at a point with Cox coordinates point.coords."""
-        c = point.coords
-        return _s_rows(*(poly.eval(c) for _, poly in self.named_entries()))
+        """The rows of S at a point given by its Cox coordinates, x first."""
+        return _s_rows(*(poly.eval(point) for _, poly in self.named_entries()))
 
     @cached_property
     def _entry_sizes(self) -> dict:

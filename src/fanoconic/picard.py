@@ -149,8 +149,7 @@ def standard_classes(params: ConstructionParams) -> dict[str, DivisorClassY]:
     }
 
 
-_TERM = re.compile(r"([+-]?)([0-9]*)([DH])")
-_SPLIT_NUMBER = re.compile(r"[0-9] +[0-9]")
+_TERM = re.compile(" *([+-]?) *([0-9]*) *([DH]) *")
 
 
 def parse_divisor_class(text: str) -> DivisorClassY:
@@ -162,8 +161,8 @@ def parse_divisor_class(text: str) -> DivisorClassY:
     digits with no space inside: "1 2D" and "١٢D" are refused.  Every term
     after the first needs its sign, so "2D3H" and "DD" are refused.
     """
-    s = text.replace("−", "-").replace(" ", "")
-    if not s:
+    s = text.replace("−", "-")
+    if not s.strip(" "):
         raise ValueError("empty divisor class string")
     a = b = 0
     pos = 0
@@ -177,6 +176,6 @@ def parse_divisor_class(text: str) -> DivisorClassY:
         else:
             b += sign * coeff
         pos = match.end()
-    if pos != len(s) or _SPLIT_NUMBER.search(text):
+    if pos != len(s):
         raise ValueError(f"cannot parse divisor class {text!r}")
     return DivisorClassY(a, b)

@@ -20,6 +20,11 @@ expanded from the six).  All randomness flows through one seeded
 generator in a documented order, so a report is a pure function of
 (m, seed, n_samples, flags).
 
+A point of Y is the tuple of its n_x + 3 Cox coordinates, x first, and a
+line is a point and a direction of that shape.  fiber_at,
+check_smooth_at_node and discriminant_on_line refuse other lengths, and
+points or lines inside {x = 0} or {y = 0}, through one shared check.
+
 The special shape of the default sections (s1 = sigma' y1, s2 = s3 =
 sigma' y2, sigma = sigma'^2 with sigma' = y0) forces the boundary identity
 
@@ -55,42 +60,37 @@ Z_GRID = ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (1, -2, 0))
 LINE_RESAMPLE_CAP = 25
 
 
-class CoxPointY(_Record):
-    """A point of Y in Cox coordinates, exact rational entries."""
-
-    x: tuple
-    y: tuple
-
-    def __post_init__(self):
-        self.__dict__.update(x=tuple(self.x), y=tuple(self.y))
-        if len(self.y) != 3:
-            raise ValueError("y must have three coordinates")
-
-    @property
-    def coords(self) -> tuple:
-        return self.x + self.y
-
-    def is_admissible(self) -> bool:
-        return any(c != 0 for c in self.x) and any(c != 0 for c in self.y)
+def _check_cox_data(params: ConstructionParams, *vectors) -> None:
+    """Refuse Cox data that is not n_x + 3 coordinates each, x first, or
+    whose point (one vector) or line (point and direction) lies inside the
+    irrelevant locus {x = 0} or {y = 0}; ValueError, so that the check
+    also holds under python -O."""
+    nx = params.n_x
+    if any(len(v) != nx + 3 for v in vectors):
+        raise ValueError("Cox data has the wrong number of coordinates")
+    if not any(any(v[:nx]) for v in vectors):
+        raise ValueError("Cox data lies inside the locus x = 0")
+    if not any(any(v[nx:]) for v in vectors):
+        raise ValueError("Cox data lies inside the locus y = 0")
 
 
 # the printed name of a conic of each rank
 _FIBER_NAMES = ("WHOLE_PLANE", "DOUBLE_LINE", "LINE_PAIR", "SMOOTH_CONIC")
 
 
-def fiber_at(matrix: ConicMatrix, point: CoxPointY) -> tuple:
-    """(rank, node) of the conic over one point, node the primitive integer
+def fiber_at(matrix: ConicMatrix, point) -> tuple:
+    """(rank, node) of the conic over one point, given by its n_x + 3 Cox
+    coordinates, x first, ints or Fractions; node is the primitive integer
     kernel direction when the rank is 2, else None (rank_and_kernel_3x3).
 
     Invariant under the torus scalings of the point because rescaling acts
     on S by a diagonal congruence.
     """
-    if not point.is_admissible():
-        raise ValueError("point hits an irrelevant locus")
+    _check_cox_data(matrix.params, point)
     return rank_and_kernel_3x3(matrix.evaluate(point))
 
 
-def check_smooth_at_node(matrix: ConicMatrix, point: CoxPointY) -> bool:
+def check_smooth_at_node(matrix: ConicMatrix, point) -> bool:
     """Whether X is smooth at the node of the rank-2 fiber over point.
 
     Over a rank-2 point of the discriminant Delta = {det S = 0}, X is
@@ -106,21 +106,19 @@ def check_smooth_at_node(matrix: ConicMatrix, point: CoxPointY) -> bool:
     come first: their points keep the x-part, where the entries' leading
     monomials lie, so they reuse the table of the rank evaluation.
 
-    The point and the entries must be integral, as for line probes;
-    ValueError otherwise, on an inadmissible point, and when the fiber
-    does not have rank 2 at the point.
+    The point (Cox coordinates as for fiber_at) and the entries must be
+    integral, as for line probes; ValueError otherwise, on an inadmissible
+    point, and when the fiber does not have rank 2 at the point.
     """
-    if not point.is_admissible():
-        raise ValueError("point hits an irrelevant locus")
-    coords = point.coords
-    if not all(isinstance(c, int) for c in coords):
+    _check_cox_data(matrix.params, point)
+    if not all(isinstance(c, int) for c in point):
         raise ValueError("node data must be integers")
     rank, _ = rank_and_kernel_3x3(matrix.evaluate(point))
     if rank != 2:
         raise ValueError("fiber does not have rank 2 at this point")
-    n, nx = len(coords), matrix.params.n_x
+    n, nx = len(point), matrix.params.n_x
     for v in (*range(nx, n), *range(nx)):
-        det = _det_on_line(matrix, coords, tuple(int(i == v) for i in range(n)))
+        det = _det_on_line(matrix, point, tuple(int(i == v) for i in range(n)))
         if len(det) > 1 and det[1]:
             return True
     return False
@@ -270,29 +268,21 @@ def _det_on_line(matrix: ConicMatrix, point, direction) -> list:
 def discriminant_on_line(matrix: ConicMatrix, point, direction) -> LineProbe:
     """Restrict det S to the integer line point + t*direction.
 
-    The point and direction must have int coordinates, the direction must
-    be nonzero, and the line must not be contained in an irrelevant locus
-    (its x-part and y-part must not both vanish identically).  The entries
-    must have int coefficients.  Each nonzero entry is restricted by one
-    evaluation at t = 2^K, one K for all six (see _det_on_line); a
-    restriction with more coefficients than the entry's line degree bound
-    plus one raises.  det S is then expanded from the six univariates, so
-    its degree is exact; the squarefree test is u_is_squarefree.
+    The point and direction must have n_x + 3 int coordinates, x first, the
+    direction must be nonzero, and the line must not be contained in an
+    irrelevant locus (its x-part and y-part must not both vanish
+    identically).  The entries must have int coefficients.  Each nonzero
+    entry is restricted by one evaluation at t = 2^K, one K for all six
+    (see _det_on_line); a restriction with more coefficients than the
+    entry's line degree bound plus one raises.  det S is then expanded from
+    the six univariates, so its degree is exact; the squarefree test is
+    u_is_squarefree.
     """
-    params = matrix.params
-    nx = params.n_x
-    point = tuple(point)
-    direction = tuple(direction)
-    if len(point) != nx + 3 or len(direction) != nx + 3:
-        raise ValueError("line data has the wrong number of coordinates")
-    if not all(isinstance(c, int) for c in point + direction):
+    _check_cox_data(matrix.params, point, direction)
+    if not all(isinstance(c, int) for c in (*point, *direction)):
         raise ValueError("line data must be integers")
     if not any(direction):
         raise ValueError("zero line direction")
-    if not any(point[:nx]) and not any(direction[:nx]):
-        raise ValueError("line lies inside the locus x = 0")
-    if not any(point[nx:]) and not any(direction[nx:]):
-        raise ValueError("line lies inside the locus y = 0")
 
     det = _det_on_line(matrix, point, direction)
     deg = u_degree(det)
@@ -312,22 +302,24 @@ def _sample_x(params, rng, bound):
 
 
 def sample_v_point(params: ConstructionParams, rng: random.Random,
-                   coeff_range: int = 100) -> CoxPointY:
-    """A random point of V: random x, y = (y0, 0, 0) with y0 nonzero."""
-    return CoxPointY(_sample_x(params, rng, coeff_range),
-                     (_nonzero_draws(rng, coeff_range, 1)[0], 0, 0))
+                   coeff_range: int = 100) -> tuple:
+    """The Cox coordinates of a random point of V: random x, then y =
+    (y0, 0, 0) with y0 nonzero."""
+    return _sample_x(params, rng, coeff_range) \
+        + (_nonzero_draws(rng, coeff_range, 1)[0], 0, 0)
 
 
 def sample_generic_point(params: ConstructionParams, rng: random.Random,
-                         coeff_range: int = 100) -> CoxPointY:
-    """A random point off V with y0 != 0 (both exceptional loci are thin)."""
+                         coeff_range: int = 100) -> tuple:
+    """The Cox coordinates of a random point off V with y0 != 0 (both
+    exceptional loci are thin)."""
     xs = _sample_x(params, rng, coeff_range)
     y0 = _nonzero_draws(rng, coeff_range, 1)[0]
     while True:
         y1 = rng.randint(-coeff_range, coeff_range)
         y2 = rng.randint(-coeff_range, coeff_range)
         if y1 or y2:
-            return CoxPointY(xs, (y0, y1, y2))
+            return xs + (y0, y1, y2)
 
 
 def _sample_chart_line(params, rng, bound):
@@ -396,6 +388,7 @@ def run_instance(params: ConstructionParams, seed: int, n_samples: int,
         raise ValueError("n_samples must be positive")
     rng = random.Random(seed)
     matrix = _draw_matrix(params, rng, coeff_range, perturb)
+    nx = params.n_x
 
     failures: list[dict] = []
 
@@ -413,18 +406,18 @@ def run_instance(params: ConstructionParams, seed: int, n_samples: int,
         if not sigma_ok:
             failures.append({
                 "check": "v_fiber_double_line", "index": i,
-                "x": list(p.x), "y": list(p.y), "got": v_fiber,
+                "x": list(p[:nx]), "y": list(p[nx:]), "got": v_fiber,
             })
             failures.append({
                 "check": "sigma_nonzero_on_V", "index": i,
-                "x": list(p.x), "y": list(p.y),
+                "x": list(p[:nx]), "y": list(p[nx:]),
             })
         failures.extend({
             "check": "gradient_on_W", "index": i, "z": list(z),
-            "x": list(p.x), "y": list(p.y),
+            "x": list(p[:nx]), "y": list(p[nx:]),
         } for z in bad_z)
         v_samples.append({
-            "x": list(p.x), "y0": p.y[0], "fiber": v_fiber,
+            "x": list(p[:nx]), "y0": p[nx], "fiber": v_fiber,
             "sigma_nonzero": sigma_ok, "grid_ok": not bad_z,
         })
     n_v_ok = n_samples if sigma_ok else 0
@@ -435,7 +428,7 @@ def run_instance(params: ConstructionParams, seed: int, n_samples: int,
     for i in range(n_samples):
         p = sample_generic_point(params, rng, coeff_range)
         rank, node = fiber_at(matrix, p)
-        rec = {"x": list(p.x), "y": list(p.y), "fiber": _FIBER_NAMES[rank]}
+        rec = {"x": list(p[:nx]), "y": list(p[nx:]), "fiber": _FIBER_NAMES[rank]}
         if rank == 3:
             n_smooth += 1
         elif rank == 2:
@@ -448,12 +441,12 @@ def run_instance(params: ConstructionParams, seed: int, n_samples: int,
             if not node_ok:
                 failures.append({
                     "check": "node_smoothness", "index": i,
-                    "x": list(p.x), "y": list(p.y), "node": list(node),
+                    "x": list(p[:nx]), "y": list(p[nx:]), "node": list(node),
                 })
         else:
             failures.append({
                 "check": "generic_fiber_rank", "index": i,
-                "x": list(p.x), "y": list(p.y), "got": _FIBER_NAMES[rank],
+                "x": list(p[:nx]), "y": list(p[nx:]), "got": _FIBER_NAMES[rank],
             })
         g_samples.append(rec)
 

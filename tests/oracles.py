@@ -318,7 +318,7 @@ def chart_gradient(matrix, point, z):
     computed once and reused across calls.
     """
     params = matrix.params
-    xs, ys = point.x, point.y
+    xs, ys = point[:params.n_x], point[params.n_x:]
     jx = max(range(len(xs)), key=lambda i: abs(xs[i]))
     xj = Fraction(xs[jx])
     y0 = Fraction(ys[0])

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 from fanoconic.cones import (
     FLIP_LABEL,
     NEF_LABEL,
-    Cone2D,
     chamber_decomposition,
     classify,
     cross,
     effective_cone,
     nef_cone,
-    primitive_ray,
 )
 from fanoconic.coxring import is_effective
 from fanoconic.picard import ConstructionParams, DivisorClassY, anticanonical_class
@@ -26,40 +24,33 @@ M2 = ConstructionParams(2)
 # -- primitives -------------------------------------------------------------
 
 
-def test_primitive_ray():
-    assert primitive_ray((2, -8)) == (1, -4)
-    assert primitive_ray((-2, -4)) == (-1, -2)
-    assert primitive_ray((0, 7)) == (0, 1)
-    with pytest.raises(ValueError):
-        primitive_ray((0, 0))
+def _margin(rays, vec) -> int:
+    # >= 0 on the closed cone <r1, r2>, > 0 on its interior
+    r1, r2 = rays
+    return min(cross(r1, vec), cross(vec, r2))
 
 
 def test_cone_span_orients_counterclockwise():
-    cone = Cone2D.span((0, 1), (1, 0))
-    assert cone.rays() == ((1, 0), (0, 1))
-    assert cone == Cone2D.span((1, 0), (0, 1))
-
-
-def test_cone_rejects_parallel_rays():
-    with pytest.raises(ValueError):
-        Cone2D.span((1, 0), (3, 0))
-    with pytest.raises(ValueError):
-        Cone2D.span((1, -2), (-2, 4))
-
-
-def test_cone_constructor_rejects_clockwise():
-    with pytest.raises(ValueError):
-        Cone2D((0, 1), (1, 0))
+    # every cone, the chambers too, is its pair of rays counterclockwise
+    for m in (2, 3, 5):
+        params = ConstructionParams(m)
+        cones = [nef_cone(params), effective_cone(params)]
+        cones += [c["rays"] for c in chamber_decomposition(params)["chambers"]]
+        assert all(cross(r1, r2) > 0 for r1, r2 in cones)
 
 
 def test_cone_membership():
-    cone = Cone2D.span((1, 0), (0, 1))
-    assert cone.contains((1, 1))
-    assert cone.contains((1, 0)) and cone.contains((0, 3))
-    assert not cone.contains((-1, 1))
-    assert not cone.contains((1, -1))
-    assert cone.contains_interior((2, 5))
-    assert not cone.contains_interior((1, 0))
+    # Nef(Y) = <D, H>: nef is the closed cone, ample its interior
+    def flags(a, b):
+        doc = classify(DivisorClassY(a, b), M2)
+        return doc["nef"], doc["ample"]
+
+    assert flags(1, 1) == (True, True)
+    assert flags(1, 0)[0] and flags(0, 3)[0]
+    assert not flags(-1, 1)[0]
+    assert not flags(1, -1)[0]
+    assert flags(2, 5)[1]
+    assert not flags(1, 0)[1]
 
 
 # -- the cones of the family ------------------------------------------------
@@ -68,17 +59,17 @@ def test_cone_membership():
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_cone_rays(m):
     params = ConstructionParams(m)
-    assert nef_cone(params).rays() == ((1, 0), (0, 1))
-    assert effective_cone(params).rays() == ((1, -2 * m), (0, 1))
+    assert nef_cone(params) == ((1, 0), (0, 1))
+    assert effective_cone(params) == ((1, -2 * m), (0, 1))
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_effective_cone_matches_section_counts(m):
     params = ConstructionParams(m)
-    eff = effective_cone(params)
     for a in range(-3, 4):
         for b in range(-3 * params.twist, 2 * params.twist):
-            assert eff.contains((a, b)) == is_effective(DivisorClassY(a, b), params)
+            cls_ = DivisorClassY(a, b)
+            assert classify(cls_, params)["effective"] == is_effective(cls_, params)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -146,27 +137,26 @@ def test_two_chambers_from_generator_degrees(m):
     dec = chamber_decomposition(params)
     assert dec["walls"] == [[0, 1], [1, 0], [1, -params.twist]]
     assert [c["label"] for c in dec["chambers"]] == [NEF_LABEL, FLIP_LABEL]
-    cones = [Cone2D(*map(tuple, c["rays"])) for c in dec["chambers"]]
+    cones = [tuple(map(tuple, c["rays"])) for c in dec["chambers"]]
     assert cones[0] == nef_cone(params)
-    assert cones[1] == Cone2D.span((1, 0), (1, -params.twist))
+    assert cones[1] == ((1, -params.twist), (1, 0))
     assert dec["walls"][1:-1] == [[1, 0]]
 
 
 def test_chambers_cover_movable_cone():
-    chambers = [Cone2D(*map(tuple, c["rays"]))
-                for c in chamber_decomposition(M2)["chambers"]]
+    chambers = [c["rays"] for c in chamber_decomposition(M2)["chambers"]]
     mov = effective_cone(M2)  # Mov(Y) = Eff(Y)
     for a in range(0, 8):
         for b in range(-4 * 8, 9):
-            if not mov.contains((a, b)):
+            if _margin(mov, (a, b)) < 0:
                 continue
-            assert any(c.contains((a, b)) for c in chambers), (a, b)
+            assert any(_margin(c, (a, b)) >= 0 for c in chambers), (a, b)
     # and the chambers only overlap along the wall
     interior_both = [
         (a, b)
         for a in range(0, 8)
         for b in range(-32, 9)
-        if all(c.contains_interior((a, b)) for c in chambers)
+        if all(_margin(c, (a, b)) > 0 for c in chambers)
     ]
     assert interior_both == []
 

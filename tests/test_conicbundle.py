@@ -220,8 +220,24 @@ def test_curve_pairings_come_from_intersection_numbers(m, monkeypatch):
     cert = build_certificate(ConstructionParams(m))
     failed = {c["name"] for c in cert["checks"] if not c["pass"]}
     assert failed == {"antiK_Y_dot_ell_f", "antiK_Y_dot_ell_V",
-                      "discriminant_dot_ell_f", "discriminant_dot_ell_V"}
+                      "discriminant_dot_ell_f", "discriminant_dot_ell_V",
+                      "nef_cone_rays"}
     assert not cert["valid"]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_nef_cone_is_dual_to_the_curve_pairings(m, monkeypatch):
+    # pairing on the wrong bundle (0, 1, 2) moves ell_V's pairing vector
+    # (D.ell_V, H.ell_V) off (0, 1), so the cone dual to the two curves is
+    # no longer <D, H>; the ell_f checks read only the D coefficient and
+    # still pass
+    real = conicbundle.intersection_number
+    monkeypatch.setattr(conicbundle, "intersection_number",
+                        lambda n_base, twists, factors: real(n_base, (0, 1, 2), factors))
+    by_name = {c["name"]: c for c in build_certificate(ConstructionParams(m))["checks"]}
+    failed = {name for name, c in by_name.items() if not c["pass"]}
+    assert failed == {"antiK_Y_dot_ell_V", "discriminant_dot_ell_V", "nef_cone_rays"}
+    assert by_name["nef_cone_rays"]["expected"] == [[1, 0], [0, 1]]
 
 
 @pytest.mark.parametrize("m", [2, 3])

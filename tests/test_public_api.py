@@ -59,7 +59,6 @@ REMOVED = [
     (verifier, "_chart_frame"),
     (verifier, "_chart_values"),
     (polynomial.Poly, "eval_with_gradient"),
-    (verifier.CoxPointY, "on_V"),
     (picard.DivisorClassY, "parse"),
     (verifier.LineProbe, "as_dict"),
     (conicbundle.DivisorClassZ, "__neg__"),
@@ -77,6 +76,9 @@ REMOVED = [
     (verifier, "FiberDiagnosis"),
     (verifier, "diagnose_conic"),
     (cones, "ChamberDecomposition"),
+    (verifier, "CoxPointY"),
+    (cones, "Cone2D"),
+    (cones, "primitive_ray"),
 ]
 
 
@@ -112,10 +114,8 @@ VALUES = [
     (picard.DivisorClassY, ("a", "b"), (1, -4), (1, 4)),
     (coxring.ConicMatrix, ("params",) + coxring._SLOT_NAMES + ("sigma_prime",), *[
         (M2, *(p for _, p in m.named_entries()), m.sigma_prime) for m in _DRAWN]),
-    (verifier.CoxPointY, ("x", "y"), ((1,) * 7, (1, 0, 0)), ((1,) * 7, (1, 0, 1))),
     (verifier.LineProbe, ("degree", "squarefree", "identically_zero"),
      (6, True, False), (-1, None, True)),
-    (cones.Cone2D, ("ray1", "ray2"), ((1, 0), (0, 1)), ((0, 1), (-1, 0))),
     (conicbundle.DivisorClassZ, ("xi", "a", "b"), (2, 0, -4), (2, 0, -6)),
 ]
 
@@ -176,18 +176,12 @@ def test_value_types_keep_their_arithmetic_and_messages():
         lambda: picard.ConstructionParams("2"),
         lambda: picard.ConstructionParams(True),
         lambda: picard.ConstructionParams(1),
-        lambda: cones.Cone2D((0, 1), (1, 0)),
-        lambda: cones.Cone2D.span((1, 0), (2, 0)),
-        lambda: verifier.CoxPointY((1,) * 7, (1, 2)),
         lambda: coxring.ConicMatrix(M2, **dict(entries, lam1=y0 * y0)),
         lambda: coxring.ConicMatrix(M2, **dict(entries, sigma=m3_y0 * m3_y0)),
     )] == [
         "m must be an integer, got '2'",
         "m must be an integer, got True",
         "m must be at least 2, got 1",
-        "rays must be stored counterclockwise",
-        "rays are parallel, the span is not a full cone",
-        "y must have three coordinates",
         "entry lam1 has degree 2D+0H, expected 2D-2H",
         "entry sigma is not in the ring of m = 2",
     ]
@@ -264,7 +258,7 @@ def test_step_loads_no_heavy_standard_module(footprint, step, module):
 
 def test_star_import_binds_exactly_all(footprint):
     assert footprint["star"] == sorted(footprint["all"])
-    assert len(footprint["all"]) == 32
+    assert len(footprint["all"]) == 30
     assert set(fanoconic.__all__) <= set(dir(fanoconic))
 
 
@@ -274,11 +268,12 @@ def test_unknown_name_raises_attribute_error(footprint):
 
 def test_conic_matrix_checks_hold_under_optimized_mode():
     # python -O strips assert statements; the degree and ring checks of
-    # ConicMatrix and the rank check of the node verdict are raises, so a
-    # bad entry and a rank-3 point are still refused
+    # ConicMatrix, the admissibility check of the audit and the rank check
+    # of the node verdict are raises, so a bad entry, a point inside
+    # {x = 0} and a rank-3 point are still refused
     code = """if True:
-        from fanoconic import (ConicMatrix, ConstructionParams, CoxPointY,
-                               check_smooth_at_node, cox_ring, instantiate_sections)
+        from fanoconic import (ConicMatrix, ConstructionParams, check_smooth_at_node,
+                               cox_ring, fiber_at, instantiate_sections)
         m2, m3 = ConstructionParams(2), ConstructionParams(3)
         drawn = instantiate_sections(m2, 1)
         entries = dict(drawn.named_entries(), sigma_prime=drawn.sigma_prime)
@@ -290,7 +285,11 @@ def test_conic_matrix_checks_hold_under_optimized_mode():
             except ValueError as exc:
                 print(name, "refused:", exc)
         try:
-            check_smooth_at_node(drawn, CoxPointY((1,) * 7, (1, 2, 3)))
+            fiber_at(drawn, (0,) * 7 + (1, 2, 3))
+        except ValueError as exc:
+            print("point refused:", exc)
+        try:
+            check_smooth_at_node(drawn, (1,) * 7 + (1, 2, 3))
         except ValueError as exc:
             print("node refused:", exc)
     """
@@ -301,5 +300,6 @@ def test_conic_matrix_checks_hold_under_optimized_mode():
     assert done.stdout.splitlines() == [
         "degree refused: polynomial is not bigraded homogeneous: 1D+0H, 2D-2H",
         "ring refused: entry sigma is not in the ring of m = 2",
+        "point refused: Cox data lies inside the locus x = 0",
         "node refused: fiber does not have rank 2 at this point",
     ]

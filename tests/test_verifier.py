@@ -32,7 +32,6 @@ from fanoconic.polynomial import Poly, PolyRing, u_degree, u_is_squarefree, u_mu
 from fanoconic.verifier import (
     LINE_RESAMPLE_CAP,
     Z_GRID,
-    CoxPointY,
     LineProbe,
     boundary_identity_verdict,
     check_smooth_at_node,
@@ -97,14 +96,30 @@ def test_conic_ring_names():
     assert conic_ring(ConstructionParams(2)) is ring
 
 
-def test_cox_point():
-    p = CoxPointY((1, 0, 0, 0, 0, 0, 0), (2, 0, 0))
-    assert p.coords == (1, 0, 0, 0, 0, 0, 0, 2, 0, 0)
-    assert p.is_admissible()
-    assert not CoxPointY((0,) * 7, (1, 0, 0)).is_admissible()
-    assert not CoxPointY((1,) * 7, (0, 0, 0)).is_admissible()
-    with pytest.raises(ValueError):
-        CoxPointY((1,) * 7, (1, 0))
+_INADMISSIBLE = {
+    "short": ((1,) * 7 + (1, 2), "wrong number of coordinates"),
+    "long": ((1,) * 7 + (1, 2, 3, 4), "wrong number of coordinates"),
+    "x_zero": ((0,) * 7 + (1, 2, 3), "locus x = 0"),
+    "y_zero": ((1,) * 7 + (0, 0, 0), "locus y = 0"),
+}
+
+
+@pytest.mark.parametrize("bad", list(_INADMISSIBLE))
+@pytest.mark.parametrize("audit", ["fiber_at", "check_smooth_at_node",
+                                   "discriminant_on_line"])
+def test_audit_entry_points_refuse_inadmissible_data(default_matrix, audit, bad):
+    # the three entry points share one check: n_x + 3 coordinates, x first,
+    # and a point or line off {x = 0} and {y = 0}; the line's direction has
+    # the zeros of its point, so the line stays inside the same locus
+    point, message = _INADMISSIBLE[bad]
+    line = (point, tuple(c * (i + 2) for i, c in enumerate(point)))
+    calls = {
+        "fiber_at": lambda: fiber_at(default_matrix, point),
+        "check_smooth_at_node": lambda: check_smooth_at_node(default_matrix, point),
+        "discriminant_on_line": lambda: discriminant_on_line(default_matrix, *line),
+    }
+    with pytest.raises(ValueError, match=message):
+        calls[audit]()
 
 
 # -- conic diagnosis --------------------------------------------------------
@@ -256,7 +271,7 @@ def test_quadratic_form_evaluates_like_matrix(default_matrix):
         expected = sum(
             rows[i][j] * z[i] * z[j] for i in range(3) for j in range(3)
         )
-        assert F.eval(p.coords + z) == expected
+        assert F.eval(p + z) == expected
 
 
 @pytest.mark.parametrize("perturb", [False, True])
@@ -275,8 +290,8 @@ def test_entry_evaluation_matches_term_oracle(
 ):
     matrix = perturbed_matrix if perturb else default_matrix
     rng = random.Random(5)
-    points = [sample_v_point(M2, rng, coeff_range=30).coords,
-              sample_generic_point(M2, rng, coeff_range=30).coords,
+    points = [sample_v_point(M2, rng, coeff_range=30),
+              sample_generic_point(M2, rng, coeff_range=30),
               (0,) * M2.n_x + (0, 1, 0)]
     point, direction = _sample_chart_line(M2, rng, 9)
     points += [tuple(p + t * d for p, d in zip(point, direction))
@@ -294,7 +309,7 @@ def test_fiber_over_V_is_double_line(default_matrix):
     for _ in range(5):
         p = sample_v_point(M2, rng, coeff_range=30)
         assert fiber_at(default_matrix, p) == (1, None)
-        assert default_matrix.sigma.eval(p.coords) != 0
+        assert default_matrix.sigma.eval(p) != 0
 
 
 def test_generic_fiber_is_smooth_conic(default_matrix):
@@ -306,7 +321,7 @@ def test_generic_fiber_is_smooth_conic(default_matrix):
 
 def test_fiber_rejects_inadmissible_point(default_matrix):
     with pytest.raises(ValueError):
-        fiber_at(default_matrix, CoxPointY((0,) * 7, (1, 2, 3)))
+        fiber_at(default_matrix, (0,) * 7 + (1, 2, 3))
 
 
 def test_fiber_rank_is_torus_invariant(default_matrix):
@@ -314,10 +329,8 @@ def test_fiber_rank_is_torus_invariant(default_matrix):
     for on_v in (False, True):
         sampler = sample_v_point if on_v else sample_generic_point
         p = sampler(M2, rng, coeff_range=20)
-        scaled = CoxPointY(
-            tuple(2 * c for c in p.x),
-            (3 * p.y[0], Fraction(p.y[1], 16), Fraction(p.y[2], 16)),
-        )
+        x, (y0, y1, y2) = p[:M2.n_x], p[M2.n_x:]
+        scaled = tuple(2 * c for c in x) + (3 * y0, Fraction(y1, 16), Fraction(y2, 16))
         assert fiber_at(default_matrix, p)[0] == fiber_at(default_matrix, scaled)[0]
 
 
@@ -329,7 +342,7 @@ def _rank_two_witness(matrix):
     b_val = matrix.lam2.eval(x0 + (0, 1, 0))
     a_val = matrix.lam2.eval(x0 + (1, 1, 0)) - b_val
     assert a_val != 0 and b_val != 0
-    return CoxPointY(x0, (b_val, -a_val, 0))
+    return x0 + (b_val, -a_val, 0)
 
 
 def test_deterministic_line_pair_witness(default_matrix):
@@ -354,9 +367,9 @@ def _node_gradient_nonzero(matrix, point, node):
     (point, node), each partial by diff; the z-partials 2 S node vanish."""
     k0, k1, k2 = node
     weights = (k0 * k0, 2 * k0 * k1, k1 * k1, 2 * k0 * k2, 2 * k1 * k2, k2 * k2)
-    grads = [eval_gradient_terms(poly, point.coords) for _, poly in matrix.named_entries()]
+    grads = [eval_gradient_terms(poly, point) for _, poly in matrix.named_entries()]
     return any(sum(w * g[v] for w, g in zip(weights, grads))
-               for v in range(len(point.coords)))
+               for v in range(len(point)))
 
 
 def test_node_verdict_off_the_y0_chart(default_matrix):
@@ -369,11 +382,11 @@ def test_node_verdict_off_the_y0_chart(default_matrix):
     z = ring.zero()
     s1, s3 = x0 ** 4 * y1 * y1, x0 ** 4 * y2 * y2
     cases = [
-        (default_matrix, CoxPointY((1, 2, -1, 3, 1, -2, 1), (0, 1, 2)), True),
+        (default_matrix, (1, 2, -1, 3, 1, -2, 1) + (0, 1, 2), True),
         (ConicMatrix(M2, s1, z, s3, z, z, z, sigma_prime=Y0),
-         CoxPointY((1,) + (0,) * 6, (0, 1, 1)), False),
+         (1,) + (0,) * 6 + (0, 1, 1), False),
         (ConicMatrix(M2, s1, z, s3, z, z, x0 ** 7 * x1 * y1 * y1, sigma_prime=Y0),
-         CoxPointY((1,) + (0,) * 6, (0, 1, 1)), True),
+         (1,) + (0,) * 6 + (0, 1, 1), True),
     ]
     for matrix, p, smooth in cases:
         rank, node = fiber_at(matrix, p)
@@ -385,8 +398,7 @@ def test_node_verdict_off_the_y0_chart(default_matrix):
 def test_node_check_refuses_non_integer_data(default_matrix):
     p = _rank_two_witness(default_matrix)
     with pytest.raises(ValueError, match="integers"):
-        check_smooth_at_node(default_matrix, CoxPointY(
-            (Fraction(1),) + p.x[1:], p.y))
+        check_smooth_at_node(default_matrix, (Fraction(1),) + p[1:])
     halved = rebuilt_matrix(default_matrix, lam2=default_matrix.lam2 * Fraction(1, 2))
     with pytest.raises(ValueError, match="lam2 has a non-integer coefficient"):
         check_smooth_at_node(halved, p)
@@ -400,7 +412,7 @@ def test_singular_node_is_reported():
     y0, y1, y2 = ring.var("y0"), ring.var("y1"), ring.var("y2")
     z = ring.zero()
     matrix = ConicMatrix(M2, y0 * y1, z, y0 * y2, z, z, z, sigma_prime=y0)
-    p = CoxPointY((1, 0, 0, 0, 0, 0, 0), (1, 1, 1))
+    p = (1, 0, 0, 0, 0, 0, 0) + (1, 1, 1)
     assert fiber_at(matrix, p) == (2, (0, 0, 1))
     assert check_smooth_at_node(matrix, p) is False
     assert chart_gradient(matrix, p, (0, 0, 1)) == (True, False)
@@ -408,7 +420,7 @@ def test_singular_node_is_reported():
 
 def test_whole_plane_on_zero_matrix():
     matrix = ConicMatrix(M2, *_zero_entries(), sigma_prime=Y0)
-    p = CoxPointY((1,) * 7, (1, 2, 3))
+    p = (1,) * 7 + (1, 2, 3)
     assert fiber_at(matrix, p) == (0, None)
 
 
@@ -500,7 +512,7 @@ def _chart_node(matrix, point, node):
     # chart_gradient moves the point to x_{j*} = 1, y0 = 1, which turns S
     # into diag(nu, nu, 1) S diag(nu, nu, 1) up to a scalar, nu = x_{j*}^m,
     # so its kernel is diag(1, 1, nu) node up to a scalar
-    nu = max(point.x, key=abs) ** matrix.params.m
+    nu = max(point[:matrix.params.n_x], key=abs) ** matrix.params.m
     return node[0], node[1], node[2] * nu
 
 
@@ -543,7 +555,7 @@ def _node_case(rng, monomials, singular):
         lam1 = section((2, -2), -k1 * lam2.eval(coords) - k2 * sigma.eval(coords))
         s1 = section((2, -4), -k1 * s2.eval(coords) - k2 * lam1.eval(coords))
     matrix = ConicMatrix(M2, s1, s2, s3, lam1, lam2, sigma, sigma_prime=Y0)
-    return matrix, CoxPointY(coords[:M2.n_x], coords[M2.n_x:])
+    return matrix, coords
 
 
 def test_audit_matches_rescaling_oracle(section_monomials):
@@ -588,8 +600,8 @@ def test_v_verdicts_match_rescaling_oracle(label, default_matrix, perturbed_matr
               if f["check"] == "gradient_on_W"}
     assert all(z[2] == 0 for z in Z_GRID)
     for i, sample in enumerate(v["samples"]):
-        p = CoxPointY(sample["x"], (sample["y0"], 0, 0))
-        values = [eval_terms(poly, p.coords) for _, poly in matrix.named_entries()]
+        p = (*sample["x"], sample["y0"], 0, 0)
+        values = [eval_terms(poly, p) for _, poly in matrix.named_entries()]
         rank = rref_rank(_s_rows(*values))
         assert sample["fiber"] == ("DOUBLE_LINE" if rank == 1 else "WHOLE_PLANE")
         assert sample["sigma_nonzero"] == (values[-1] != 0)
@@ -832,7 +844,7 @@ def test_line_probe_work(perturbed_matrix, monkeypatch, sampler):
     assert len(evals) == 5
     assert not ranks
     # the counter sits where the fiber diagnosis looks the function up
-    fiber_at(matrix, CoxPointY(point[:M2.n_x], point[M2.n_x:]))
+    fiber_at(matrix, point)
     assert ranks == [1]
 
 
@@ -948,10 +960,11 @@ def test_line_degree_bounds_are_memoized_per_support():
 def test_samplers():
     rng = random.Random(31)
     for _ in range(10):
+        nx = M2.n_x
         p = sample_v_point(M2, rng, coeff_range=10)
-        assert p.y[1:] == (0, 0) and p.is_admissible() and p.y[0] != 0
+        assert len(p) == nx + 3 and any(p[:nx]) and p[nx] != 0 and p[nx + 1:] == (0, 0)
         q = sample_generic_point(M2, rng, coeff_range=10)
-        assert q.y[1:] != (0, 0) and q.is_admissible() and q.y[0] != 0
+        assert len(q) == nx + 3 and any(q[:nx]) and q[nx] != 0 and q[nx + 1:] != (0, 0)
     rng_a, rng_b = random.Random(5), random.Random(5)
     assert sample_v_point(M2, rng_a, 10) == sample_v_point(M2, rng_b, 10)
 
