@@ -18,35 +18,28 @@ Section counts of a class (a, b) have the closed form
                                                             b + 2ms < 0 drop)
 
 because a monomial basis is enumerated by the split k_1 + k_2 = s (with
-s+1 choices) times the x-monomials of degree b + 2ms.  From its first
-nonzero term on, the sum is a polynomial of degree 3m + 2 in a, so
-count_sections adds up 3m + 2 terms at most and extrapolates the rest by
-forward differences.  Base loci are the minimal primes of the monomial
-ideal of the class, the minimal hitting sets of its monomial supports; the
-x-variables enter only through the collapsed question "does the monomial
-use any x at all", since x-monomials of a fixed positive degree realize
-every single-variable support.  On this grading the only prime that can
-survive is (y1, y2), so a base locus is empty, V, or all of Y.
+s+1 choices) times the x-monomials of degree b + 2ms; count_sections adds
+up at most 3m + 2 of its terms and extrapolates the rest.  A base locus
+(base_locus) is empty, V, or all of Y.
 
 The member the audit checks is drawn here too (instantiate_sections),
-so drawing one loads only picard, polynomial and this module.  Each
-basis is enumerated once per draw, sharing the x-monomials of each
-x-degree, and each entry of the conic matrix is built as one term dict:
-the products by y1 and y2 are exponent shifts, and sigma'^2 is one pass
-over pairs of x-monomials that gives its y1^2, y1 y2 and y2^2 parts
-together.
+so drawing one loads only picard, polynomial and this module.  An entry
+is a block of coefficients per y-pattern over a slice of the ring's key
+table of x-monomials, taken once per x-degree and draw; sums add blocks,
+products by y1 and y2 shift them, sigma'^2 is one pass over pairs of
+x-monomials, and each entry's evaluation plan is read off its blocks.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cached_property, lru_cache
-from itertools import combinations, groupby, repeat
+from itertools import count, repeat
 from math import comb
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .picard import ConstructionParams, DivisorClassY, _Record
-from .polynomial import Poly, PolyRing
+from .polynomial import Poly, PolyRing, _key_slice, _poly_from_blocks
 
 
 @lru_cache(maxsize=None)
@@ -157,35 +150,17 @@ def y_patterns(cls_: DivisorClassY, params: ConstructionParams, min_y_order: int
             yield (k0, k1, s - k1, d)
 
 
-def _compositions(total: int, parts: int):
-    # weak compositions by stars and bars
-    if parts == 1:
-        yield (total,)
-        return
-    for bars in combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        out = []
-        for bar in bars:
-            out.append(bar - prev - 1)
-            prev = bar
-        out.append(total + parts - 1 - prev - 1)
-        yield tuple(out)
-
-
 def base_locus(cls_: DivisorClassY, params: ConstructionParams) -> dict:
     """Base locus of |aD + bH|: {"class": str(cls_), "strata": [...],
     "raw_primes": [...]}.
 
     The minimal primes of a monomial ideal are the minimal hitting sets of
-    its monomial supports.  Supports are collapsed to the pattern level: an
-    "X" marker stands for the whole x-block, because a pattern with positive
-    x-degree contains the monomial on any single x-variable.  Primes holding
-    all x or all y cut the irrelevant loci, so only sets of one or two y's
-    count, and on this grading only {y1, y2} can hit: for a >= 1 the split
-    s = a has a support without y0, one without y1 and one without y2, and
-    for a = 0 no y occurs.  So the answer is FULL off the effective cone, V
-    when {y1, y2} meets every support, and EMPTY otherwise, the unit ideal
-    (an empty support) included.
+    its monomial supports, here one per pattern, "X" standing for the
+    x-block (a positive x-degree has a monomial on any one x).  Primes
+    holding all x or all y cut the irrelevant loci, and for a >= 1 the
+    split s = a has supports without y0, without y1 and without y2, so only
+    {y1, y2} can hit.  The answer is FULL off the effective cone, V when
+    {y1, y2} meets every support, and EMPTY otherwise (also for a = 0).
     """
     label = str(cls_)
     if not is_effective(cls_, params):
@@ -226,53 +201,14 @@ def _nonzero_draws(rng: random.Random, bound: int, count: int) -> list:
     return draws
 
 
-def section_bases(keys, params: ConstructionParams) -> dict:
-    """{(class, min_y_order): the sorted exponent tuples of its monomial
-    basis} for each key, in the order draw_on_basis gives them their
-    coefficients.  Each x-degree's monomials are enumerated once, for every
-    pattern and basis that has it, and a repeated key shares its basis.
-
-    Order matches the ring variables: x exponents first, then y_0, y_1, y_2.
-    Beware of sizes: counts grow like binomials in 3m, check count_sections
-    before materializing.
-    """
-    nx = params.n_x
-    x_monomials = {}
-    bases = {}
-    for cls_, order in keys:
-        if (cls_, order) in bases:
-            continue
-        basis = []
-        # the patterns of one x-degree come together, sorted by their tails
-        for d, patterns in groupby(y_patterns(cls_, params, order), itemgetter(3)):
-            alphas = x_monomials.get(d)
-            if alphas is None:
-                alphas = x_monomials[d] = list(_compositions(d, nx))
-            tails = [pattern[:3] for pattern in patterns]
-            basis += [alpha + tail for alpha in alphas for tail in tails]
-        basis.sort()
-        bases[cls_, order] = basis
-    return bases
-
-
-def draw_on_basis(basis: list, params: ConstructionParams, rng: random.Random,
-                  coeff_range: int) -> Poly:
-    """One coefficient from rng per basis monomial, in order, uniform on
-    [-coeff_range, coeff_range] without 0; an empty basis gives zero."""
-    coeffs = _nonzero_draws(rng, coeff_range, len(basis))
-    return Poly(cox_ring(params), dict(zip(basis, coeffs)))
-
-
 # -- the drawn member --------------------------------------------------------
 #
-# The symmetric matrix S of sections that cuts one member (see verifier), with
-# the special shape s1 = sigma' y1, s2 = s3 = sigma' y2, sigma = sigma'^2 and
-# sigma' = y0, plus the random corrections of perturb mode.
+# The symmetric matrix S of sections that cuts one member (see verifier).
 
 # Sections are drawn dense, one coefficient per basis monomial.  A draw whose
 # bases add up to more monomials than this is refused before anything is
-# drawn: at m = 4 each lam entry alone would have 8.1 million terms.  Each
-# count stops at the limit, so the refusal is immediate for every m.
+# drawn (at m = 4 each lam entry alone has 8.1 million terms); each count
+# stops at the limit, so the refusal is immediate for every m.
 MAX_SECTION_TERMS = 1_000_000
 
 _SLOT_NAMES = ("s1", "s2", "s3", "lam1", "lam2", "sigma")
@@ -296,11 +232,9 @@ def _slot_degrees(params: ConstructionParams) -> dict:
 class ConicMatrix(_Record):
     """The six section entries of S, plus sigma'.
 
-    sigma_prime is required: the boundary identity is stated through it,
-    for the default and the perturbed family alike.  Entries and sigma'
-    must lie in cox_ring(params), and the entries are degree-validated at
-    construction, every term of every entry (the zero polynomial is
-    allowed in any slot).
+    sigma_prime is required: the boundary identity is stated through it.
+    Entries and sigma' must lie in cox_ring(params), and every term of
+    every entry is degree-validated at construction (a zero entry passes).
     """
 
     params: ConstructionParams
@@ -371,12 +305,11 @@ def _section_draws(params, perturb):
 
 
 def _draw_matrix(params, rng, coeff_range, perturb) -> ConicMatrix:
-    """Draw the section matrix from rng.
-
-    With sigma' = y0 plus its correction, the entries are s1 = sigma' y1 + r1,
-    s2 = sigma' y2 + r2, s3 = sigma' y2 + r3 and sigma = sigma'^2 + w: the
-    products by y1 and y2 are exponent shifts, and sigma'^2 is one pass over
-    pairs of x-monomials (_square_sigma_prime).
+    """Draw the section matrix from rng, a section as blocks {(k0, k1,
+    k2): coefficients over the x-monomials in key table order} drawn in
+    sorted basis order (_basis_layout).  With sigma' = y0 + y1 A + y2 B (A,
+    B drawn in perturb mode), s1 = sigma' y1 + r1, s2 = sigma' y2 + r2,
+    s3 = sigma' y2 + r3 and sigma = sigma'^2 + w.
     """
     draws = _section_draws(params, perturb)
     size = sum(count_sections(cls_, params, limit=MAX_SECTION_TERMS) for cls_, _ in draws)
@@ -384,84 +317,100 @@ def _draw_matrix(params, rng, coeff_range, perturb) -> ConicMatrix:
         raise ValueError(
             f"the {'perturbed ' if perturb else ''}sections at m = {params.m} "
             f"span above the limit of {MAX_SECTION_TERMS} monomials")
-    bases = section_bases(draws, params)
-    lam1, lam2, *extra = [draw_on_basis(bases[key], params, rng, coeff_range)
-                          for key in draws]
+    ring, nx, t = cox_ring(params), params.n_x, params.twist
+    slices, layouts, sections, exps = {}, {}, [], {}
 
-    ring = cox_ring(params)
-    nx = params.n_x
-    sigma_prime = ring.var(nx)
-    r1 = r2 = r3 = w = ring.zero()
+    def keys(d):  # the x-monomials of degree d, sliced once per draw
+        if d not in slices:
+            slices[d] = _key_slice(ring, nx, d)
+        return slices[d]
+
+    for key in draws:
+        if key not in layouts:
+            layouts[key] = _basis_layout(*key, params, keys)
+        n, layout = layouts[key]
+        coeffs = _nonzero_draws(rng, coeff_range, n)
+        sections.append({tail: list(map(coeffs.__getitem__, ranks)) for tail, ranks in layout})
+    lam1, lam2, *extra = sections
+    sigma_prime = {(1, 0, 0): [1]}
+    r1 = r2 = r3 = w = {}
     if perturb:
-        sigma_extra, r1, r2, w, r3 = extra
-        sigma_prime = sigma_prime + sigma_extra
-    sigma_prime_y1, sigma_prime_y2 = (Poly(ring, _times_var(sigma_prime.terms, i))
-                                      for i in (nx + 1, nx + 2))
-    # w is merged into the dict of sigma'^2, so the largest entry is built once
-    sigma = _square_sigma_prime(sigma_prime.terms, nx)
-    get = sigma.get
-    for e, c in w.terms.items():
-        sigma[e] = get(e, 0) + c
-    return ConicMatrix(params, sigma_prime_y1 + r1, sigma_prime_y2 + r2,
-                       sigma_prime_y2 + r3, lam1, lam2, Poly(ring, sigma),
-                       sigma_prime=sigma_prime)
+        correction, r1, r2, w, r3 = extra
+        sigma_prime.update(correction)
+
+    def poly(b, blocks, *more):
+        # the entry of class (2, b), or sigma', from the sum of the blocks;
+        # the exponent tuples, and x-exponents exps[d], are made once per draw
+        for other in more:
+            blocks = dict(blocks)
+            for tail, c in other.items():
+                blocks[tail] = list(map(add, blocks[tail], c)) if tail in blocks else c
+        out = []
+        for tail, c in blocks.items():
+            d = b + t * (tail[1] + tail[2])
+            if (tail, d) not in exps:
+                if d not in exps:
+                    exps[d] = [tuple(k.to_bytes(nx, "big")) for k in keys(d)]
+                exps[tail, d] = [alpha + tail for alpha in exps[d]]
+            out.append((tail, d, exps[tail, d], c))
+        return _poly_from_blocks(ring, nx, out)
+
+    y1, y2 = ({(k0, k1 + j, k2 + 1 - j): c for (k0, k1, k2), c in sigma_prime.items()}
+              for j in (1, 0))
+    return ConicMatrix(params, poly(-t, y1, r1), poly(-t, y2, r2), poly(-t, y2, r3),
+                       poly(-params.m, lam1), poly(-params.m, lam2),
+                       poly(0, _square_blocks(sigma_prime, keys, t), w),
+                       sigma_prime=poly(0, sigma_prime))
 
 
-def _times_var(terms: dict, i: int) -> dict:
-    """The term dict times the variable of index i."""
-    return {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in terms.items()}
+def _basis_layout(cls_, min_y_order, params, keys) -> tuple:
+    """(size, [(tail, ranks)]), a pair per y-pattern: ranks places each
+    x-monomial, in key table order, in the sorted basis.  Keys sort the
+    x-monomials of a degree, and the patterns of an x-degree come in the
+    order of their tails, so key * n + index sorts the basis of n patterns."""
+    patterns = list(y_patterns(cls_, params, min_y_order))
+    n, flat = len(patterns), []
+    for p, (*_, d) in enumerate(patterns):
+        flat += [k * n + p for k in keys(d)]
+    ranks = list(map(dict(zip(sorted(flat), count())).__getitem__, flat))
+    layout, lo = [], 0
+    for k0, k1, k2, d in patterns:
+        layout.append(((k0, k1, k2), ranks[lo:lo + len(keys(d))]))
+        lo += len(keys(d))
+    return len(flat), layout
 
 
-def _square_sigma_prime(terms: dict, nx: int) -> dict:
-    """The term dict of sigma'^2, zero coefficients kept, for the terms of
-    sigma' = c y0 + y1 A + y2 B with A and B polynomials in the x alone and
-    int coefficients; ValueError on any other term.
+def _square_blocks(sigma_prime: dict, keys, t: int) -> dict:
+    """The blocks of sigma'^2 = y0^2 + 2 y0 (y1 A + y2 B) + y1^2 A^2 +
+    2 y1 y2 AB + y2^2 B^2 for sigma' = y0 + y1 A + y2 B, or y0.
 
-    Each x-monomial alpha of A or B is packed into one int, a byte per
-    exponent (each at most 127, so a sum of two cannot carry), and its
-    coefficients (a, b) into a + b U with U = 2^k.  The product of two of
-    these is a a' + (a b' + a' b) U + b b' U^2, so one pass over the pairs
-    alpha <= alpha' gives the coefficients of A^2, 2AB and B^2 together.
-    With N the l1 norm of A and B, each of the three is at most N^2 in
-    absolute value, so k = bit length of N^2, plus 1, keeps them apart as
-    balanced base-U digits.
+    An x-monomial's coefficients (a, b) in A and B pack into a + b U,
+    U = 2^k; a product of two is a a' + (a b' + a' b) U + b b' U^2, added
+    at the place of the sum of their keys, so one pass over the pairs
+    gives A^2, 2AB and B^2.  Each is at most N^2 in absolute value, N the
+    l1 norm of A and B, so k = bit length of N^2, plus 1, keeps them apart.
     """
-    y0 = (0,) * nx + (1, 0, 0)
-    c = terms.get(y0, 0)
-    out = {(0,) * nx + (2, 0, 0): c * c} if c else {}
-    forms = {}
-    for e, coeff in terms.items():
-        if e == y0:
-            continue
-        if e[nx:] not in ((0, 1, 0), (0, 0, 1)):
-            raise ValueError(f"sigma' has a term {e} outside c y0 + y1 A + y2 B")
-        if c:
-            out[e[:nx] + (1,) + e[nx + 1:]] = 2 * c * coeff
-        # a, the coefficient of y1 x^alpha, goes first; b, of y2 x^alpha, second
-        forms.setdefault(e[:nx], [0, 0])[e[nx + 2]] = coeff
-    if max(map(max, forms), default=0) > 127:
-        raise ValueError("sigma' has an x exponent above 127")
-
-    norm = sum(abs(a) + abs(b) for a, b in forms.values())
-    k = (norm * norm).bit_length() + 1
-    packed = [(int.from_bytes(bytes(alpha), "little"), a + (b << k))
-              for alpha, (a, b) in forms.items()]
-    sums = {}
-    get = sums.get
+    out = {(2, 0, 0): [1]}
+    if (0, 1, 0) not in sigma_prime:
+        return out
+    a, b = sigma_prime[0, 1, 0], sigma_prime[0, 0, 1]
+    out[1, 1, 0], out[1, 0, 1] = [c + c for c in a], [c + c for c in b]
+    k = ((sum(map(abs, a)) + sum(map(abs, b))) ** 2).bit_length() + 1
+    packed = list(zip(keys(t), [x + (y << k) for x, y in zip(a, b)]))
+    place = dict(zip(keys(2 * t), count()))
+    sums = [0] * len(place)
     for i, (key1, v1) in enumerate(packed):
-        key = key1 + key1
-        sums[key] = get(key, 0) + v1 * v1
+        sums[place[key1 + key1]] += v1 * v1
         v1 += v1  # the pair (i, j) stands for (j, i) too
         for key2, v2 in packed[i + 1:]:
-            key = key1 + key2
-            sums[key] = get(key, 0) + v1 * v2
+            sums[place[key1 + key2]] += v1 * v2
     half, mask = 1 << (k - 1), (1 << k) - 1
-    for key, v in sums.items():
-        alpha = tuple(key.to_bytes(nx, "little"))
-        aa = ((v + half) & mask) - half
-        v = (v - aa) >> k
-        ab = ((v + half) & mask) - half
-        out[alpha + (0, 2, 0)] = aa
-        out[alpha + (0, 1, 1)] = ab
-        out[alpha + (0, 0, 2)] = (v - ab) >> k
+    aa, ab, bb = out[0, 2, 0], out[0, 1, 1], out[0, 0, 2] = [], [], []
+    for v in sums:
+        x = ((v + half) & mask) - half
+        v = (v - x) >> k
+        y = ((v + half) & mask) - half
+        aa.append(x)
+        ab.append(y)
+        bb.append((v - y) >> k)
     return out

@@ -1,17 +1,17 @@
 """Sparse exact polynomial arithmetic over the rationals.
 
-Everything downstream (section sampling, conic matrices, fiber diagnosis,
-line probes) runs on these polynomials, so the representation is kept
-deliberately plain: a polynomial is a dict mapping exponent tuples to nonzero
-int or Fraction coefficients.  All arithmetic is exact, nothing here ever
-touches floats.
+The drawn sections, conic matrices and line probes run on these
+polynomials, each a dict mapping exponent tuples to nonzero int or
+Fraction coefficients.  All arithmetic is exact, nothing here touches
+floats.
 
-Point evaluation is the hot path of the instance audit, so each polynomial
-compiles its terms once into a plan: one dot product per trailing-variable
-pattern with the complete graded table of the leading-variable monomials,
-which the ring keeps for the next polynomial evaluated at the same point.
-The leading block shrinks before its table outgrows the polynomial, so it
-decides the speed, never the value.
+Point evaluation is the hot path of the instance audit, so a polynomial
+evaluates through a plan: one dot product per trailing-variable pattern
+with the complete graded table of the leading-variable monomials, which
+the ring keeps for the next polynomial evaluated at the same point.  A
+polynomial built from blocks of that layout reads its plan off them; any
+other compiles its terms once, its leading block shrunk before the table
+outgrows it (speed, never the value).  Plans also give degree bounds.
 
 The univariate helpers at the end work on coefficient lists.  Their
 squarefree test is certified modulo one fixed prime first and falls back
@@ -23,7 +23,7 @@ names are interchangeable.
 
 from __future__ import annotations
 
-from itertools import count, repeat
+from itertools import compress, count, repeat
 from math import comb, gcd, lcm
 from numbers import Rational
 from operator import add, itemgetter, mul
@@ -82,8 +82,8 @@ class Poly:
     """Immutable sparse polynomial: {exponent tuple: coefficient}.
 
     Construction normalizes nothing beyond dropping explicit zeros, so always
-    go through PolyRing factories or arithmetic.  The evaluation plan is
-    built on the first eval call and cached on the object.
+    go through PolyRing factories or arithmetic.  The evaluation plan comes
+    from the blocks (_poly_from_blocks) or is built on first use.
     """
 
     __slots__ = ("ring", "terms", "_plan")
@@ -171,9 +171,7 @@ class Poly:
     def eval(self, values) -> Rational:
         if len(values) != self.ring.n:
             raise ValueError("wrong number of values")
-        if self._plan is None:
-            self._plan = _build_plan(self.terms, self.ring.n)
-        lead, top, groups = self._plan
+        lead, top, groups = self._planned()
         get = _head_table(self.ring, tuple(values[:lead]), top).__getitem__
         total = 0
         for tail, coeffs, idx in groups:
@@ -183,6 +181,11 @@ class Poly:
                     s *= values[i] ** e
                 total += s
         return total
+
+    def _planned(self) -> tuple:
+        if self._plan is None:
+            self._plan = _build_plan(self.terms, self.ring)
+        return self._plan
 
     # -- display -----------------------------------------------------------
 
@@ -257,17 +260,16 @@ def _extend_table(table: list, head, done: int, top: int, op) -> None:
             table.extend(map(op, table[end - size:end], repeat(v)))
 
 
-def _build_plan(terms: dict, n: int) -> tuple:
-    """The evaluation plan (lead, top, groups) of a term dict in n variables.
+def _build_plan(terms: dict, ring: PolyRing) -> tuple:
+    """The evaluation plan (lead, top, groups) of a term dict of ring.
 
     groups holds one (tail, coeffs, idx) per trailing pattern: the
     (variable, exponent) pairs of the trailing monomial, the coefficients
     of its terms and the table indices of their leading monomials, found
-    in the table of keys that pack the exponents into bytes.
+    in the table of keys (_key_slice).
     """
-    lead, top = _trailing_split(terms, n)
-    keys = [0]
-    _extend_table(keys, [1 << 8 * (lead - 1 - i) for i in range(lead)], 0, top, add)
+    lead, top = _trailing_split(terms, ring.n)
+    keys = _key_slice(ring, lead, top, 0)
     index = dict(zip(map(tuple, map(int.to_bytes, keys, repeat(lead), repeat("big"))),
                      count()))
     grouped = {}
@@ -283,15 +285,59 @@ def _build_plan(terms: dict, n: int) -> tuple:
     return lead, top, groups
 
 
-def _head_table(ring: PolyRing, head: tuple, top: int) -> list:
-    """The table of the monomials in head up to degree top.  The ring keeps
-    the last one with its head values and their types, and extends it."""
-    key = (head, tuple(map(type, head)))
+def _key_slice(ring: PolyRing, lead: int, top: int, low=None) -> list:
+    """The keys of the monomials of degrees low (default top) to top in
+    the first lead variables, in table order: their exponents packed into
+    bytes, the first variable highest; keys add under products."""
+    keys = _head_table(ring, tuple(1 << 8 * i for i in reversed(range(lead))), top, add)
+    low = top if low is None else low
+    return keys[comb(low - 1 + lead, lead) if low else 0:comb(top + lead, lead)]
+
+
+def _poly_from_blocks(ring: PolyRing, lead: int, blocks) -> Poly:
+    """The polynomial of the blocks (tail, d, exps, coeffs): coefficients,
+    zeros allowed, of the degree-d monomials in the first lead variables
+    in table order, times those in tail, exps their exponent tuples.  Its
+    plan is read off the blocks."""
+    poly = Poly(ring, {})
+    groups, top = [], 0
+    for tail, d, exps, coeffs in blocks:
+        idx = range(comb(d - 1 + lead, lead), comb(d + lead, lead))
+        if 0 in coeffs:
+            idx, exps = list(compress(idx, coeffs)), compress(exps, coeffs)
+            coeffs = list(filter(None, coeffs))
+        if coeffs:
+            poly.terms.update(zip(exps, coeffs))
+            groups.append((tuple((lead + k, e) for k, e in enumerate(tail) if e),
+                           coeffs, idx))
+            top = max(top, d)
+    poly._plan = (lead, top, tuple(groups))
+    return poly
+
+
+def _support_degree(poly: Poly, support) -> int | None:
+    """The largest degree of a term of poly in the variables of support,
+    None for zero: the plan's table under add at the support's indicator,
+    then a max per group."""
+    if not poly.terms:
+        return None
+    lead, top, groups = poly._planned()
+    degrees = [0]
+    _extend_table(degrees, [int(i in support) for i in range(lead)], 0, top, add)
+    return max(max(map(degrees.__getitem__, idx)) + sum(e for i, e in tail if i in support)
+               for tail, _, idx in groups)
+
+
+def _head_table(ring: PolyRing, head: tuple, top: int, op=mul) -> list:
+    """The table of the monomials in head up to degree top, products by
+    op (mul; add for keys).  The ring keeps the last one with its op,
+    head values and their types, and extends it."""
+    key = (op, head, tuple(map(type, head)))
     if ring._table is None or ring._table[0] != key:
-        ring._table = [key, [1], 0]
+        ring._table = [key, [1 if op is mul else 0], 0]
     _, table, done = ring._table
     if done < top:
-        _extend_table(table, head, done, top, mul)
+        _extend_table(table, head, done, top, op)
         ring._table[2] = top
     return table
 

@@ -42,13 +42,13 @@ terms never contribute first-order terms along V.
 from __future__ import annotations
 
 import random
-from operator import itemgetter, mul
+from operator import mul
 
 from .coxring import ConicMatrix, _draw_matrix, _nonzero_draws
 from .linalg import rank_and_kernel_3x3
 from .picard import ConstructionParams, _Record
 from .polynomial import (
-    Poly,
+    _support_degree,
     u_add,
     u_degree,
     u_is_squarefree,
@@ -196,18 +196,6 @@ class LineProbe(_Record):
     identically_zero: bool
 
 
-def _line_degree_bound(poly: Poly, support) -> int | None:
-    """Largest t-degree a term of poly can reach on a line moving along
-    the given variable support, which must not be empty; None for the
-    zero polynomial."""
-    if not poly.terms:
-        return None
-    if len(support) == 1:
-        # itemgetter of one index returns the exponent, not a tuple
-        return max(map(itemgetter(*support), poly.terms))
-    return max(map(sum, map(itemgetter(*support), poly.terms)))
-
-
 # det S = s1 s3 sigma + 2 s2 lam1 lam2 - s3 lam1^2 - s1 lam2^2 - s2^2 sigma,
 # as (coefficient, factors) pairs
 _DET_TERMS = (
@@ -231,15 +219,16 @@ def _det_on_line(matrix: ConicMatrix, point, direction) -> list:
     the largest B of the six, so every coefficient lies in
     (-2^(K-1), 2^(K-1)) and the coefficients of f are the unique balanced
     base-2^K digits of its value.  A restriction with more digits than the
-    entry's line degree bound plus one raises.  det S is then expanded
-    from the six univariates.
+    entry's line degree bound plus one raises; the bound, the largest
+    degree of a term in the variables the line moves, is read off the
+    entry's evaluation plan (_support_degree) once per direction support.
+    det S is then expanded from the six univariates.
     """
     support = tuple(i for i, d in enumerate(direction) if d != 0)
     bounds = matrix._line_bounds.get(support)
     if bounds is None:
         bounds = matrix._line_bounds[support] = {
-            name: _line_degree_bound(poly, support)
-            for name, poly in matrix.named_entries()}
+            name: _support_degree(poly, support) for name, poly in matrix.named_entries()}
 
     sizes = matrix._entry_sizes
     reach = max(abs(p) + abs(d) for p, d in zip(point, direction))

@@ -17,9 +17,12 @@ instead of cone membership, and nonzero coefficients are drawn by randint
 instead of by rejection on getrandbits, bidegrees are read term by term,
 the drawn member is assembled by polynomial arithmetic instead of in
 one pass, and base loci are the minimal hitting sets among all 15 subsets
-of y0, y1, y2, X instead of six.  The one exception is
-squarefree_by_gcd: it is the exact gcd route of u_is_squarefree without
-the mod-p certificate in front of it.
+of y0, y1, y2, X instead of six.  Two exceptions: squarefree_by_gcd is
+the exact gcd route of u_is_squarefree without the mod-p certificate in
+front of it, and the draw on sorted bases (draw_by_bases, with
+section_bases, draw_on_basis and square_sigma_prime) and the per-term line
+degree bound are the package's earlier algorithms, kept as references
+for the draw in key-table blocks and the bounds read off the plans.
 
 The polynomial helpers at the end (differentiation, substitution,
 generators, lifting, serialization) exist only for the tests.
@@ -29,10 +32,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
+from operator import itemgetter
 
-from fanoconic.coxring import ConicMatrix, cox_ring, y_indices
+from fanoconic.coxring import ConicMatrix, _section_draws, cox_ring, y_indices, y_patterns
 from fanoconic.picard import DivisorClassY
 from fanoconic.polynomial import Poly, PolyRing, u_add, u_diff, u_gcd, u_mul, u_trim
 
@@ -146,6 +150,157 @@ def draw_by_arithmetic(params, seed: int, coeff_range: int = 100,
         "sigma": sigma_prime * sigma_prime + w, "sigma_prime": sigma_prime,
     }
     return {name: poly.terms for name, poly in entries.items()}
+
+
+# -- the draw on sorted bases ---------------------------------------------------
+
+
+def compositions(total: int, parts: int):
+    """The weak compositions of total into parts, by stars and bars."""
+    if parts == 1:
+        yield (total,)
+        return
+    for bars in combinations(range(total + parts - 1), parts - 1):
+        prev = -1
+        out = []
+        for bar in bars:
+            out.append(bar - prev - 1)
+            prev = bar
+        out.append(total + parts - 1 - prev - 1)
+        yield tuple(out)
+
+
+def section_bases(keys, params) -> dict:
+    """{(class, min_y_order): the sorted exponent tuples of its monomial
+    basis} for each key.  Each x-degree's monomials are enumerated once,
+    for every pattern and basis that has it, and a repeated key shares its
+    basis."""
+    nx = params.n_x
+    x_monomials = {}
+    bases = {}
+    for cls_, order in keys:
+        if (cls_, order) in bases:
+            continue
+        basis = []
+        # the patterns of one x-degree come together, sorted by their tails
+        for d, patterns in groupby(y_patterns(cls_, params, order), itemgetter(3)):
+            alphas = x_monomials.get(d)
+            if alphas is None:
+                alphas = x_monomials[d] = list(compositions(d, nx))
+            tails = [pattern[:3] for pattern in patterns]
+            basis += [alpha + tail for alpha in alphas for tail in tails]
+        basis.sort()
+        bases[cls_, order] = basis
+    return bases
+
+
+def draw_on_basis(basis: list, params, rng, coeff_range: int) -> Poly:
+    """One coefficient from rng per basis monomial, in order, uniform on
+    [-coeff_range, coeff_range] without 0; an empty basis gives zero."""
+    if coeff_range < 1:
+        raise ValueError("coeff_range must be positive")
+    coeffs = nonzero_draws_by_randint(rng, coeff_range, len(basis))
+    return Poly(cox_ring(params), dict(zip(basis, coeffs)))
+
+
+def times_var(terms: dict, i: int) -> dict:
+    """The term dict times the variable of index i."""
+    return {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in terms.items()}
+
+
+def square_sigma_prime(terms: dict, nx: int) -> dict:
+    """The term dict of sigma'^2, zero coefficients kept, for the terms of
+    sigma' = c y0 + y1 A + y2 B with A and B polynomials in the x alone and
+    int coefficients; ValueError on any other term.
+
+    Each x-monomial alpha of A or B is packed into one int, a byte per
+    exponent (each at most 127, so a sum of two cannot carry), and its
+    coefficients (a, b) into a + b U with U = 2^k.  The product of two of
+    these is a a' + (a b' + a' b) U + b b' U^2, so one pass over the pairs
+    alpha <= alpha' gives the coefficients of A^2, 2AB and B^2 together.
+    With N the l1 norm of A and B, each of the three is at most N^2 in
+    absolute value, so k = bit length of N^2, plus 1, keeps them apart as
+    balanced base-U digits.
+    """
+    y0 = (0,) * nx + (1, 0, 0)
+    c = terms.get(y0, 0)
+    out = {(0,) * nx + (2, 0, 0): c * c} if c else {}
+    forms = {}
+    for e, coeff in terms.items():
+        if e == y0:
+            continue
+        if e[nx:] not in ((0, 1, 0), (0, 0, 1)):
+            raise ValueError(f"sigma' has a term {e} outside c y0 + y1 A + y2 B")
+        if c:
+            out[e[:nx] + (1,) + e[nx + 1:]] = 2 * c * coeff
+        # a, the coefficient of y1 x^alpha, goes first; b, of y2 x^alpha, second
+        forms.setdefault(e[:nx], [0, 0])[e[nx + 2]] = coeff
+    if max(map(max, forms), default=0) > 127:
+        raise ValueError("sigma' has an x exponent above 127")
+
+    norm = sum(abs(a) + abs(b) for a, b in forms.values())
+    k = (norm * norm).bit_length() + 1
+    packed = [(int.from_bytes(bytes(alpha), "little"), a + (b << k))
+              for alpha, (a, b) in forms.items()]
+    sums = {}
+    get = sums.get
+    for i, (key1, v1) in enumerate(packed):
+        key = key1 + key1
+        sums[key] = get(key, 0) + v1 * v1
+        v1 += v1  # the pair (i, j) stands for (j, i) too
+        for key2, v2 in packed[i + 1:]:
+            key = key1 + key2
+            sums[key] = get(key, 0) + v1 * v2
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    for key, v in sums.items():
+        alpha = tuple(key.to_bytes(nx, "little"))
+        aa = ((v + half) & mask) - half
+        v = (v - aa) >> k
+        ab = ((v + half) & mask) - half
+        out[alpha + (0, 2, 0)] = aa
+        out[alpha + (0, 1, 1)] = ab
+        out[alpha + (0, 0, 2)] = (v - ab) >> k
+    return out
+
+
+def draw_by_bases(params, seed: int, coeff_range: int = 100, perturb: bool = False) -> dict:
+    """The entries and sigma' of instantiate_sections as term dicts, each
+    section drawn on its sorted basis (section_bases, draw_on_basis), the
+    products by y1 and y2 taken as exponent shifts and sigma'^2 by
+    square_sigma_prime, each sum a merge of term dicts."""
+    rng = random.Random(seed)
+    draws = _section_draws(params, perturb)
+    bases = section_bases(draws, params)
+    lam1, lam2, *extra = [draw_on_basis(bases[key], params, rng, coeff_range)
+                          for key in draws]
+    ring = cox_ring(params)
+    nx = params.n_x
+    sigma_prime = ring.var(nx)
+    r1 = r2 = r3 = w = ring.zero()
+    if perturb:
+        sigma_extra, r1, r2, w, r3 = extra
+        sigma_prime = sigma_prime + sigma_extra
+    sigma_prime_y1, sigma_prime_y2 = (Poly(ring, times_var(sigma_prime.terms, i))
+                                      for i in (nx + 1, nx + 2))
+    sigma = square_sigma_prime(sigma_prime.terms, nx)
+    for e, c in w.terms.items():
+        sigma[e] = sigma.get(e, 0) + c
+    entries = {"s1": sigma_prime_y1 + r1, "s2": sigma_prime_y2 + r2,
+               "s3": sigma_prime_y2 + r3, "lam1": lam1, "lam2": lam2,
+               "sigma": Poly(ring, sigma), "sigma_prime": sigma_prime}
+    return {name: poly.terms for name, poly in entries.items()}
+
+
+def line_degree_bound(poly, support) -> int | None:
+    """Largest t-degree a term of poly can reach on a line moving along
+    the given variable support, which must not be empty, each term
+    projected on the support; None for the zero polynomial."""
+    if not poly.terms:
+        return None
+    if len(support) == 1:
+        # itemgetter of one index returns the exponent, not a tuple
+        return max(map(itemgetter(*support), poly.terms))
+    return max(map(sum, map(itemgetter(*support), poly.terms)))
 
 
 # -- base loci ----------------------------------------------------------------

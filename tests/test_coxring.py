@@ -2,6 +2,8 @@
 bigraded coordinate ring, cross-checked against independent enumeration."""
 
 import random
+import tracemalloc
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -9,31 +11,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanoconic.coxring import (
-    _square_sigma_prime,
     base_locus,
     count_sections,
     cox_ring,
-    draw_on_basis,
     generator_degrees,
     is_effective,
     _nonzero_draws,
     poly_degree,
-    section_bases,
     instantiate_sections,
     y_indices,
     y_patterns,
 )
 from fanoconic.picard import ConstructionParams, DivisorClassY
-from fanoconic.polynomial import Poly
+from fanoconic.polynomial import Poly, _support_degree
 
 from .oracles import (
     base_locus_by_hitting_sets,
     count_monomials,
     count_sections_by_sum,
     draw_by_arithmetic,
+    draw_by_bases,
+    draw_on_basis,
     enumerate_monomials,
+    line_degree_bound,
     nonzero_draws_by_randint,
     poly_degree_by_terms,
+    section_bases,
+    square_sigma_prime,
 )
 
 M2 = ConstructionParams(2)
@@ -338,6 +342,8 @@ def test_random_section_rng_sequencing():
 def test_random_section_argument_validation():
     with pytest.raises(ValueError):
         _random_section(DivisorClassY(1, 0), seed=1, coeff_range=0)
+    with pytest.raises(ValueError, match="coeff_range"):
+        instantiate_sections(M2, 1, coeff_range=0)
 
 
 def test_random_section_min_y_order():
@@ -393,6 +399,66 @@ def test_one_pass_draw_matches_the_arithmetic_draw(m, seed, perturb):
     assert ours == draw_by_arithmetic(params, seed, perturb=perturb)
 
 
+def _entries(matrix) -> dict:
+    return {**dict(matrix.named_entries()), "sigma_prime": matrix.sigma_prime}
+
+
+def _probe_points(params, rng):
+    # an int point, a Fraction point and a point of the size of a line
+    # probe's Kronecker substitution, a few hundred bits a coordinate
+    n = params.n_x + 3
+    ints = tuple(rng.randint(-9, 9) for _ in range(n))
+    fractions = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n))
+    kronecker = tuple(rng.randint(-9, 9) + (rng.randint(-9, 9) << 300) for _ in range(n))
+    return ints, fractions, kronecker
+
+
+# seed 42 gives sigma 9430 terms under --perturb; at seeds 1, 5 and 7 one
+# coefficient of sigma'^2 + w cancels, leaving 9429
+_BLOCK_DRAWS = [*((2, seed, perturb) for seed in (1, 5, 7, 42, *range(100, 128))
+                  for perturb in (False, True)),
+                (3, 1, False)]
+
+
+@pytest.mark.parametrize("m, seed, perturb", _BLOCK_DRAWS)
+def test_block_draw_matches_the_sorted_basis_draw(m, seed, perturb):
+    params = ConstructionParams(m)
+    matrix = instantiate_sections(params, seed, perturb=perturb)
+    entries = _entries(matrix)
+    assert {name: poly.terms for name, poly in entries.items()} == \
+        draw_by_bases(params, seed, perturb=perturb)
+    if perturb and seed in (1, 5, 7, 42):
+        assert len(matrix.sigma) == (9430 if seed == 42 else 9429)
+    # each block plan evaluates as the plan compiled from the terms, and
+    # gives the line degree bounds of the per-term projection
+    if seed >= 104:
+        return
+    nx = params.n_x
+    supports = [(nx,), (0, nx + 1), tuple(range(nx, nx + 3)),
+                (*range(1, nx), nx + 1, nx + 2), tuple(range(nx + 3))]
+    points = _probe_points(params, random.Random(seed))
+    for name, poly in entries.items():
+        assert poly._plan is not None, name  # read off the blocks
+        compiled = Poly(poly.ring, poly.terms)
+        for point in points:
+            assert poly.eval(point) == compiled.eval(point), name
+        for support in supports:
+            assert _support_degree(poly, support) == line_degree_bound(poly, support)
+
+
+def test_block_draw_peak_memory(monkeypatch):
+    # the ring's table emptied, so that the key table is built inside the
+    # draw too; the draw keeps no dict of w or the r_i, and no index list
+    monkeypatch.setattr(cox_ring(M2), "_table", None)
+    tracemalloc.start()
+    try:
+        instantiate_sections(M2, 42, perturb=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 2 ** 20
+
+
 @pytest.mark.parametrize("stray", [
     (0,) * 7 + (2, 0, 0),              # y0^2
     (1,) + (0,) * 6 + (1, 0, 0),       # x0 y0
@@ -403,7 +469,7 @@ def test_sigma_prime_with_a_stray_term_raises(stray):
     terms = dict(instantiate_sections(M2, 3, perturb=True).sigma_prime.terms)
     terms[stray] = 1
     with pytest.raises(ValueError, match="outside c y0"):
-        _square_sigma_prime(terms, M2.n_x)
+        square_sigma_prime(terms, M2.n_x)
 
 
 def test_sigma_prime_squares_like_the_product():
@@ -413,8 +479,8 @@ def test_sigma_prime_squares_like_the_product():
     for sigma_prime in (y0, -3 * y0, y1 * x0, y0 + y1 * x0 - 5 * y2 * x6 ** 2,
                         y1 * x0 - y2 * x0, 7 * y2 * x6 + y1 * x6,
                         y0 + y1 * x0 ** 127 + y2 * x0 * x6 ** 126):
-        square = Poly(ring, _square_sigma_prime(sigma_prime.terms, M2.n_x))
+        square = Poly(ring, square_sigma_prime(sigma_prime.terms, M2.n_x))
         assert square == sigma_prime * sigma_prime
     with pytest.raises(ValueError, match="above 127"):
-        _square_sigma_prime((y0 + y2 * x6 ** 128).terms, M2.n_x)
+        square_sigma_prime((y0 + y2 * x6 ** 128).terms, M2.n_x)
 

@@ -49,6 +49,10 @@ DIGESTS = {
         (0, "c7c9e51b5108534671535515824ecbd3bff1faa6701e4b56781f528dd558887c"),
     "verify --m 2 --seed 5 --samples 3 --coeff-range 1 --format json":
         (0, "e13deae6a6e291d64a45ab78f8d7613881627f3f6b419e5dae51b446993bfe39"),
+    # the one m = 3 draw, recorded before the sections were laid out in
+    # blocks of the graded key table
+    "verify --m 3 --samples 2 --seed 1 --format json":
+        (0, "ebf97840e01df292bb783b667db2e9ed0f5cd38ec7ca15ac0fcaab84e56f2e55"),
     # re-recorded when the certificate dropped its seven checks that repeated
     # another check or could not fail (36 -> 29 checks); nothing else changed
     "certificate --m 2 --format json":

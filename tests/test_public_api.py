@@ -36,6 +36,12 @@ MOVED = [
     (coxring.ConicMatrix, "rows"),
     (polynomial.Poly, "diff"),
     (polynomial.Poly, "subs"),
+    (coxring, "section_bases"),
+    (coxring, "draw_on_basis"),
+    (coxring, "_compositions"),
+    (coxring, "_square_sigma_prime"),
+    (coxring, "_times_var"),
+    (verifier, "_line_degree_bound"),
 ]
 
 # (owner, attribute) of each name that was deleted outright

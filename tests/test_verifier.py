@@ -28,7 +28,14 @@ from fanoconic.coxring import (
 )
 from fanoconic.linalg import rank_and_kernel_3x3
 from fanoconic.picard import ConstructionParams, DivisorClassY
-from fanoconic.polynomial import Poly, PolyRing, u_degree, u_is_squarefree, u_mul
+from fanoconic.polynomial import (
+    Poly,
+    PolyRing,
+    _support_degree,
+    u_degree,
+    u_is_squarefree,
+    u_mul,
+)
 from fanoconic.verifier import (
     LINE_RESAMPLE_CAP,
     Z_GRID,
@@ -41,7 +48,6 @@ from fanoconic.verifier import (
     sample_generic_point,
     sample_v_point,
     _det_on_line,
-    _line_degree_bound,
     _sample_chart_line,
     _sample_fiber_line,
     _v_coefficients,
@@ -57,6 +63,7 @@ from .oracles import (
     enumerate_monomials,
     eval_gradient_terms,
     eval_terms,
+    line_degree_bound,
     quadratic_form,
     rebuilt_matrix,
     restrict_line,
@@ -221,24 +228,26 @@ def test_instantiation_deterministic():
 def test_each_basis_is_enumerated_once_per_draw(monkeypatch, perturb, enumerations):
     # lam1 and lam2 share a basis, and so do r1, r2 and r3 under perturb;
     # each basis walks its y-patterns once, and the x-monomials of each
-    # x-degree are enumerated once for every pattern and basis that has it
+    # x-degree are one slice of the key table, taken once per draw for
+    # every pattern, basis and entry that has it
     patterns, x_degrees = [], []
-    y_patterns, compositions = coxring.y_patterns, coxring._compositions
+    y_patterns, key_slice = coxring.y_patterns, coxring._key_slice
 
     def counting_patterns(*args, **kwargs):
         patterns.append(args)
         return y_patterns(*args, **kwargs)
 
-    def counting_compositions(total, parts):
-        x_degrees.append(total)
-        return compositions(total, parts)
+    def counting_slices(ring, lead, d):
+        x_degrees.append(d)
+        return key_slice(ring, lead, d)
 
     monkeypatch.setattr(coxring, "y_patterns", counting_patterns)
-    monkeypatch.setattr(coxring, "_compositions", counting_compositions)
+    monkeypatch.setattr(coxring, "_key_slice", counting_slices)
     matrix = instantiate_sections(M2, seed=5, perturb=perturb)
     assert len(patterns) == enumerations
-    # lam has x-degrees 2 and 6; the corrections add 4 (sigma', r) and 8 (w)
-    assert sorted(x_degrees) == ([2, 4, 6, 8] if perturb else [2, 6])
+    # lam has x-degrees 2 and 6 and the y-monomials of s1, s2, s3, sigma and
+    # sigma' degree 0; the corrections add 4 (sigma', r) and 8 (w, sigma'^2)
+    assert sorted(x_degrees) == ([0, 2, 4, 6, 8] if perturb else [0, 2, 6])
     assert len(matrix.lam1) == len(matrix.lam2) == 2828
     assert all(a is b for a, b in zip(matrix.lam1.terms, matrix.lam2.terms))
 
@@ -929,10 +938,15 @@ def test_chart_lines_with_fixed_y_on_the_square_divisors(default_matrix):
 
 @pytest.mark.parametrize("support", [(8,), (0,), (7, 8, 9), tuple(range(10))])
 def test_line_degree_bound_is_the_largest_support_degree(perturbed_matrix, support):
+    # drawn entries read the bound off their block plans, a rebuilt copy
+    # off the plan _build_plan compiles
     for _, poly in perturbed_matrix.named_entries():
-        assert _line_degree_bound(poly, support) == \
-            max(sum(exps[i] for i in support) for exps in poly.terms)
-    assert _line_degree_bound(cox_ring(M2).zero(), support) is None
+        largest = max(sum(exps[i] for i in support) for exps in poly.terms)
+        assert _support_degree(poly, support) == largest
+        assert _support_degree(Poly(poly.ring, poly.terms), support) == largest
+        assert line_degree_bound(poly, support) == largest
+    assert _support_degree(cox_ring(M2).zero(), support) is None
+    assert line_degree_bound(cox_ring(M2).zero(), support) is None
 
 
 def test_line_degree_bounds_are_memoized_per_support():
@@ -950,7 +964,7 @@ def test_line_degree_bounds_are_memoized_per_support():
     assert set(matrix._line_bounds) == supports
     for support in supports:
         assert matrix._line_bounds[support] == {
-            name: _line_degree_bound(poly, support)
+            name: line_degree_bound(poly, support)
             for name, poly in matrix.named_entries()}
 
 
