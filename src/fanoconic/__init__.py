@@ -1,4 +1,4 @@
-"""Exact verification toolkit for a family of Fano conic bundles.
+"""Exact verification toolkit for a family of Fano conic divisors.
 
 For each integer m >= 2 the family lives over Y = P(O + O(2m) + O(2m))
 on P^{3m}: divisor classes and intersection numbers on Y, its Cox ring

@@ -84,8 +84,6 @@ def _render_certificate(doc: dict) -> str:
     lines = [f"conic bundle certificate  m={doc['m']}"]
     dims = doc["dims"]
     lines.append("dimensions: " + " ".join(f"{k}={v}" for k, v in dims.items()))
-    pic = doc["picard"]
-    lines.append("picard: " + " ".join(f"{k}={v}" for k, v in pic.items()))
     lines.append("classes on Y: " + ", ".join(
         f"{k} = {v}" for k, v in doc["classes"].items()))
     lines.append("classes on Z: " + ", ".join(
@@ -99,8 +97,6 @@ def _render_certificate(doc: dict) -> str:
         lines.append(f"  [{mark}] {c['name']}: {c['computed']}")
         if not c["pass"]:
             lines.append(f"         expected {c['expected']}")
-    lines.append("claims recorded, checked elsewhere or by sampling: " + ", ".join(
-        claim["name"] for claim in doc["prose_claims"]))
     lines.append(f"valid: {doc['valid']}")
     return "\n".join(lines)
 

@@ -28,7 +28,7 @@ def nef_cone(params: ConstructionParams) -> tuple:
 
 
 def effective_cone(params: ConstructionParams) -> tuple:
-    """Eff(Y) = <D - 2mH, H>, read off the coordinate degrees."""
+    """Eff(Y) = <D - 2mH, H>, which the certificate checks on the Cox degrees."""
     return ((1, -params.twist), (0, 1))
 
 

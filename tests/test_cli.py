@@ -397,10 +397,12 @@ def test_second_call_in_one_process_answers_the_same(capsys):
     assert build_parser() is build_parser()
 
 
-def test_verify_output_survives_optimized_mode():
+@pytest.mark.parametrize("argv", [
+    ("verify", "--m", "2", "--samples", "2", "--seed", "7", "--format", "json"),
+    ("certificate", "--m", "2", "--format", "json"),
+], ids=["verify", "certificate"])
+def test_output_survives_optimized_mode(argv):
     # python -O strips assert statements; no invariant may hang on one
-    argv = ("verify", "--m", "2", "--samples", "2", "--seed", "7",
-            "--format", "json")
     plain = run_cli_process(*argv)
     optimized = run_cli_process(*argv, python_flags=("-O",))
     assert plain.returncode == optimized.returncode == 0

@@ -6,6 +6,7 @@ import pytest
 
 from fanoconic import conicbundle
 from fanoconic.chow import bundle_of_Y
+from fanoconic.cli import _render_certificate
 from fanoconic.conicbundle import (
     DivisorClassZ,
     adjunction_solve_G,
@@ -172,9 +173,11 @@ def test_certificate_has_no_repeated_or_constant_checks():
     assert not names & {
         "G_shift_vanishes", "discriminant_equals_twice_3D_minus_2mH",
         "base_not_fano_forces_degenerate_fibers", "adjunction_additivity_on_Z",
-        "sym2_count", "movable_equals_effective", "picard_rank_jump"}
+        "sym2_count", "movable_equals_effective", "picard_rank_jump",
+        "chambers_cover_movable_cone"}
     assert {"adjunction_G", "discriminant_class", "antiK_Y_positivity_flags",
-            "sym2_multiset", "dims_consistent"} <= names
+            "sym2_multiset", "dims_consistent", "effective_cone_rays",
+            "sigma_on_V_patterns"} <= names
 
 
 def test_certificate_check_names_unique():
@@ -191,12 +194,6 @@ def test_certificate_spot_values_m2():
     doc = build_certificate(M2)
     assert doc["m"] == 2
     assert doc["dims"] == {"dim_Y": 8, "dim_Z": 10, "dim_X": 9}
-    assert doc["picard"] == {
-        "rho_Y": 2,
-        "rho_X": 3,
-        "delta_rho": 1,
-        "elementary": True,
-    }
     assert doc["classes"]["antiK_Y"] == "3D-1H"
     assert doc["classes"]["G"] == "1D-4H"
     assert doc["classes"]["Delta"] == "6D-8H"
@@ -240,6 +237,30 @@ def test_nef_cone_is_dual_to_the_curve_pairings(m, monkeypatch):
     assert by_name["nef_cone_rays"]["expected"] == [[1, 0], [0, 1]]
 
 
+@pytest.mark.parametrize("m", [2, 3, 10**22])
+def test_effective_cone_is_read_off_the_cox_degrees(m, monkeypatch):
+    # a wrong Eff(Y) no longer matches the outermost Cox degrees
+    params = ConstructionParams(m)
+    monkeypatch.setattr(conicbundle, "effective_cone",
+                        lambda params: ((1, 1 - params.twist), (0, 1)))
+    by_name = {c["name"]: c for c in build_certificate(params)["checks"]}
+    failed = {name for name, c in by_name.items() if not c["pass"]}
+    assert failed == {"effective_cone_rays"}
+    assert by_name["effective_cone_rays"]["computed"] == [[1, -params.twist], [0, 1]]
+
+
+@pytest.mark.parametrize("m", [2, 3, 10**22])
+def test_sigma_on_V_is_read_off_the_grading(m, monkeypatch):
+    # without its pattern y0^2, sigma would vanish on V
+    real = conicbundle.y_patterns
+    monkeypatch.setattr(conicbundle, "y_patterns", lambda cls_, params: (
+        p for p in real(cls_, params) if p[1:3] != (0, 0)))
+    by_name = {c["name"]: c for c in build_certificate(ConstructionParams(m))["checks"]}
+    failed = {name for name, c in by_name.items() if not c["pass"]}
+    assert failed == {"sigma_on_V_patterns"}
+    assert by_name["sigma_on_V_patterns"]["computed"] == []
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_movable_equals_effective_reads_the_base_loci(m, monkeypatch):
     # Mov = Eff fails as soon as a ray of Eff(Y) has a base locus other than
@@ -263,19 +284,13 @@ def test_certificate_dim_X_scales(m):
     assert doc["dims"]["dim_X"] == 3 * (m + 1)
 
 
-def test_certificate_prose_claims():
-    cert = build_certificate(M2)
-    names = [p["name"] for p in cert["prose_claims"]]
-    assert names == [
-        "conic_bundle_in_p2_bundle",
-        "pushforward_normalization",
-        "picard_rank_jump",
-        "degenerate_fibers_over_V",
-        "flip_side_chamber",
-        "genericity_by_sampling",
-    ]
-    for claim in cert["prose_claims"]:
-        assert claim["statement"]
+def test_certificate_prints_only_computed_keys():
+    # no constant Picard numbers and no prose claims, in either view
+    doc = build_certificate(M2)
+    assert list(doc) == ["m", "dims", "classes", "classes_on_Z", "sym2_summands",
+                         "cones", "checks", "valid"]
+    lines = _render_certificate(doc).splitlines()
+    assert not [line for line in lines if line.startswith(("picard:", "claims recorded"))]
 
 
 def test_certificate_checks_record_both_sides():

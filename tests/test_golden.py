@@ -53,24 +53,26 @@ DIGESTS = {
     # blocks of the graded key table
     "verify --m 3 --samples 2 --seed 1 --format json":
         (0, "ebf97840e01df292bb783b667db2e9ed0f5cd38ec7ca15ac0fcaab84e56f2e55"),
-    # re-recorded when the certificate dropped its seven checks that repeated
-    # another check or could not fail (36 -> 29 checks); nothing else changed
+    # re-recorded when the certificate dropped its constant "picard" dict and
+    # its six prose claims, traded chambers_cover_movable_cone for
+    # sigma_on_V_patterns, and gave effective_cone_rays the Cox degrees as its
+    # computed side (still 29 checks); nothing else changed
     "certificate --m 2 --format json":
-        (0, "5f2d5102646e9592fc21dff82332c47294e3f4db440d6e8f28c0777638851952"),
+        (0, "3e202ea4c8d0658067851744ade6ab9f0a41b82bcba6dc78c59173e30ce8af8c"),
     "certificate --m 2 --format text":
-        (0, "ee96a7532f066c39688fb4c8ce92d876002d3e6a87307a8b91524eb5f8687bf7"),
+        (0, "de2cd0b1eea458ca07d5180c706994cdf76ac45ffb0b75af2819e2e25cffa337"),
     "certificate --m 3 --format json":
-        (0, "ce23dd6babd63ce7280d8c63938ef67d4803ed6b5eb287695c01bc0c3173111e"),
+        (0, "e2a43d4794d81378bc7412e9b2b38e530ba79cde4fd2736b82015ef720fd420f"),
     "certificate --m 3 --format text":
-        (0, "0da1e9866a6a822b0bc2cc481c564a2c39c56ac1355da1c827f3d5121afa054c"),
+        (0, "e9711ad1ecca0344319c1d1a5332addd4796ed8680d5280f44935ae013edfe5e"),
     "certificate --m 4 --format json":
-        (0, "6dee732ccd2097d8b96f56aa46f0685a92299f8fac9195c5d487dd3f0a0fc320"),
+        (0, "14ee3e8c52294a5a16cd172ab019d45eb68977896b6c62842b092879e6d2cbec"),
     "certificate --m 4 --format text":
-        (0, "994301d9993b89fd2dc67cd4ddf61d89fe666a3d96678ac3fbb76617694632d0"),
+        (0, "aacebcd64a1806d9e64582a5b31a9f052e78128dc4664fd6175cebaf87bf56ff"),
     "certificate --m 5 --format json":
-        (0, "3f845c6b33de17eaa4df3dfb2a5ee266b3b7d6dbf70b289747c9dafeb8668cb6"),
+        (0, "94c9ae4ffb4a91b46e1f4e25c5c796584ea6ccf99a7c22e10497ca8ac932df46"),
     "certificate --m 5 --format text":
-        (0, "7f9ddbb147a511ca4e8bd7507098a0ed34291ef531727a0f4dd45cf246e3da95"),
+        (0, "c650d902767ed032fe7772cefc5583d28871dc0b92401da26de5ab399a6747ba"),
     # recorded before the chamber decomposition became a plain dict
     "cones --m 2 --format json":
         (0, "1eedab03de8c2d84edd400c5bb8c5ed05871bead1e5a7971ad8356e0a7e71172"),
