@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The parser of the fanoconic command, built once per process."""
     parser = argparse.ArgumentParser(
         prog="fanoconic",
-        description="Exact checks for a family of conic bundles over "
+        description="Exact checks for a family of conic divisors X -> Y over "
                     "projectivized split bundles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -27,7 +27,8 @@ so drawing one loads only picard, polynomial and this module.  An entry
 is a block of coefficients per y-pattern over a slice of the ring's key
 table of x-monomials, taken once per x-degree and draw; sums add blocks,
 products by y1 and y2 shift them, sigma'^2 is one pass over pairs of
-x-monomials, and each entry's evaluation plan is read off its blocks.
+x-monomials, and each entry keeps only the evaluation plan read off its
+blocks, which gives its class and sizes; its terms are built when read.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from math import comb
 from operator import add, itemgetter
 
 from .picard import ConstructionParams, DivisorClassY, _Record
-from .polynomial import Poly, PolyRing, _key_slice, _poly_from_blocks
+from .polynomial import Poly, PolyRing, _group_degrees, _key_slice, _poly_from_blocks
 
 
 @lru_cache(maxsize=None)
@@ -59,14 +60,23 @@ def y_indices(params: ConstructionParams) -> tuple[int, int, int]:
 
 def poly_degree(poly: Poly, params: ConstructionParams) -> DivisorClassY | None:
     """The common degree of all terms, None for zero, ValueError if mixed."""
-    # the distinct (total degree n, k0, k1, k2) of the terms, read at C speed;
-    # each has a = k0 + k1 + k2 and b = n - a - 2m(k1 + k2)
-    terms = poly.terms
+    # a class per plan group, from its tail and the least and largest degree
+    # of its leading x-monomials; term by term, at C speed, when the leading
+    # block reaches y0 or to name the classes of a mixed polynomial
     i0, i1, i2 = y_indices(params)
-    kinds = set(zip(map(sum, terms), map(itemgetter(i0), terms),
-                    map(itemgetter(i1), terms), map(itemgetter(i2), terms)))
-    t = params.twist
-    degrees = {(k0 + k1 + k2, n - k0 - (t + 1) * (k1 + k2)) for n, k0, k1, k2 in kinds}
+    t, degrees, by_terms = params.twist, set(), poly._planned()[0] > i0
+    for tail, _, low, high in () if by_terms else _group_degrees(poly):
+        k = dict(tail)
+        k0, k12 = k.get(i0, 0), k.get(i1, 0) + k.get(i2, 0)
+        n = sum(e for i, e in tail if i < i0) - t * k12
+        degrees.update((k0 + k12, n + d) for d in {low, high})
+    if by_terms or len(degrees) > 1:
+        # the distinct (total degree n, k0, k1, k2) of the terms, each of
+        # a = k0 + k1 + k2 and b = n - a - 2m(k1 + k2)
+        terms = poly.terms
+        kinds = set(zip(map(sum, terms), map(itemgetter(i0), terms),
+                        map(itemgetter(i1), terms), map(itemgetter(i2), terms)))
+        degrees = {(k0 + k1 + k2, n - k0 - (t + 1) * (k1 + k2)) for n, k0, k1, k2 in kinds}
     if not degrees:
         return None
     if len(degrees) > 1:
@@ -268,14 +278,18 @@ class ConicMatrix(_Record):
 
     @cached_property
     def _entry_sizes(self) -> dict:
-        """Per-slot (l1 norm, total degree) for the audit's line probes;
-        ValueError if a coefficient is not an int."""
+        """Per-slot (l1 norm, total degree) for the audit's line probes,
+        read group by group off the plans; ValueError if a coefficient is
+        not an int."""
         sizes = {}
         for name, poly in self.named_entries():
-            coeffs = poly.terms.values()
-            if not all(map(isinstance, coeffs, repeat(int))):
-                raise ValueError(f"entry {name} has a non-integer coefficient")
-            sizes[name] = (sum(map(abs, coeffs)), max(map(sum, poly.terms), default=0))
+            norm = degree = 0
+            for tail, coeffs, _, high in _group_degrees(poly):
+                if not all(map(isinstance, coeffs, repeat(int))):
+                    raise ValueError(f"entry {name} has a non-integer coefficient")
+                norm += sum(map(abs, coeffs))
+                degree = max(degree, high + sum(e for _, e in tail))
+            sizes[name] = (norm, degree)
         return sizes
 
 
@@ -318,7 +332,7 @@ def _draw_matrix(params, rng, coeff_range, perturb) -> ConicMatrix:
             f"the {'perturbed ' if perturb else ''}sections at m = {params.m} "
             f"span above the limit of {MAX_SECTION_TERMS} monomials")
     ring, nx, t = cox_ring(params), params.n_x, params.twist
-    slices, layouts, sections, exps = {}, {}, [], {}
+    slices, layouts, sections = {}, {}, []
 
     def keys(d):  # the x-monomials of degree d, sliced once per draw
         if d not in slices:
@@ -339,21 +353,14 @@ def _draw_matrix(params, rng, coeff_range, perturb) -> ConicMatrix:
         sigma_prime.update(correction)
 
     def poly(b, blocks, *more):
-        # the entry of class (2, b), or sigma', from the sum of the blocks;
-        # the exponent tuples, and x-exponents exps[d], are made once per draw
+        # the entry of class (2, b), or sigma', from the sum of the blocks,
+        # kept as its plan: no exponent tuple is made until its terms are read
         for other in more:
             blocks = dict(blocks)
             for tail, c in other.items():
                 blocks[tail] = list(map(add, blocks[tail], c)) if tail in blocks else c
-        out = []
-        for tail, c in blocks.items():
-            d = b + t * (tail[1] + tail[2])
-            if (tail, d) not in exps:
-                if d not in exps:
-                    exps[d] = [tuple(k.to_bytes(nx, "big")) for k in keys(d)]
-                exps[tail, d] = [alpha + tail for alpha in exps[d]]
-            out.append((tail, d, exps[tail, d], c))
-        return _poly_from_blocks(ring, nx, out)
+        return _poly_from_blocks(ring, nx, [(tail, b + t * (tail[1] + tail[2]), c)
+                                            for tail, c in blocks.items()])
 
     y1, y2 = ({(k0, k1 + j, k2 + 1 - j): c for (k0, k1, k2), c in sigma_prime.items()}
               for j in (1, 0))

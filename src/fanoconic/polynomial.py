@@ -9,9 +9,10 @@ Point evaluation is the hot path of the instance audit, so a polynomial
 evaluates through a plan: one dot product per trailing-variable pattern
 with the complete graded table of the leading-variable monomials, which
 the ring keeps for the next polynomial evaluated at the same point.  A
-polynomial built from blocks of that layout reads its plan off them; any
-other compiles its terms once, its leading block shrunk before the table
-outgrows it (speed, never the value).  Plans also give degree bounds.
+polynomial built from blocks of that layout keeps only the plan read off
+them, its terms built from the plan on first read; any other compiles its
+terms once, its leading block shrunk before the table outgrows it (speed,
+never the value).  Plans also give degrees, sizes and coefficients.
 
 The univariate helpers at the end work on coefficient lists.  Their
 squarefree test is certified modulo one fixed prime first and falls back
@@ -23,6 +24,7 @@ names are interchangeable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import compress, count, repeat
 from math import comb, gcd, lcm
 from numbers import Rational
@@ -86,23 +88,34 @@ class Poly:
     from the blocks (_poly_from_blocks) or is built on first use.
     """
 
-    __slots__ = ("ring", "terms", "_plan")
+    __slots__ = ("ring", "_terms", "_plan")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         # a plain copy unless there is a zero to drop
         if 0 in terms.values():
             terms = {e: c for e, c in terms.items() if c != 0}
-        self.terms = dict(terms)
+        self._terms = dict(terms)
         self._plan = None
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:  # built from blocks: unpack the keys (_key_slice)
+            lead, top, groups = self._plan
+            keys, self._terms = _key_slice(self.ring, lead, top, 0), {}
+            for tail, coeffs, idx in groups:
+                rest = tuple(map(dict(tail).get, range(lead, self.ring.n), repeat(0)))
+                heads = map(tuple, map(int.to_bytes, map(keys.__getitem__, idx),
+                                       repeat(lead), repeat("big")))
+                self._terms.update(zip(map(add, heads, repeat(rest)), coeffs))
+        return self._terms
 
     # -- basic structure ---------------------------------------------------
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
+    def __len__(self):  # also its truth value
+        if self._terms is None:
+            return sum(len(coeffs) for _, coeffs, _ in self._plan[2])
+        return len(self._terms)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -266,15 +279,15 @@ def _build_plan(terms: dict, ring: PolyRing) -> tuple:
     groups holds one (tail, coeffs, idx) per trailing pattern: the
     (variable, exponent) pairs of the trailing monomial, the coefficients
     of its terms and the table indices of their leading monomials, found
-    in the table of keys (_key_slice).
+    in the table of keys (_key_slice), ascending as in a drawn entry's plan.
     """
     lead, top = _trailing_split(terms, ring.n)
     keys = _key_slice(ring, lead, top, 0)
     index = dict(zip(map(tuple, map(int.to_bytes, keys, repeat(lead), repeat("big"))),
                      count()))
     grouped = {}
-    for exps, c, i in zip(terms, terms.values(),
-                          map(index.__getitem__, map(itemgetter(slice(0, lead)), terms))):
+    heads = map(index.__getitem__, map(itemgetter(slice(0, lead)), terms))
+    for i, exps, c in sorted(zip(heads, terms, terms.values())):
         members = grouped.get(exps[lead:])
         if members is None:
             members = grouped[exps[lead:]] = ([], [])
@@ -295,31 +308,50 @@ def _key_slice(ring: PolyRing, lead: int, top: int, low=None) -> list:
 
 
 def _poly_from_blocks(ring: PolyRing, lead: int, blocks) -> Poly:
-    """The polynomial of the blocks (tail, d, exps, coeffs): coefficients,
-    zeros allowed, of the degree-d monomials in the first lead variables
-    in table order, times those in tail, exps their exponent tuples.  Its
-    plan is read off the blocks."""
-    poly = Poly(ring, {})
+    """The polynomial of the blocks (tail, d, coeffs): coefficients, zeros
+    allowed, of the degree-d monomials in the first lead variables in
+    table order, times those in tail.  It keeps only the plan read off the
+    blocks."""
     groups, top = [], 0
-    for tail, d, exps, coeffs in blocks:
+    for tail, d, coeffs in blocks:
         idx = range(comb(d - 1 + lead, lead), comb(d + lead, lead))
         if 0 in coeffs:
-            idx, exps = list(compress(idx, coeffs)), compress(exps, coeffs)
+            idx = list(compress(idx, coeffs))
             coeffs = list(filter(None, coeffs))
         if coeffs:
-            poly.terms.update(zip(exps, coeffs))
             groups.append((tuple((lead + k, e) for k, e in enumerate(tail) if e),
                            coeffs, idx))
             top = max(top, d)
-    poly._plan = (lead, top, tuple(groups))
+    poly = Poly(ring, {})
+    poly._terms, poly._plan = None, (lead, top, tuple(groups))
     return poly
+
+
+def _group_degrees(poly: Poly):
+    """(tail, coeffs, low, high) per group of the plan: low and high the
+    degrees of its first and last leading monomials, by the table's degree
+    ends."""
+    lead, top, groups = poly._planned()
+    ends = [comb(d + lead, lead) for d in range(top + 1)]
+    for tail, coeffs, idx in groups:
+        yield tail, coeffs, bisect_right(ends, idx[0]), bisect_right(ends, idx[-1])
+
+
+def _coefficient(poly: Poly, exps) -> Rational:
+    """The coefficient of the monomial exps, read off the plan when it is
+    free of the leading variables: index 0 leads the group of its tail."""
+    lead, _, groups = poly._planned()
+    if any(exps[:lead]):
+        return poly.terms.get(exps, 0)
+    tail = tuple((i, e) for i, e in enumerate(exps) if e)
+    return next((coeffs[0] for t, coeffs, idx in groups if t == tail and idx[0] == 0), 0)
 
 
 def _support_degree(poly: Poly, support) -> int | None:
     """The largest degree of a term of poly in the variables of support,
     None for zero: the plan's table under add at the support's indicator,
     then a max per group."""
-    if not poly.terms:
+    if not poly:
         return None
     lead, top, groups = poly._planned()
     degrees = [0]

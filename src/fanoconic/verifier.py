@@ -48,6 +48,7 @@ from .coxring import ConicMatrix, _draw_matrix, _nonzero_draws
 from .linalg import rank_and_kernel_3x3
 from .picard import ConstructionParams, _Record
 from .polynomial import (
+    _coefficient,
     _support_degree,
     u_add,
     u_degree,
@@ -140,9 +141,9 @@ def _v_coefficients(matrix: ConicMatrix):
     """
     nx = matrix.params.n_x
     y0y0, y0y1, y0y2 = ((0,) * nx + ys for ys in ((2, 0, 0), (1, 1, 0), (1, 0, 1)))
-    pairs = tuple((s.terms.get(y0y1, 0), s.terms.get(y0y2, 0))
+    pairs = tuple((_coefficient(s, y0y1), _coefficient(s, y0y2))
                   for s in (matrix.s1, matrix.s2, matrix.s3))
-    return matrix.sigma.terms.get(y0y0, 0), pairs
+    return _coefficient(matrix.sigma, y0y0), pairs
 
 
 def _w_gradient_nonzero(pairs, z) -> bool:

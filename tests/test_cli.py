@@ -399,8 +399,9 @@ def test_second_call_in_one_process_answers_the_same(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("verify", "--m", "2", "--samples", "2", "--seed", "7", "--format", "json"),
+    ("verify", "--m", "2", "--samples", "2", "--seed", "7", "--perturb", "--format", "json"),
     ("certificate", "--m", "2", "--format", "json"),
-], ids=["verify", "certificate"])
+], ids=["verify", "verify-perturb", "certificate"])
 def test_output_survives_optimized_mode(argv):
     # python -O strips assert statements; no invariant may hang on one
     plain = run_cli_process(*argv)

@@ -4,6 +4,7 @@ bigraded coordinate ring, cross-checked against independent enumeration."""
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import pytest
@@ -23,7 +24,8 @@ from fanoconic.coxring import (
     y_patterns,
 )
 from fanoconic.picard import ConstructionParams, DivisorClassY
-from fanoconic.polynomial import Poly, _support_degree
+from fanoconic.polynomial import Poly, _poly_from_blocks, _support_degree
+from fanoconic.verifier import _v_coefficients
 
 from .oracles import (
     base_locus_by_hitting_sets,
@@ -444,6 +446,77 @@ def test_block_draw_matches_the_sorted_basis_draw(m, seed, perturb):
             assert poly.eval(point) == compiled.eval(point), name
         for support in supports:
             assert _support_degree(poly, support) == line_degree_bound(poly, support)
+
+
+@pytest.mark.parametrize("m, seed, perturb", _BLOCK_DRAWS)
+def test_plan_readers_match_the_terms(m, seed, perturb):
+    # read off the block plans before any term dict is built: the class,
+    # length and line probe sizes of each entry and sigma', and the
+    # coefficients of S along V; the terms then come in plan order
+    params = ConstructionParams(m)
+    matrix = instantiate_sections(params, seed, perturb=perturb)
+    entries = _entries(matrix)
+    read = {name: (poly_degree(poly, params), len(poly)) for name, poly in entries.items()}
+    sizes, (sigma00, pairs) = matrix._entry_sizes, _v_coefficients(matrix)
+    assert all(poly._terms is None for poly in entries.values())
+    for name, poly in entries.items():
+        terms = poly.terms
+        assert read[name] == (poly_degree_by_terms(poly, params), len(terms)), name
+        assert list(terms.values()) == [c for _, coeffs, _ in poly._plan[2] for c in coeffs]
+        if name != "sigma_prime":
+            assert sizes[name] == (sum(map(abs, terms.values())), max(map(sum, terms)))
+    y0y0, y0y1, y0y2 = ((0,) * params.n_x + ys for ys in ((2, 0, 0), (1, 1, 0), (1, 0, 1)))
+    assert sigma00 == matrix.sigma.terms.get(y0y0, 0)
+    assert pairs == tuple((s.terms.get(y0y1, 0), s.terms.get(y0y2, 0))
+                          for s in (matrix.s1, matrix.s2, matrix.s3))
+
+
+def test_unbuilt_block_poly_equals_and_hashes_like_its_terms():
+    built, equal, hashed = (_entries(instantiate_sections(M2, 42, perturb=True))
+                            for _ in range(3))
+    for name, poly in built.items():
+        expected = Poly(poly.ring, poly.terms)
+        assert equal[name]._terms is None and equal[name] == expected, name
+        assert hashed[name]._terms is None and hash(hashed[name]) == hash(expected), name
+
+
+def _mixed_polys():
+    # a group of two x-degrees among others, a lone group of x-degrees 0 to
+    # 3, a class found only inside a group, two groups of different classes,
+    # and a plan whose leading block reaches y0, alone and with a stray term
+    ring, nx = cox_ring(M2), M2.n_x
+    stray = (3,) + (0,) * (nx - 1) + (1, 1, 0)  # x0^3 y0 y1, beside x-degree 2
+    led_by_y0 = _random_section(DivisorClassY(5, -16), seed=3)
+    return {
+        "one group": Poly(ring, {**instantiate_sections(M2, 1).lam1.terms, stray: 1}),
+        "lone group": Poly(ring, {alpha + (1, 1, 0): 1
+                                  for alpha in product(range(4), repeat=nx) if sum(alpha) <= 3}),
+        # x-degree 1 only inside the group of 1, x0 and x0^2 (leading block x0)
+        "middle degree": Poly(ring, {alpha + (0,) * 3 + (1, 1, 0): 1
+                                     for alpha in product(range(3), repeat=4)
+                                     if sum(alpha) in (0, 2) or alpha == (1, 0, 0, 0)}),
+        "two groups": _poly_from_blocks(ring, nx, [((1, 1, 0), 2, [1] * 28),
+                                                   ((1, 0, 1), 3, [2] * 84)]),
+        "led by y0": led_by_y0,
+        "led by y0, mixed": led_by_y0 + ring.monomial(stray),
+        # x0 y1, ..., x6 y1 and y0 y1: one group, one leading degree
+        "led by y0, in blocks": _poly_from_blocks(ring, nx + 1, [((1, 0), 1, [1] * 8)]),
+    }
+
+
+@pytest.mark.parametrize("case", list(_mixed_polys()))
+def test_poly_degree_of_mixed_and_y_led_plans_matches_the_oracle(case):
+    poly = _mixed_polys()[case]
+    assert (poly._planned()[0] > M2.n_x) == case.startswith("led by y0")
+    try:
+        expected = poly_degree_by_terms(poly, M2)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as ours:
+            poly_degree(poly, M2)
+        assert str(ours.value) == str(exc)
+    else:
+        assert case == "led by y0"
+        assert poly_degree(poly, M2) == expected == DivisorClassY(5, -16)
 
 
 def test_block_draw_peak_memory(monkeypatch):

@@ -23,6 +23,8 @@ from fanoconic.polynomial import (
     u_is_squarefree,
     u_mul,
     u_trim,
+    _coefficient,
+    _poly_from_blocks,
     _trailing_split,
 )
 
@@ -213,6 +215,33 @@ def test_eval_matches_term_oracle(p, pt):
     # the cached plan gives the same answers on a second point
     shifted = tuple(v + 1 for v in pt)
     assert p.eval(list(shifted)) == eval_terms(p, shifted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_poly)
+# leading block a: the term a comes before 1 in the group of the tail 1
+@example(Poly(R5, {(1, 0, 0, 0, 0): 2, (0, 0, 0, 0, 0): 3, (2, 0, 0, 0, 0): 5,
+                   **{(0, k, 0, 0, 0): k for k in range(1, 5)},
+                   **{(0, 0, k, 0, 0): k for k in range(1, 5)}}))
+def test_coefficients_read_off_the_plan_match_the_terms(p):
+    # every term, and monomials free of the leading variables, present or not
+    lead = p._planned()[0]
+    for exps in [*p.terms, *{(0,) * lead + e[lead:] for e in p.terms}, (0,) * 5]:
+        assert _coefficient(p, exps) == p.terms.get(exps, 0)
+
+
+def test_block_built_poly_keeps_its_plan_until_its_terms_are_read():
+    # leading block x0..x2: the zero coefficients leave no term, and (2, 0)
+    # has no term of leading degree 0
+    blocks = [((1, 0), 0, [0]), ((0, 2), 0, [5]), ((2, 0), 1, [0, 3, 0])]
+    p = _poly_from_blocks(R5, 3, blocks)
+    assert (len(p), bool(p), p._terms) == (2, True, None)
+    free = [(0, 0, 0, 1, 0), (0, 0, 0, 0, 2), (0, 0, 0, 2, 0)]
+    assert [_coefficient(p, e) for e in free] == [0, 5, 0]
+    assert p._terms is None
+    assert list(p.terms.items()) == [((0, 0, 0, 0, 2), 5), ((0, 1, 0, 2, 0), 3)]
+    empty = _poly_from_blocks(R5, 3, [((1, 0), 2, [0] * 6)])
+    assert (len(empty), bool(empty), empty.terms) == (0, False, {})
 
 
 @settings(max_examples=150, deadline=None)

@@ -245,11 +245,43 @@ def test_each_basis_is_enumerated_once_per_draw(monkeypatch, perturb, enumeratio
     monkeypatch.setattr(coxring, "_key_slice", counting_slices)
     matrix = instantiate_sections(M2, seed=5, perturb=perturb)
     assert len(patterns) == enumerations
-    # lam has x-degrees 2 and 6 and the y-monomials of s1, s2, s3, sigma and
-    # sigma' degree 0; the corrections add 4 (sigma', r) and 8 (w, sigma'^2)
-    assert sorted(x_degrees) == ([0, 2, 4, 6, 8] if perturb else [0, 2, 6])
+    # lam has x-degrees 2 and 6; the corrections add 4 (sigma', r) and 8 (w,
+    # sigma'^2).  The y-monomials of s1, s2, s3, sigma and sigma' have
+    # x-degree 0, whose index range needs no slice
+    assert sorted(x_degrees) == ([2, 4, 6, 8] if perturb else [2, 6])
     assert len(matrix.lam1) == len(matrix.lam2) == 2828
-    assert all(a is b for a, b in zip(matrix.lam1.terms, matrix.lam2.terms))
+    # lam1 and lam2 lie on the same slices: their plans share the index
+    # ranges, and the draw made no exponent tuple for either
+    assert [idx for *_, idx in matrix.lam1._plan[2]] == \
+        [idx for *_, idx in matrix.lam2._plan[2]] == \
+        [range(8, 36), range(8, 36), *[range(792, 1716)] * 3]
+    assert matrix.lam1._terms is matrix.lam2._terms is None
+
+
+@pytest.mark.parametrize("perturb, sigma_prime_terms", [(False, 1), (True, 421)])
+def test_the_audit_builds_no_entry_terms(monkeypatch, perturb, sigma_prime_terms):
+    # the audit reads each entry's class, sizes, V coefficients and length
+    # off its block plan; of the drawn polynomials only sigma' has its term
+    # dict built, by boundary_identity_verdict
+    built, drawn = [], []
+    build, draw = polynomial.Poly.terms.fget, verifier._draw_matrix
+
+    def counting_build(poly):
+        if poly._terms is None:
+            built.append(poly)
+        return build(poly)
+
+    def keeping_draw(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(polynomial.Poly, "terms", property(counting_build))
+    monkeypatch.setattr(verifier, "_draw_matrix", keeping_draw)
+    assert run_instance(M2, seed=1, n_samples=3, perturb=perturb)["passed"]
+    (matrix,) = drawn
+    assert len(built) == 1 and built[0] is matrix.sigma_prime
+    assert len(matrix.sigma_prime) == sigma_prime_terms
+    assert all(poly._terms is None for _, poly in matrix.named_entries())
 
 
 def test_perturbed_matrix_shares_lambda_draws(default_matrix, perturbed_matrix):
@@ -681,6 +713,17 @@ def test_entry_restriction_matches_binomial_oracle(poly, point, direction):
     if not any(direction):
         direction = (0, 0, 0, 1)
     assert _restrict(poly, point, direction) == restrict_line(poly, point, direction)
+
+
+@settings(max_examples=200, deadline=None)
+@given(line_poly)
+# leading block a: the degree 3 only at the top of the group of 1 and a^3
+@example(Poly(RING4, {(0, 0, 0, 0): 1, (3, 0, 0, 0): 1, (0, 0, 0, 1): 1, (0, 0, 1, 0): 1,
+                      (0, 1, 0, 0): 1, (0, 0, 1, 1): 1, (0, 0, 0, 2): 1, (0, 0, 2, 0): 1}))
+def test_entry_sizes_read_off_any_plan_match_the_terms(poly):
+    # the plans compiled from these terms mix leading degrees within a group
+    assert _OneEntry(poly)._entry_sizes["s1"] == \
+        (sum(map(abs, poly.terms.values())), max(map(sum, poly.terms), default=0))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
