@@ -30,6 +30,8 @@ DEFAULT_SAMPLES = 100
 DEFAULT_COEFF_RANGE = 100
 # time, memory and output grow linearly with --samples (see README)
 MAX_SAMPLES = 10000
+# the big-int cost of each sample grows faster than the digits of the range
+MAX_COEFF_RANGE = 10 ** 9
 
 
 @functools.cache
@@ -81,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _render_certificate(doc: dict) -> str:
-    lines = [f"conic bundle certificate  m={doc['m']}"]
+    lines = [f"conic divisor certificate  m={doc['m']}"]
     dims = doc["dims"]
     lines.append("dimensions: " + " ".join(f"{k}={v}" for k, v in dims.items()))
     lines.append("classes on Y: " + ", ".join(
@@ -185,6 +187,8 @@ def cmd_verify(params, cls_, args) -> tuple[int, dict, str]:
         raise ValueError(f"--samples must be at most {MAX_SAMPLES}")
     if args.coeff_range < 1:
         raise ValueError("--coeff-range must be at least 1")
+    if args.coeff_range > MAX_COEFF_RANGE:
+        raise ValueError(f"--coeff-range must be at most {MAX_COEFF_RANGE}")
     doc = run_instance(params, seed=args.seed, n_samples=args.samples,
                        coeff_range=args.coeff_range, perturb=args.perturb)
     return (0 if doc["passed"] else 1), doc, _render_report(doc)

@@ -37,7 +37,7 @@ import random
 from functools import cached_property, lru_cache
 from itertools import count, repeat
 from math import comb
-from operator import add, itemgetter
+from operator import add
 
 from .picard import ConstructionParams, DivisorClassY, _Record
 from .polynomial import Poly, PolyRing, _group_degrees, _key_slice, _poly_from_blocks
@@ -60,23 +60,15 @@ def y_indices(params: ConstructionParams) -> tuple[int, int, int]:
 
 def poly_degree(poly: Poly, params: ConstructionParams) -> DivisorClassY | None:
     """The common degree of all terms, None for zero, ValueError if mixed."""
-    # a class per plan group, from its tail and the least and largest degree
-    # of its leading x-monomials; term by term, at C speed, when the leading
-    # block reaches y0 or to name the classes of a mixed polynomial
+    # one class per plan group, from its tail and the degree of its leading
+    # monomials, which are x-monomials (a plan leads with the x-block or
+    # with no variable)
     i0, i1, i2 = y_indices(params)
-    t, degrees, by_terms = params.twist, set(), poly._planned()[0] > i0
-    for tail, _, low, high in () if by_terms else _group_degrees(poly):
+    t, degrees = params.twist, set()
+    for tail, _, d in _group_degrees(poly):
         k = dict(tail)
         k0, k12 = k.get(i0, 0), k.get(i1, 0) + k.get(i2, 0)
-        n = sum(e for i, e in tail if i < i0) - t * k12
-        degrees.update((k0 + k12, n + d) for d in {low, high})
-    if by_terms or len(degrees) > 1:
-        # the distinct (total degree n, k0, k1, k2) of the terms, each of
-        # a = k0 + k1 + k2 and b = n - a - 2m(k1 + k2)
-        terms = poly.terms
-        kinds = set(zip(map(sum, terms), map(itemgetter(i0), terms),
-                        map(itemgetter(i1), terms), map(itemgetter(i2), terms)))
-        degrees = {(k0 + k1 + k2, n - k0 - (t + 1) * (k1 + k2)) for n, k0, k1, k2 in kinds}
+        degrees.add((k0 + k12, d + sum(e for i, e in tail if i < i0) - t * k12))
     if not degrees:
         return None
     if len(degrees) > 1:
@@ -235,7 +227,7 @@ def _slot_degrees(params: ConstructionParams) -> dict:
         "s1": DivisorClassY(2, -t), "s2": DivisorClassY(2, -t),
         "s3": DivisorClassY(2, -t),
         "lam1": DivisorClassY(2, -m), "lam2": DivisorClassY(2, -m),
-        "sigma": DivisorClassY(2, 0),
+        "sigma": DivisorClassY(2, 0), "sigma_prime": DivisorClassY(1, 0),
     }
 
 
@@ -244,7 +236,7 @@ class ConicMatrix(_Record):
 
     sigma_prime is required: the boundary identity is stated through it.
     Entries and sigma' must lie in cox_ring(params), and every term of
-    every entry is degree-validated at construction (a zero entry passes).
+    each of the seven is degree-validated at construction (zero passes).
     """
 
     params: ConstructionParams
@@ -257,14 +249,14 @@ class ConicMatrix(_Record):
     sigma_prime: Poly
 
     def __post_init__(self):
-        ring, wants = cox_ring(self.params), _slot_degrees(self.params)
-        for name in _SLOT_NAMES + ("sigma_prime",):
+        ring = cox_ring(self.params)
+        for name, want in _slot_degrees(self.params).items():
             poly = getattr(self, name)
             if poly.ring != ring:
                 raise ValueError(f"entry {name} is not in the ring of m = {self.params.m}")
-            deg = poly_degree(poly, self.params) if name in wants else None
-            if deg is not None and deg != wants[name]:
-                raise ValueError(f"entry {name} has degree {deg}, expected {wants[name]}")
+            deg = poly_degree(poly, self.params)
+            if deg is not None and deg != want:
+                raise ValueError(f"entry {name} has degree {deg}, expected {want}")
         # per-slot line degree bounds of the audit's line probes, memoized by
         # the direction support
         self.__dict__["_line_bounds"] = {}
@@ -284,11 +276,11 @@ class ConicMatrix(_Record):
         sizes = {}
         for name, poly in self.named_entries():
             norm = degree = 0
-            for tail, coeffs, _, high in _group_degrees(poly):
+            for tail, coeffs, d in _group_degrees(poly):
                 if not all(map(isinstance, coeffs, repeat(int))):
                     raise ValueError(f"entry {name} has a non-integer coefficient")
                 norm += sum(map(abs, coeffs))
-                degree = max(degree, high + sum(e for _, e in tail))
+                degree = max(degree, d + sum(e for _, e in tail))
             sizes[name] = (norm, degree)
         return sizes
 

@@ -6,13 +6,14 @@ Fraction coefficients.  All arithmetic is exact, nothing here touches
 floats.
 
 Point evaluation is the hot path of the instance audit, so a polynomial
-evaluates through a plan: one dot product per trailing-variable pattern
-with the complete graded table of the leading-variable monomials, which
-the ring keeps for the next polynomial evaluated at the same point.  A
-polynomial built from blocks of that layout keeps only the plan read off
-them, its terms built from the plan on first read; any other compiles its
-terms once, its leading block shrunk before the table outgrows it (speed,
-never the value).  Plans also give degrees, sizes and coefficients.
+evaluates through a plan: one dot product per group of terms that share
+their exponents in the trailing variables, with the complete graded table
+of the leading-variable monomials, which the ring keeps for the next
+polynomial evaluated at the same point.  Only a drawn entry, built from
+blocks of that layout, tabulates its x-block; it keeps only the plan read
+off its blocks, its terms built from the plan on first read.  A
+polynomial built from a term dict evaluates one term per group, with no
+leading block.  Plans also give degrees, sizes and coefficients.
 
 The univariate helpers at the end work on coefficient lists.  Their
 squarefree test is certified modulo one fixed prime first and falls back
@@ -25,10 +26,10 @@ names are interchangeable.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import compress, count, repeat
+from itertools import compress, repeat
 from math import comb, gcd, lcm
 from numbers import Rational
-from operator import add, itemgetter, mul
+from operator import add, mul
 
 
 class PolyRing:
@@ -85,7 +86,8 @@ class Poly:
 
     Construction normalizes nothing beyond dropping explicit zeros, so always
     go through PolyRing factories or arithmetic.  The evaluation plan comes
-    from the blocks (_poly_from_blocks) or is built on first use.
+    from the blocks (_poly_from_blocks), or is one group per term, built on
+    first use (_build_plan).
     """
 
     __slots__ = ("ring", "_terms", "_plan")
@@ -185,7 +187,9 @@ class Poly:
         if len(values) != self.ring.n:
             raise ValueError("wrong number of values")
         lead, top, groups = self._planned()
-        get = _head_table(self.ring, tuple(values[:lead]), top).__getitem__
+        # without a leading block the ring's table stays a drawn entry's
+        table = _head_table(self.ring, tuple(values[:lead]), top) if lead else (1,)
+        get = table.__getitem__
         total = 0
         for tail, coeffs, idx in groups:
             s = sum(map(mul, coeffs, map(get, idx)))
@@ -197,7 +201,7 @@ class Poly:
 
     def _planned(self) -> tuple:
         if self._plan is None:
-            self._plan = _build_plan(self.terms, self.ring)
+            self._plan = _build_plan(self.terms)
         return self._plan
 
     # -- display -----------------------------------------------------------
@@ -231,33 +235,11 @@ class Poly:
 
 # -- evaluation plans --------------------------------------------------------
 #
-# A plan groups the terms by their exponents in a trailing block of variables;
-# each group is a dot product of its coefficients with entries of the table
-# of the leading block (_extend_table), times its trailing monomial.
-
-
-def _trailing_split(exponents, n: int) -> tuple:
-    """(lead, top): the length of the leading block and its largest degree.
-
-    The block first ends where the longest trailing block of variables
-    begins on which the terms show at most n exponent patterns (one pass:
-    when the distinct tails seen pass n, the block drops its first
-    variable, and the shorter tails come from the distinct longer ones).
-    It then drops its last variable while its complete table would hold
-    more entries than there are terms, or an exponent above 255.
-    """
-    start = 0
-    tails = set()
-    for e in exponents:
-        tails.add(e[start:])
-        while len(tails) > n and start < n:
-            start += 1
-            tails = {t[1:] for t in tails}
-    while True:
-        top = max(map(sum, map(itemgetter(slice(0, start)), exponents)), default=0)
-        if not start or top < 256 and comb(top + start, start) <= len(exponents):
-            return start, top
-        start -= 1
+# A plan (lead, top, groups) splits the variables into a leading block and
+# the rest; each group holds terms of one trailing monomial and one leading
+# degree at most top, a block of a drawn entry or a single term, and is a dot
+# product of its coefficients with entries of the table of the leading block
+# (_extend_table), times its trailing monomial.
 
 
 def _extend_table(table: list, head, done: int, top: int, op) -> None:
@@ -273,29 +255,12 @@ def _extend_table(table: list, head, done: int, top: int, op) -> None:
             table.extend(map(op, table[end - size:end], repeat(v)))
 
 
-def _build_plan(terms: dict, ring: PolyRing) -> tuple:
-    """The evaluation plan (lead, top, groups) of a term dict of ring.
-
-    groups holds one (tail, coeffs, idx) per trailing pattern: the
-    (variable, exponent) pairs of the trailing monomial, the coefficients
-    of its terms and the table indices of their leading monomials, found
-    in the table of keys (_key_slice), ascending as in a drawn entry's plan.
-    """
-    lead, top = _trailing_split(terms, ring.n)
-    keys = _key_slice(ring, lead, top, 0)
-    index = dict(zip(map(tuple, map(int.to_bytes, keys, repeat(lead), repeat("big"))),
-                     count()))
-    grouped = {}
-    heads = map(index.__getitem__, map(itemgetter(slice(0, lead)), terms))
-    for i, exps, c in sorted(zip(heads, terms, terms.values())):
-        members = grouped.get(exps[lead:])
-        if members is None:
-            members = grouped[exps[lead:]] = ([], [])
-        members[0].append(c)
-        members[1].append(i)
-    groups = tuple((tuple((lead + k, e) for k, e in enumerate(tail) if e), coeffs, idx)
-                   for tail, (coeffs, idx) in grouped.items())
-    return lead, top, groups
+def _build_plan(terms: dict) -> tuple:
+    """The evaluation plan (0, 0, groups) of a term dict: no leading block,
+    and one group (tail, [c], [0]) per term, tail its nonzero (variable,
+    exponent) pairs."""
+    return 0, 0, tuple((tuple((i, e) for i, e in enumerate(exps) if e), [c], [0])
+                       for exps, c in terms.items())
 
 
 def _key_slice(ring: PolyRing, lead: int, top: int, low=None) -> list:
@@ -308,10 +273,10 @@ def _key_slice(ring: PolyRing, lead: int, top: int, low=None) -> list:
 
 
 def _poly_from_blocks(ring: PolyRing, lead: int, blocks) -> Poly:
-    """The polynomial of the blocks (tail, d, coeffs): coefficients, zeros
-    allowed, of the degree-d monomials in the first lead variables in
-    table order, times those in tail.  It keeps only the plan read off the
-    blocks."""
+    """The polynomial of the blocks (tail, d, coeffs), tails distinct:
+    coefficients, zeros allowed, of the degree-d monomials in the first
+    lead variables in table order, times those in tail.  It keeps only the
+    plan read off the blocks."""
     groups, top = [], 0
     for tail, d, coeffs in blocks:
         idx = range(comb(d - 1 + lead, lead), comb(d + lead, lead))
@@ -328,21 +293,21 @@ def _poly_from_blocks(ring: PolyRing, lead: int, blocks) -> Poly:
 
 
 def _group_degrees(poly: Poly):
-    """(tail, coeffs, low, high) per group of the plan: low and high the
-    degrees of its first and last leading monomials, by the table's degree
-    ends."""
+    """(tail, coeffs, d) per group of the plan, d the degree of its leading
+    monomials: a group is one block of the draw, or one term (degree 0)."""
     lead, top, groups = poly._planned()
     ends = [comb(d + lead, lead) for d in range(top + 1)]
     for tail, coeffs, idx in groups:
-        yield tail, coeffs, bisect_right(ends, idx[0]), bisect_right(ends, idx[-1])
+        yield tail, coeffs, bisect_right(ends, idx[0])
 
 
 def _coefficient(poly: Poly, exps) -> Rational:
-    """The coefficient of the monomial exps, read off the plan when it is
-    free of the leading variables: index 0 leads the group of its tail."""
+    """The coefficient of the monomial exps, read off the plan; index 0
+    leads the group of its tail.  ValueError when exps has a leading
+    variable."""
     lead, _, groups = poly._planned()
     if any(exps[:lead]):
-        return poly.terms.get(exps, 0)
+        raise ValueError("the monomial has a leading variable of the plan")
     tail = tuple((i, e) for i, e in enumerate(exps) if e)
     return next((coeffs[0] for t, coeffs, idx in groups if t == tail and idx[0] == 0), 0)
 

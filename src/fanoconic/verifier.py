@@ -1,4 +1,4 @@
-"""Pointwise verification of one instantiated conic bundle.
+"""Pointwise verification of one instantiated conic divisor.
 
 The divisor-level certificate says what classes the defining data must
 have; coxring.instantiate_sections draws one member, the symmetric matrix
@@ -173,17 +173,13 @@ def boundary_identity_verdict(matrix: ConicMatrix) -> str:
     z2^2).
 
     The bidegrees settle all but seven scalars of that (see
-    _v_coefficients).  So with c the y0 coefficient of sigma' and (a_i, b_i)
-    the y0 y1 and y0 y2 coefficients of s_i, the identity holds iff sigma'
-    restricted to V is exactly c y0 and the pairs are (c, 0), (0, c) and
-    (0, c).  Returns PASS or FAIL.
+    _v_coefficients).  sigma' has class D, whose only monomial without y1
+    and y2 is y0, so sigma' restricted to V is c y0, c its y0 coefficient.
+    With (a_i, b_i) the y0 y1 and y0 y2 coefficients of s_i, the identity
+    holds iff the pairs are (c, 0), (0, c) and (0, c).  Returns PASS or
+    FAIL.
     """
-    nx = matrix.params.n_x
-    y0 = (0,) * nx + (1, 0, 0)
-    sigma_prime = matrix.sigma_prime.terms
-    if any(e[nx + 1] == e[nx + 2] == 0 and e != y0 for e in sigma_prime):
-        return "FAIL"
-    c = sigma_prime.get(y0, 0)
+    c = _coefficient(matrix.sigma_prime, (0,) * matrix.params.n_x + (1, 0, 0))
     _, pairs = _v_coefficients(matrix)
     return "PASS" if pairs == ((c, 0), (0, c), (0, c)) else "FAIL"
 
@@ -194,7 +190,10 @@ def boundary_identity_verdict(matrix: ConicMatrix) -> str:
 class LineProbe(_Record):
     degree: int              # degree in t of det S on the line, -1 if zero
     squarefree: bool | None  # None when the restriction vanishes identically
-    identically_zero: bool
+
+    @property
+    def identically_zero(self) -> bool:
+        return self.degree < 0
 
 
 # det S = s1 s3 sigma + 2 s2 lam1 lam2 - s3 lam1^2 - s1 lam2^2 - s2^2 sigma,
@@ -276,9 +275,7 @@ def discriminant_on_line(matrix: ConicMatrix, point, direction) -> LineProbe:
 
     det = _det_on_line(matrix, point, direction)
     deg = u_degree(det)
-    if deg < 0:
-        return LineProbe(-1, None, True)
-    return LineProbe(deg, u_is_squarefree(det), False)
+    return LineProbe(deg, u_is_squarefree(det) if deg >= 0 else None)
 
 
 # -- sampling ---------------------------------------------------------------

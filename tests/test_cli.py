@@ -10,7 +10,7 @@ import time
 import pytest
 
 import fanoconic
-from fanoconic.cli import MAX_SAMPLES, build_parser, main
+from fanoconic.cli import MAX_COEFF_RANGE, MAX_SAMPLES, build_parser, main
 from fanoconic.conicbundle import build_certificate
 from fanoconic.cones import classify
 from fanoconic.coxring import base_locus
@@ -116,6 +116,19 @@ def test_rejects_bad_coeff_range(capsys):
         capsys, "verify", "--m", "2", "--samples", "1", "--coeff-range", "0"
     )
     assert code == 2
+
+
+def test_rejects_coeff_range_above_the_cap(capsys):
+    # 10**9 is drawn; one more is refused before anything is drawn
+    code, out, err = run_cli(capsys, "verify", "--m", "2", "--samples", "1",
+                             "--coeff-range", str(MAX_COEFF_RANGE))
+    assert code in (0, 1) and out
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--m", "2", "--samples", "1",
+                             "--coeff-range", str(MAX_COEFF_RANGE + 1))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: --coeff-range must be at most 1000000000\n"
 
 
 def test_m_is_checked_before_the_class_and_the_options(capsys):

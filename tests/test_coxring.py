@@ -481,9 +481,10 @@ def test_unbuilt_block_poly_equals_and_hashes_like_its_terms():
 
 
 def _mixed_polys():
-    # a group of two x-degrees among others, a lone group of x-degrees 0 to
-    # 3, a class found only inside a group, two groups of different classes,
-    # and a plan whose leading block reaches y0, alone and with a stray term
+    # built from terms, one group a term: a stray class among the terms of
+    # a drawn entry, x-degrees 0 to 3 under one y-monomial, a class found
+    # in one term only, and a section of class 5D - 16H, alone and with a
+    # stray term; built from blocks, two groups of different classes
     ring, nx = cox_ring(M2), M2.n_x
     stray = (3,) + (0,) * (nx - 1) + (1, 1, 0)  # x0^3 y0 y1, beside x-degree 2
     led_by_y0 = _random_section(DivisorClassY(5, -16), seed=3)
@@ -491,7 +492,7 @@ def _mixed_polys():
         "one group": Poly(ring, {**instantiate_sections(M2, 1).lam1.terms, stray: 1}),
         "lone group": Poly(ring, {alpha + (1, 1, 0): 1
                                   for alpha in product(range(4), repeat=nx) if sum(alpha) <= 3}),
-        # x-degree 1 only inside the group of 1, x0 and x0^2 (leading block x0)
+        # x-degree 1 only in the term x0 y0 y1, beside x-degrees 0 and 2
         "middle degree": Poly(ring, {alpha + (0,) * 3 + (1, 1, 0): 1
                                      for alpha in product(range(3), repeat=4)
                                      if sum(alpha) in (0, 2) or alpha == (1, 0, 0, 0)}),
@@ -499,15 +500,13 @@ def _mixed_polys():
                                                    ((1, 0, 1), 3, [2] * 84)]),
         "led by y0": led_by_y0,
         "led by y0, mixed": led_by_y0 + ring.monomial(stray),
-        # x0 y1, ..., x6 y1 and y0 y1: one group, one leading degree
-        "led by y0, in blocks": _poly_from_blocks(ring, nx + 1, [((1, 0), 1, [1] * 8)]),
     }
 
 
 @pytest.mark.parametrize("case", list(_mixed_polys()))
 def test_poly_degree_of_mixed_and_y_led_plans_matches_the_oracle(case):
     poly = _mixed_polys()[case]
-    assert (poly._planned()[0] > M2.n_x) == case.startswith("led by y0")
+    assert poly._planned()[0] == (M2.n_x if case == "two groups" else 0)
     try:
         expected = poly_degree_by_terms(poly, M2)
     except ValueError as exc:

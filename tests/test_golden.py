@@ -56,23 +56,25 @@ DIGESTS = {
     # re-recorded when the certificate dropped its constant "picard" dict and
     # its six prose claims, traded chambers_cover_movable_cone for
     # sigma_on_V_patterns, and gave effective_cone_rays the Cox degrees as its
-    # computed side (still 29 checks); nothing else changed
+    # computed side (still 29 checks); nothing else changed.  The four text
+    # views were re-recorded once more when their first line became
+    # "conic divisor certificate  m=..." (X -> Y is not flat)
     "certificate --m 2 --format json":
         (0, "3e202ea4c8d0658067851744ade6ab9f0a41b82bcba6dc78c59173e30ce8af8c"),
     "certificate --m 2 --format text":
-        (0, "de2cd0b1eea458ca07d5180c706994cdf76ac45ffb0b75af2819e2e25cffa337"),
+        (0, "754ae3397db1d174b300fbb150c9d8620f5ba89d1ea15bdb1130b1fb979d63f5"),
     "certificate --m 3 --format json":
         (0, "e2a43d4794d81378bc7412e9b2b38e530ba79cde4fd2736b82015ef720fd420f"),
     "certificate --m 3 --format text":
-        (0, "e9711ad1ecca0344319c1d1a5332addd4796ed8680d5280f44935ae013edfe5e"),
+        (0, "1be3c03e84702df6bcbaca5d6e6cd8b2959eb98e5558b4f7cee516bdbaaa8510"),
     "certificate --m 4 --format json":
         (0, "14ee3e8c52294a5a16cd172ab019d45eb68977896b6c62842b092879e6d2cbec"),
     "certificate --m 4 --format text":
-        (0, "aacebcd64a1806d9e64582a5b31a9f052e78128dc4664fd6175cebaf87bf56ff"),
+        (0, "cb65a294a67abd49e235a17c7ec049db17053337fd4de106bb415e6481ef63a1"),
     "certificate --m 5 --format json":
         (0, "94c9ae4ffb4a91b46e1f4e25c5c796584ea6ccf99a7c22e10497ca8ac932df46"),
     "certificate --m 5 --format text":
-        (0, "c650d902767ed032fe7772cefc5583d28871dc0b92401da26de5ab399a6747ba"),
+        (0, "089e0a0a592930a2f1af1ece35db3e821a81a821cec650ef7943bd1ef802156c"),
     # recorded before the chamber decomposition became a plain dict
     "cones --m 2 --format json":
         (0, "1eedab03de8c2d84edd400c5bb8c5ed05871bead1e5a7971ad8356e0a7e71172"),

@@ -25,7 +25,6 @@ from fanoconic.polynomial import (
     u_trim,
     _coefficient,
     _poly_from_blocks,
-    _trailing_split,
 )
 
 from .oracles import (
@@ -198,7 +197,7 @@ scalar = st.one_of(
     st.fractions(min_value=-3, max_value=3, max_denominator=5),
 )
 
-# more terms than variables, so the plans split the ring at varying places
+# more terms than variables
 wide_poly = st.dictionaries(
     st.tuples(*[st.integers(0, 3)] * 5),
     scalar,
@@ -219,14 +218,11 @@ def test_eval_matches_term_oracle(p, pt):
 
 @settings(max_examples=150, deadline=None)
 @given(wide_poly)
-# leading block a: the term a comes before 1 in the group of the tail 1
-@example(Poly(R5, {(1, 0, 0, 0, 0): 2, (0, 0, 0, 0, 0): 3, (2, 0, 0, 0, 0): 5,
-                   **{(0, k, 0, 0, 0): k for k in range(1, 5)},
-                   **{(0, 0, k, 0, 0): k for k in range(1, 5)}}))
 def test_coefficients_read_off_the_plan_match_the_terms(p):
-    # every term, and monomials free of the leading variables, present or not
-    lead = p._planned()[0]
-    for exps in [*p.terms, *{(0,) * lead + e[lead:] for e in p.terms}, (0,) * 5]:
+    # a polynomial built from terms has one group per term and no leading
+    # block: every term, and monomials that are not terms
+    assert p._planned()[:2] == (0, 0) and len(p._planned()[2]) == len(p)
+    for exps in [*p.terms, *{e[:4] + (e[4] + 1,) for e in p.terms}, (0,) * 5]:
         assert _coefficient(p, exps) == p.terms.get(exps, 0)
 
 
@@ -238,32 +234,13 @@ def test_block_built_poly_keeps_its_plan_until_its_terms_are_read():
     assert (len(p), bool(p), p._terms) == (2, True, None)
     free = [(0, 0, 0, 1, 0), (0, 0, 0, 0, 2), (0, 0, 0, 2, 0)]
     assert [_coefficient(p, e) for e in free] == [0, 5, 0]
+    # the plan does not read coefficients of the leading variables
+    with pytest.raises(ValueError, match="leading variable"):
+        _coefficient(p, (0, 1, 0, 2, 0))
     assert p._terms is None
     assert list(p.terms.items()) == [((0, 0, 0, 0, 2), 5), ((0, 1, 0, 2, 0), 3)]
     empty = _poly_from_blocks(R5, 3, [((1, 0), 2, [0] * 6)])
     assert (len(empty), bool(empty), empty.terms) == (0, False, {})
-
-
-@settings(max_examples=150, deadline=None)
-@given(wide_poly)
-# 301 and 256 powers of a: one leading variable fits its table, but a
-# leading exponent of 300 does not fit a byte of the packed key
-@example(Poly(R5, {(i, 0, 0, 0, 0): 1 for i in range(301)}))
-@example(Poly(R5, {(i, 0, 0, 0, 0): 1 for i in range(256)}))
-def test_trailing_split_is_the_longest_block_with_few_patterns(p):
-    # the longest trailing block with at most 5 patterns, then the longest
-    # leading block before it whose complete table fits the terms
-    few = min(k for k in range(6)
-              if all(len({e[j:] for e in p.terms}) <= 5 for j in range(k, 6)))
-
-    def top(k):
-        return max((sum(e[:k]) for e in p.terms), default=0)
-
-    fits = [k for k in range(1, few + 1)
-            if top(k) < 256 and comb(top(k) + k, k) <= len(p.terms)]
-    lead = max(fits, default=0)
-    assert _trailing_split(p.terms, 5) == (lead, top(lead))
-    assert _trailing_split([()], 0) == (0, 0)
 
 
 values5 = st.tuples(*[st.one_of(st.just(0), st.integers(-6, 6),
@@ -271,16 +248,30 @@ values5 = st.tuples(*[st.one_of(st.just(0), st.integers(-6, 6),
                                              max_denominator=5))] * 5)
 
 
+# in the layout of a drawn entry, leading block a, b, c: each block holds
+# the coefficients, zeros allowed, of the monomials of one degree in a, b, c
+# times its own monomial in d, e
+block_poly = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.integers(0, 3).flatmap(lambda d: st.tuples(st.just(d), st.lists(
+        st.one_of(st.just(0), scalar), min_size=comb(d + 2, 2), max_size=comb(d + 2, 2)))),
+    max_size=4,
+).map(lambda blocks: _poly_from_blocks(R5, 3, [(tail, d, c)
+                                               for tail, (d, c) in blocks.items()]))
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(wide_poly, min_size=1, max_size=4),
+@given(st.lists(st.one_of(wide_poly, block_poly), min_size=1, max_size=4),
        st.lists(values5, min_size=1, max_size=3),
        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=8))
-# six powers of a lead with a: its table at a = Fraction(2) must not serve a = 2
-@example([Poly(R5, {(i, 0, 0, 0, 0): 1 for i in range(6)})], [(2, 1, 1, 1, 1)], [(0, 0)])
+# six powers of a, led by a: its table at a = Fraction(2) must not serve a = 2
+@example([_poly_from_blocks(R5, 1, [((0, 0, 0, 0), i, [1]) for i in range(6)])],
+         [(2, 1, 1, 1, 1)], [(0, 0)])
 def test_shared_tables_match_term_oracle(polys, points, calls):
-    # polynomials of one ring share the last table of leading monomials;
-    # evaluate them in any order, at repeated points, each point after its
-    # twin with all values Fractions, and again with its whole values ints
+    # block-built polynomials of one ring share the last table of leading
+    # monomials, which those built from terms leave alone; evaluate them in
+    # any order, at repeated points, each point after its twin with all
+    # values Fractions, and again with its whole values ints
     for which, at in calls:
         p, pt = polys[which % len(polys)], points[at % len(points)]
         for q in (tuple(map(Fraction, pt)), pt,

@@ -85,6 +85,7 @@ REMOVED = [
     (verifier, "CoxPointY"),
     (cones, "Cone2D"),
     (cones, "primitive_ray"),
+    (polynomial, "_trailing_split"),
 ]
 
 
@@ -120,8 +121,7 @@ VALUES = [
     (picard.DivisorClassY, ("a", "b"), (1, -4), (1, 4)),
     (coxring.ConicMatrix, ("params",) + coxring._SLOT_NAMES + ("sigma_prime",), *[
         (M2, *(p for _, p in m.named_entries()), m.sigma_prime) for m in _DRAWN]),
-    (verifier.LineProbe, ("degree", "squarefree", "identically_zero"),
-     (6, True, False), (-1, None, True)),
+    (verifier.LineProbe, ("degree", "squarefree"), (6, True), (-1, None)),
     (conicbundle.DivisorClassZ, ("xi", "a", "b"), (2, 0, -4), (2, 0, -6)),
 ]
 

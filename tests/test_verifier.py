@@ -6,6 +6,7 @@ import json
 import operator
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -258,30 +259,39 @@ def test_each_basis_is_enumerated_once_per_draw(monkeypatch, perturb, enumeratio
     assert matrix.lam1._terms is matrix.lam2._terms is None
 
 
-@pytest.mark.parametrize("perturb, sigma_prime_terms", [(False, 1), (True, 421)])
-def test_the_audit_builds_no_entry_terms(monkeypatch, perturb, sigma_prime_terms):
-    # the audit reads each entry's class, sizes, V coefficients and length
-    # off its block plan; of the drawn polynomials only sigma' has its term
-    # dict built, by boundary_identity_verdict
-    built, drawn = [], []
-    build, draw = polynomial.Poly.terms.fget, verifier._draw_matrix
+@pytest.mark.parametrize("m, perturb, sigma_prime_terms", [
+    pytest.param(2, False, 1, id="False-1"), pytest.param(2, True, 421, id="True-421"),
+    pytest.param(3, False, 1, id="m3-False-1")])
+def test_the_audit_builds_no_entry_terms(monkeypatch, m, perturb, sigma_prime_terms):
+    # the audit reads the class, sizes, V coefficients and length of each
+    # entry and of sigma' off its block plan: no polynomial has its terms
+    # read, and no plan is compiled from a term dict
+    read, compiled, drawn = [], [], []
+    terms, build_plan, draw = polynomial.Poly.terms.fget, polynomial._build_plan, \
+        verifier._draw_matrix
 
-    def counting_build(poly):
-        if poly._terms is None:
-            built.append(poly)
-        return build(poly)
+    def counting_terms(poly):
+        read.append(poly)
+        return terms(poly)
+
+    def counting_build_plan(poly_terms):
+        compiled.append(poly_terms)
+        return build_plan(poly_terms)
 
     def keeping_draw(*args):
         drawn.append(draw(*args))
         return drawn[-1]
 
-    monkeypatch.setattr(polynomial.Poly, "terms", property(counting_build))
+    monkeypatch.setattr(polynomial.Poly, "terms", property(counting_terms))
+    monkeypatch.setattr(polynomial, "_build_plan", counting_build_plan)
     monkeypatch.setattr(verifier, "_draw_matrix", keeping_draw)
-    assert run_instance(M2, seed=1, n_samples=3, perturb=perturb)["passed"]
+    params = ConstructionParams(m)
+    assert run_instance(params, seed=1, n_samples=3, perturb=perturb)["passed"]
+    assert (read, compiled) == ([], [])
     (matrix,) = drawn
-    assert len(built) == 1 and built[0] is matrix.sigma_prime
     assert len(matrix.sigma_prime) == sigma_prime_terms
-    assert all(poly._terms is None for _, poly in matrix.named_entries())
+    assert all(poly._terms is None
+               for poly in (*dict(matrix.named_entries()).values(), matrix.sigma_prime))
 
 
 def test_perturbed_matrix_shares_lambda_draws(default_matrix, perturbed_matrix):
@@ -490,8 +500,7 @@ def _boundary_variants():
     # the grading already makes s1, s2, s3, lam1 and lam2 vanish on V and
     # leaves the y-partials of the s-block as multiples of y0 there, so what
     # can break the identity is a wrong multiple; each variant changes one
-    # entry, or sigma', of the default shape.  sigma' carries no degree
-    # check, so its restriction to V must be read in full
+    # entry, or sigma', of the default shape
     ring = cox_ring(M2)
     x0, x1 = ring.var("x0"), ring.var("x1")
     y0, y1, y2 = ring.var("y0"), ring.var("y1"), ring.var("y2")
@@ -523,13 +532,34 @@ def _boundary_variants():
     names = ("s1", "s2", "s3", "lam1", "lam2", "sigma")
     for label, change in variants.items():
         e = dict(good, **change)
-        yield label, ConicMatrix(M2, *(e[n] for n in names),
-                                 sigma_prime=e["sigma_prime"])
+        yield label, (*(e[n] for n in names), e["sigma_prime"])
 
 
-@pytest.mark.parametrize("label", [label for label, _ in _boundary_variants()])
+BOUNDARY_VARIANTS = dict(_boundary_variants())
+
+# variants whose sigma' is not of the class D, with the classes its terms
+# have: ConicMatrix refuses them, so no verdict is ever read off them
+REFUSED_VARIANTS = {"sigma prime has x0 y0": "1D+0H, 1D+1H",
+                    "sigma prime has a constant": "0D+0H, 1D+0H"}
+
+
+def _variant_matrix(label):
+    *entries, sigma_prime = BOUNDARY_VARIANTS[label]
+    return ConicMatrix(M2, *entries, sigma_prime=sigma_prime)
+
+
+def _assert_variant_refused(label):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"homogeneous: {REFUSED_VARIANTS[label]}")):
+        _variant_matrix(label)
+
+
+@pytest.mark.parametrize("label", list(BOUNDARY_VARIANTS))
 def test_boundary_identity_matches_form_oracle(label):
-    matrix = dict(_boundary_variants())[label]
+    if label in REFUSED_VARIANTS:
+        _assert_variant_refused(label)
+        return
+    matrix = _variant_matrix(label)
     verdict = boundary_identity_verdict(matrix)
     assert verdict == boundary_identity_by_form(matrix) \
         == boundary_identity_by_calculus(matrix)
@@ -617,24 +647,25 @@ def test_audit_matches_rescaling_oracle(section_monomials):
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
 
 
-def _v_cases():
-    yield "zero entries", ConicMatrix(M2, *_zero_entries(), sigma_prime=Y0)
-    yield from _boundary_variants()
-
-
-@pytest.mark.parametrize("label", ["default draw", "perturbed draw"]
-                         + [label for label, _ in _v_cases()])
+@pytest.mark.parametrize("label", ["default draw", "perturbed draw", "zero entries"]
+                         + list(BOUNDARY_VARIANTS))
 def test_v_verdicts_match_rescaling_oracle(label, default_matrix, perturbed_matrix,
                                            monkeypatch):
     # the V fibers and the z-grid are decided from _v_coefficients; redo
     # each at the reported V points, by ranks of term-by-term values and
     # by chart_gradient.  Line probes need integer entries and are tested
     # on their own, so they are stubbed here
-    matrix = {"default draw": default_matrix, "perturbed draw": perturbed_matrix,
-              **dict(_v_cases())}[label]
+    if label in REFUSED_VARIANTS:
+        _assert_variant_refused(label)
+        return
+    if label in BOUNDARY_VARIANTS:
+        matrix = _variant_matrix(label)
+    else:
+        matrix = {"default draw": default_matrix, "perturbed draw": perturbed_matrix,
+                  "zero entries": ConicMatrix(M2, *_zero_entries(), sigma_prime=Y0)}[label]
     monkeypatch.setattr(verifier, "_draw_matrix", lambda *args: matrix)
     monkeypatch.setattr(verifier, "discriminant_on_line",
-                        lambda *args: LineProbe(6, True, False))
+                        lambda *args: LineProbe(6, True))
     report = run_instance(M2, seed=17, n_samples=2, coeff_range=25)
     v = report["v_fibers"]
     failed = {(f["index"], tuple(f["z"])) for f in report["failures"]
@@ -717,11 +748,11 @@ def test_entry_restriction_matches_binomial_oracle(poly, point, direction):
 
 @settings(max_examples=200, deadline=None)
 @given(line_poly)
-# leading block a: the degree 3 only at the top of the group of 1 and a^3
+# the total degree 3 in one term only
 @example(Poly(RING4, {(0, 0, 0, 0): 1, (3, 0, 0, 0): 1, (0, 0, 0, 1): 1, (0, 0, 1, 0): 1,
                       (0, 1, 0, 0): 1, (0, 0, 1, 1): 1, (0, 0, 0, 2): 1, (0, 0, 2, 0): 1}))
 def test_entry_sizes_read_off_any_plan_match_the_terms(poly):
-    # the plans compiled from these terms mix leading degrees within a group
+    # read off the plan of one group per term
     assert _OneEntry(poly)._entry_sizes["s1"] == \
         (sum(map(abs, poly.terms.values())), max(map(sum, poly.terms), default=0))
 
