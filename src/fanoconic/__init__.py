@@ -16,7 +16,8 @@ imported from its home module on first access (PEP 562), so a caller
 that only draws a member (instantiate_sections, in coxring) loads
 neither the audit modules nor the certificate and cone modules.  Loading
 a module imports neither dataclasses nor fractions, which cost more than
-a draw.  fanoconic.cli imports every module, for the benchmark tracer.
+a draw, and a draw loads neither numbers, fractions nor dataclasses.
+fanoconic.cli imports every module, for the benchmark tracer.
 """
 
 from importlib import import_module

@@ -34,6 +34,7 @@ blocks, which gives its class and sizes; its terms are built when read.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from functools import cached_property, lru_cache
 from itertools import count, repeat
 from math import comb
@@ -364,19 +365,29 @@ def _draw_matrix(params, rng, coeff_range, perturb) -> ConicMatrix:
 
 def _basis_layout(cls_, min_y_order, params, keys) -> tuple:
     """(size, [(tail, ranks)]), a pair per y-pattern: ranks places each
-    x-monomial, in key table order, in the sorted basis.  Keys sort the
-    x-monomials of a degree, and the patterns of an x-degree come in the
-    order of their tails, so key * n + index sorts the basis of n patterns."""
+    x-monomial, in key table order, in the sorted basis.  The basis sorts
+    by key, then by the place of the pattern among the n_d patterns of its
+    x-degree d, which come together in the order of their tails.  A
+    degree's N_d keys descend in table order, so the key at index i has
+    n_d (N_d - 1 - i) basis monomials of degree d below it, and n_e times
+    its count of smaller keys of each other degree e."""
     patterns = list(y_patterns(cls_, params, min_y_order))
-    n, flat = len(patterns), []
-    for p, (*_, d) in enumerate(patterns):
-        flat += [k * n + p for k in keys(d)]
-    ranks = list(map(dict(zip(sorted(flat), count())).__getitem__, flat))
-    layout, lo = [], 0
+    per_degree = {}
+    for *_, d in patterns:
+        per_degree[d] = per_degree.get(d, 0) + 1
+    below = {}
+    for d, n in per_degree.items():
+        ks = keys(d)
+        below[d] = list(range(n * (len(ks) - 1), -1, -n))
+        for e, n_e in per_degree.items():
+            if e != d:
+                smaller = map(bisect_left, repeat(keys(e)[::-1]), ks)
+                below[d] = [b + n_e * c for b, c in zip(below[d], smaller)]
+    layout, place = [], {}
     for k0, k1, k2, d in patterns:
-        layout.append(((k0, k1, k2), ranks[lo:lo + len(keys(d))]))
-        lo += len(keys(d))
-    return len(flat), layout
+        p = place[d] = place.get(d, -1) + 1
+        layout.append(((k0, k1, k2), [b + p for b in below[d]]))
+    return sum(n * len(keys(d)) for d, n in per_degree.items()), layout
 
 
 def _square_blocks(sigma_prime: dict, keys, t: int) -> dict:

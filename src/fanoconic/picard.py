@@ -149,7 +149,8 @@ def standard_classes(params: ConstructionParams) -> dict[str, DivisorClassY]:
     }
 
 
-_TERM = re.compile(" *([+-]?) *([0-9]*) *([DH]) *")
+# one term of the grammar, compiled by re on the first parse
+_TERM = " *([+-]?) *([0-9]*) *([DH]) *"
 
 
 def parse_divisor_class(text: str) -> DivisorClassY:
@@ -166,7 +167,7 @@ def parse_divisor_class(text: str) -> DivisorClassY:
         raise ValueError("empty divisor class string")
     a = b = 0
     pos = 0
-    for match in _TERM.finditer(s):
+    for match in re.finditer(_TERM, s):
         if match.start() != pos or (pos and not match.group(1)):
             raise ValueError(f"cannot parse divisor class {text!r}")
         sign = -1 if match.group(1) == "-" else 1

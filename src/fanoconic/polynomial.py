@@ -1,9 +1,11 @@
-"""Sparse exact polynomial arithmetic over the rationals.
+"""Sparse exact polynomials over the rationals, and univariate helpers.
 
 The drawn sections, conic matrices and line probes run on these
 polynomials, each a dict mapping exponent tuples to nonzero int or
 Fraction coefficients.  All arithmetic is exact, nothing here touches
-floats.
+floats.  Arithmetic on whole polynomials is left to the tests
+(tests/oracles.py): a drawn entry is assembled from its blocks, and a
+draw loads neither numbers, fractions nor dataclasses.
 
 Point evaluation is the hot path of the instance audit, so a polynomial
 evaluates through a plan: one dot product per group of terms that share
@@ -28,7 +30,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import compress, repeat
 from math import comb, gcd, lcm
-from numbers import Rational
 from operator import add, mul
 
 
@@ -41,35 +42,6 @@ class PolyRing:
             raise ValueError("duplicate variable names")
         self.n = len(self.names)
         self._table = None  # see _head_table
-
-    def var(self, which) -> "Poly":
-        """The variable given by index or name, as a polynomial."""
-        if isinstance(which, str):
-            which = self.names.index(which)
-        exps = [0] * self.n
-        exps[which] = 1
-        return Poly(self, {tuple(exps): 1})
-
-    def constant(self, c: Rational) -> "Poly":
-        if c == 0:
-            return Poly(self, {})
-        return Poly(self, {(0,) * self.n: c})
-
-    def zero(self) -> "Poly":
-        return Poly(self, {})
-
-    def one(self) -> "Poly":
-        return self.constant(1)
-
-    def monomial(self, exps, coeff: Rational = 1) -> "Poly":
-        exps = tuple(exps)
-        if len(exps) != self.n:
-            raise ValueError("exponent tuple has wrong length")
-        if any(e < 0 for e in exps):
-            raise ValueError("negative exponent")
-        if coeff == 0:
-            return self.zero()
-        return Poly(self, {exps: coeff})
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.names == other.names
@@ -84,10 +56,10 @@ class PolyRing:
 class Poly:
     """Immutable sparse polynomial: {exponent tuple: coefficient}.
 
-    Construction normalizes nothing beyond dropping explicit zeros, so always
-    go through PolyRing factories or arithmetic.  The evaluation plan comes
-    from the blocks (_poly_from_blocks), or is one group per term, built on
-    first use (_build_plan).
+    Construction normalizes nothing beyond dropping explicit zeros.  The
+    evaluation plan comes from the blocks (_poly_from_blocks), or is one
+    group per term, built on first use (_build_plan).  Equality and hash
+    read the terms.
     """
 
     __slots__ = ("ring", "_terms", "_plan")
@@ -120,70 +92,17 @@ class Poly:
         return len(self._terms)
 
     def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.ring.names == other.ring.names and self.terms == other.terms
-        if isinstance(other, Rational):
-            return self == self.ring.constant(other)
-        return NotImplemented
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self.ring.names == other.ring.names and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring.names, frozenset(self.terms.items())))
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _check(self, other: "Poly"):
-        if self.ring.names != other.ring.names:
-            raise ValueError("polynomials live in different rings")
-
-    def __add__(self, other):
-        if isinstance(other, Rational):
-            other = self.ring.constant(other)
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return Poly(self.ring, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        """Product with a scalar or a polynomial of the same ring, term by
-        term, the exponent tuples added entry by entry."""
-        if isinstance(other, Rational):
-            if other == 0:
-                return self.ring.zero()
-            return Poly(self.ring, {e: c * other for e, c in self.terms.items()})
-        self._check(other)
-        out = {}
-        get = out.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(map(add, e1, e2))
-                out[key] = get(key, 0) + c1 * c2
-        return Poly(self.ring, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = self.ring.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, values) -> Rational:
+    def eval(self, values):
+        """The value at the given values, exact: an int at int values."""
         if len(values) != self.ring.n:
             raise ValueError("wrong number of values")
         lead, top, groups = self._planned()
@@ -203,34 +122,6 @@ class Poly:
         if self._plan is None:
             self._plan = _build_plan(self.terms)
         return self._plan
-
-    # -- display -----------------------------------------------------------
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        names = self.ring.names
-        chunks = []
-        for exps in sorted(self.terms):
-            c = self.terms[exps]
-            mono = "*".join(
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(names, exps)
-                if e
-            )
-            if not mono:
-                chunks.append(str(c))
-            elif c == 1:
-                chunks.append(mono)
-            elif c == -1:
-                chunks.append(f"-{mono}")
-            else:
-                chunks.append(f"{c}*{mono}")
-        text = " + ".join(chunks)
-        return text.replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"<Poly {self}>"
 
 
 # -- evaluation plans --------------------------------------------------------
@@ -273,12 +164,15 @@ def _key_slice(ring: PolyRing, lead: int, top: int, low=None) -> list:
 
 
 def _poly_from_blocks(ring: PolyRing, lead: int, blocks) -> Poly:
-    """The polynomial of the blocks (tail, d, coeffs), tails distinct:
-    coefficients, zeros allowed, of the degree-d monomials in the first
-    lead variables in table order, times those in tail.  It keeps only the
-    plan read off the blocks."""
-    groups, top = [], 0
+    """The polynomial of the blocks (tail, d, coeffs): coefficients, zeros
+    allowed, of the degree-d monomials in the first lead variables in table
+    order, times those in tail.  It keeps only the plan read off the
+    blocks.  ValueError when two blocks share their tail and degree."""
+    groups, top, seen = [], 0, set()
     for tail, d, coeffs in blocks:
+        if (tail, d) in seen:
+            raise ValueError(f"two blocks of degree {d} have the tail {tail}")
+        seen.add((tail, d))
         idx = range(comb(d - 1 + lead, lead), comb(d + lead, lead))
         if 0 in coeffs:
             idx = list(compress(idx, coeffs))
@@ -301,7 +195,7 @@ def _group_degrees(poly: Poly):
         yield tail, coeffs, bisect_right(ends, idx[0])
 
 
-def _coefficient(poly: Poly, exps) -> Rational:
+def _coefficient(poly: Poly, exps):
     """The coefficient of the monomial exps, read off the plan; index 0
     leads the group of its tail.  ValueError when exps has a leading
     variable."""

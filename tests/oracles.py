@@ -5,8 +5,10 @@ shortcuts: counting walks the exponent lattice recursively instead of
 using binomial closed forms, ranks come from textbook fraction Gaussian
 elimination instead of the adjugate, symmetric functions are
 built from their recursion, polynomial values are summed term by term
-instead of through the compiled evaluation plan, products add exponent
-tuples instead of packed ints, lines are restricted by binomial
+(at big points over the integers, each variable's powers and each product
+of powers of half the variables computed once) instead of through the
+compiled evaluation plan, products add exponent tuples instead of packed
+ints, lines are restricted by binomial
 expansion and det S on a line by cofactors, the chart gradient is
 assembled from naive differentiate-then-evaluate calls at the rescaled
 point instead of the integer-weighted fast path, the boundary identity is
@@ -20,21 +22,27 @@ one pass, and base loci are the minimal hitting sets among all 15 subsets
 of y0, y1, y2, X instead of six.  Two exceptions: squarefree_by_gcd is
 the exact gcd route of u_is_squarefree without the mod-p certificate in
 front of it, and the draw on sorted bases (draw_by_bases, with
-section_bases, draw_on_basis and square_sigma_prime) and the per-term line
-degree bound are the package's earlier algorithms, kept as references
-for the draw in key-table blocks and the bounds read off the plans.
+section_bases, draw_on_basis, square_sigma_prime and
+basis_layout_by_sorting) and the per-term line degree bound are the
+package's earlier algorithms, kept as references for the draw in
+key-table blocks, its closed-form layout and the bounds read off the
+plans.
 
-The polynomial helpers at the end (differentiation, substitution,
-generators, lifting, serialization) exist only for the tests.
+The term-by-term arithmetic and display of polynomials (TermPoly, with
+the factories var, constant and monomial) and the polynomial helpers at
+the end (differentiation, substitution, generators, lifting,
+serialization) exist only for the tests.
 """
+
+from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, groupby
-from math import comb
-from operator import itemgetter
+from itertools import accumulate, combinations, groupby, repeat
+from math import comb, lcm, prod
+from operator import itemgetter, mul
 
 from fanoconic.coxring import ConicMatrix, _section_draws, cox_ring, y_indices, y_patterns
 from fanoconic.picard import DivisorClassY
@@ -134,12 +142,12 @@ def draw_by_arithmetic(params, seed: int, coeff_range: int = 100,
         basis = sorted(e for e in enumerate_monomials(a, b, t, params.n_x)
                        if e[-2] + e[-1] >= min_y_order)
         coeffs = nonzero_draws_by_randint(rng, coeff_range, len(basis))
-        return Poly(ring, dict(zip(basis, coeffs)))
+        return TermPoly(ring, dict(zip(basis, coeffs)))
 
     lam1, lam2 = section(2, -m, 0), section(2, -m, 0)
-    y0, y1, y2 = (ring.var(i) for i in y_indices(params))
+    y0, y1, y2 = (var(ring, i) for i in y_indices(params))
     sigma_prime = y0
-    r1 = r2 = r3 = w = ring.zero()
+    r1 = r2 = r3 = w = constant(ring, 0)
     if perturb:
         sigma_prime = y0 + section(1, 0, 1)
         r1, r2, w, r3 = (section(2, -t, 2), section(2, -t, 2), section(2, 0, 1),
@@ -194,13 +202,13 @@ def section_bases(keys, params) -> dict:
     return bases
 
 
-def draw_on_basis(basis: list, params, rng, coeff_range: int) -> Poly:
+def draw_on_basis(basis: list, params, rng, coeff_range: int) -> TermPoly:
     """One coefficient from rng per basis monomial, in order, uniform on
     [-coeff_range, coeff_range] without 0; an empty basis gives zero."""
     if coeff_range < 1:
         raise ValueError("coeff_range must be positive")
     coeffs = nonzero_draws_by_randint(rng, coeff_range, len(basis))
-    return Poly(cox_ring(params), dict(zip(basis, coeffs)))
+    return TermPoly(cox_ring(params), dict(zip(basis, coeffs)))
 
 
 def times_var(terms: dict, i: int) -> dict:
@@ -263,6 +271,24 @@ def square_sigma_prime(terms: dict, nx: int) -> dict:
     return out
 
 
+def basis_layout_by_sorting(cls_, min_y_order, params, keys) -> tuple:
+    """coxring._basis_layout by sorting the basis: (size, [(tail, ranks)]),
+    a pair per y-pattern, ranks placing each x-monomial, in key table
+    order, in the sorted basis.  Keys sort the x-monomials of a degree, and
+    the patterns of an x-degree come in the order of their tails, so key *
+    n + index sorts the basis of n patterns."""
+    patterns = list(y_patterns(cls_, params, min_y_order))
+    n, flat = len(patterns), []
+    for p, (*_, d) in enumerate(patterns):
+        flat += [k * n + p for k in keys(d)]
+    ranks = list(map({key: rank for rank, key in enumerate(sorted(flat))}.__getitem__, flat))
+    layout, lo = [], 0
+    for k0, k1, k2, d in patterns:
+        layout.append(((k0, k1, k2), ranks[lo:lo + len(keys(d))]))
+        lo += len(keys(d))
+    return len(flat), layout
+
+
 def draw_by_bases(params, seed: int, coeff_range: int = 100, perturb: bool = False) -> dict:
     """The entries and sigma' of instantiate_sections as term dicts, each
     section drawn on its sorted basis (section_bases, draw_on_basis), the
@@ -275,19 +301,19 @@ def draw_by_bases(params, seed: int, coeff_range: int = 100, perturb: bool = Fal
                           for key in draws]
     ring = cox_ring(params)
     nx = params.n_x
-    sigma_prime = ring.var(nx)
-    r1 = r2 = r3 = w = ring.zero()
+    sigma_prime = var(ring, nx)
+    r1 = r2 = r3 = w = constant(ring, 0)
     if perturb:
         sigma_extra, r1, r2, w, r3 = extra
         sigma_prime = sigma_prime + sigma_extra
-    sigma_prime_y1, sigma_prime_y2 = (Poly(ring, times_var(sigma_prime.terms, i))
+    sigma_prime_y1, sigma_prime_y2 = (TermPoly(ring, times_var(sigma_prime.terms, i))
                                       for i in (nx + 1, nx + 2))
     sigma = square_sigma_prime(sigma_prime.terms, nx)
     for e, c in w.terms.items():
         sigma[e] = sigma.get(e, 0) + c
     entries = {"s1": sigma_prime_y1 + r1, "s2": sigma_prime_y2 + r2,
                "s3": sigma_prime_y2 + r3, "lam1": lam1, "lam2": lam2,
-               "sigma": Poly(ring, sigma), "sigma_prime": sigma_prime}
+               "sigma": TermPoly(ring, sigma), "sigma_prime": sigma_prime}
     return {name: poly.terms for name, poly in entries.items()}
 
 
@@ -342,14 +368,101 @@ def base_locus_by_hitting_sets(a: int, b: int, twist: int) -> dict:
 # -- polynomial arithmetic and evaluation -----------------------------------
 
 
-def mul_terms(f, g) -> Poly:
-    """f * g term by term, the exponent tuples added entry by entry."""
-    out = {}
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
-            key = tuple(a + b for a, b in zip(e1, e2, strict=True))
-            out[key] = out.get(key, 0) + c1 * c2
-    return Poly(f.ring, out)
+class TermPoly(Poly):
+    """A Poly with the arithmetic and display that only the tests use: +,
+    - and * with a Poly of the same ring (on either side) or an int or
+    Fraction scalar, ** and unary minus, all term by term; equality with
+    scalars, str and repr."""
+
+    __slots__ = ()
+
+    def _operand(self, other) -> TermPoly:
+        if isinstance(other, (int, Fraction)):
+            return constant(self.ring, other)
+        if not isinstance(other, Poly):
+            raise TypeError(f"cannot combine a polynomial with {type(other).__name__}")
+        if self.ring.names != other.ring.names:
+            raise ValueError("polynomials live in different rings")
+        return other if isinstance(other, TermPoly) else TermPoly(other.ring, other.terms)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = constant(self.ring, other)
+        return Poly.__eq__(self, other)
+
+    __hash__ = Poly.__hash__
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in self._operand(other).terms.items():
+            out[e] = out.get(e, 0) + c
+        return TermPoly(self.ring, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TermPoly(self.ring, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -self._operand(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        out, other = {}, self._operand(other)
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(a + b for a, b in zip(e1, e2, strict=True))
+                out[key] = out.get(key, 0) + c1 * c2
+        return TermPoly(self.ring, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative power")
+        out = constant(self.ring, 1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __str__(self):
+        chunks = []
+        for exps in sorted(self.terms):
+            c = self.terms[exps]
+            mono = "*".join(name if e == 1 else f"{name}^{e}"
+                            for name, e in zip(self.ring.names, exps) if e)
+            if not mono:
+                chunks.append(str(c))
+            elif c in (1, -1):
+                chunks.append(mono if c == 1 else f"-{mono}")
+            else:
+                chunks.append(f"{c}*{mono}")
+        return " + ".join(chunks).replace("+ -", "- ") or "0"
+
+    def __repr__(self):
+        return f"<Poly {self}>"
+
+
+def var(ring, which) -> TermPoly:
+    """The variable given by index or name, as a polynomial."""
+    if isinstance(which, str):
+        which = ring.names.index(which)
+    return monomial(ring, [int(i == which) for i in range(ring.n)])
+
+
+def constant(ring, c) -> TermPoly:
+    return TermPoly(ring, {(0,) * ring.n: c})
+
+
+def monomial(ring, exps, coeff=1) -> TermPoly:
+    exps = tuple(exps)
+    if len(exps) != ring.n:
+        raise ValueError("exponent tuple has wrong length")
+    if any(e < 0 for e in exps):
+        raise ValueError("negative exponent")
+    return TermPoly(ring, {exps: coeff})
 
 
 def eval_terms(poly, values):
@@ -361,6 +474,42 @@ def eval_terms(poly, values):
             term *= v ** e
         total += term
     return total
+
+
+def eval_by_powers(poly, points) -> list:
+    """sum(c * prod(v ** e)) over the terms at each point, exactly, for
+    points of a few hundred bits a coordinate.  The terms are grouped once
+    by their exponents in the first half of the variables.  At a point
+    each variable's powers are computed once, and each distinct product of
+    powers of either half; a group's coefficients are summed times their
+    second halves, then times the group's first half.  The values are
+    scaled to integers by their common denominator L, a half's product of
+    degree k times L^(K - k), K that half's largest degree, so each sum is
+    over L^(K_1 + K_2)."""
+    n = poly.ring.n
+    h = n // 2
+    seconds, groups = {}, {}
+    for exps, c in poly.terms.items():
+        places, coeffs = groups.setdefault(exps[:h], ([], []))
+        places.append(seconds.setdefault(exps[h:], len(seconds)))
+        coeffs.append(c)
+    halves = list(groups), list(seconds)
+    tops = [max(map(sum, half), default=0) for half in halves]
+    top_exp = [max(column) for half in halves for column in zip(*half)]
+    values = []
+    for point in points:
+        if len(point) != n:
+            raise ValueError("wrong number of values")
+        scale = lcm(*(Fraction(v).denominator for v in point))
+        powers = [list(accumulate(repeat(int(v * scale), e), mul, initial=1))
+                  for v, e in zip(point, top_exp)]
+        scales = list(accumulate(repeat(scale, max(tops)), mul, initial=1))
+        first, second = ([scales[top - sum(e)] * prod(map(list.__getitem__, powers[lo:], e))
+                          for e in half] for half, top, lo in zip(halves, tops, (0, h)))
+        total = sum(x * sum(map(mul, coeffs, map(second.__getitem__, places)))
+                    for x, (places, coeffs) in zip(first, groups.values()))
+        values.append(Fraction(total, scales[tops[0]] * scales[tops[1]]))
+    return values
 
 
 def eval_gradient_terms(poly, values):
@@ -532,7 +681,7 @@ def boundary_identity_by_calculus(matrix) -> str:
     _, iy1, iy2 = y_indices(matrix.params)
     on_v = {iy1: 0, iy2: 0}
     sp = subs(matrix.sigma_prime, on_v)
-    zero = sp.ring.zero()
+    zero = constant(sp.ring, 0)
     expected = {iy1: (sp, zero, zero), iy2: (zero, sp, sp)}
     s_block = (matrix.s1, matrix.s2, matrix.s3)
     if any(subs(entry, on_v) for entry in s_block + (matrix.lam1, matrix.lam2)):
@@ -558,15 +707,15 @@ def conic_ring(params) -> PolyRing:
     return _conic_ring(params.m)
 
 
-def quadratic_form(matrix) -> Poly:
+def quadratic_form(matrix) -> TermPoly:
     """F = z^T S z in the extended ring."""
     ring = conic_ring(matrix.params)
-    z = [ring.var(f"z{k}") for k in range(3)]
+    z = [var(ring, f"z{k}") for k in range(3)]
     e = {name: lift(poly, ring) for name, poly in matrix.named_entries()}
     rows = ((e["s1"], e["s2"], e["lam1"]),
             (e["s2"], e["s3"], e["lam2"]),
             (e["lam1"], e["lam2"], e["sigma"]))
-    F = ring.zero()
+    F = constant(ring, 0)
     for i in range(3):
         for j in range(i, 3):
             F = F + (1 if i == j else 2) * rows[i][j] * z[i] * z[j]
@@ -583,10 +732,10 @@ def boundary_identity_by_form(matrix) -> str:
     F = quadratic_form(matrix)
     wall = {iy1: 0, iy2: 0, iz2: 0}
     sp = lift(subs(matrix.sigma_prime, {iy1: 0, iy2: 0}), ring)
-    z0, z1 = ring.var(iz0), ring.var(iz1)
+    z0, z1 = var(ring, iz0), var(ring, iz1)
     expected = {iy1: sp * z0 * z0, iy2: sp * z1 * (2 * z0 + z1)}
     for v in range(ring.n):
-        if subs(diff(F, v), wall) != expected.get(v, ring.zero()):
+        if subs(diff(F, v), wall) != expected.get(v, constant(ring, 0)):
             return "FAIL"
     return "PASS"
 
@@ -594,7 +743,7 @@ def boundary_identity_by_form(matrix) -> str:
 # -- polynomial helpers -----------------------------------------------------
 
 
-def diff(poly, which) -> Poly:
+def diff(poly, which) -> TermPoly:
     """Partial derivative with respect to a variable (index or name)."""
     if isinstance(which, str):
         which = poly.ring.names.index(which)
@@ -605,10 +754,10 @@ def diff(poly, which) -> Poly:
             continue
         key = exps[:which] + (e - 1,) + exps[which + 1:]
         out[key] = out.get(key, 0) + c * e
-    return Poly(poly.ring, out)
+    return TermPoly(poly.ring, out)
 
 
-def subs(poly, assignments: dict) -> Poly:
+def subs(poly, assignments: dict) -> TermPoly:
     """Substitute scalars for some variables; keys are indices or names."""
     idx = {}
     for k, v in assignments.items():
@@ -627,19 +776,19 @@ def subs(poly, assignments: dict) -> Poly:
             continue
         key = tuple(0 if i in idx else e for i, e in enumerate(exps))
         out[key] = out.get(key, 0) + c
-    return Poly(poly.ring, out)
+    return TermPoly(poly.ring, out)
 
 
 def gens(ring) -> tuple:
-    return tuple(ring.var(i) for i in range(ring.n))
+    return tuple(var(ring, i) for i in range(ring.n))
 
 
-def lift(poly, big) -> Poly:
+def lift(poly, big) -> TermPoly:
     """Reinterpret poly in a ring whose names start with poly's ring names."""
     if big.names[: poly.ring.n] != poly.ring.names:
         raise ValueError("target ring does not extend this ring")
     pad = (0,) * (big.n - poly.ring.n)
-    return Poly(big, {exps + pad: c for exps, c in poly.terms.items()})
+    return TermPoly(big, {exps + pad: c for exps, c in poly.terms.items()})
 
 
 def to_pairs(poly) -> list:
@@ -657,7 +806,7 @@ def to_pairs(poly) -> list:
     return out
 
 
-def from_pairs(ring, pairs) -> Poly:
+def from_pairs(ring, pairs) -> TermPoly:
     """Inverse of to_pairs."""
     terms = {}
     for coeff, exps in pairs:
@@ -667,7 +816,7 @@ def from_pairs(ring, pairs) -> Poly:
         if len(exps) != ring.n:
             raise ValueError("exponent tuple has wrong length")
         terms[exps] = terms.get(exps, 0) + coeff
-    return Poly(ring, {e: c for e, c in terms.items() if c != 0})
+    return TermPoly(ring, {e: c for e, c in terms.items() if c != 0})
 
 
 def squarefree_by_gcd(f: list) -> bool:

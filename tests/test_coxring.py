@@ -12,6 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanoconic.coxring import (
+    _basis_layout,
+    _draw_matrix,
+    _section_draws,
     base_locus,
     count_sections,
     cox_ring,
@@ -24,22 +27,27 @@ from fanoconic.coxring import (
     y_patterns,
 )
 from fanoconic.picard import ConstructionParams, DivisorClassY
-from fanoconic.polynomial import Poly, _poly_from_blocks, _support_degree
+from fanoconic.polynomial import Poly, _key_slice, _poly_from_blocks, _support_degree
 from fanoconic.verifier import _v_coefficients
 
 from .oracles import (
+    basis_layout_by_sorting,
     base_locus_by_hitting_sets,
+    constant,
     count_monomials,
     count_sections_by_sum,
     draw_by_arithmetic,
     draw_by_bases,
     draw_on_basis,
+    eval_by_powers,
     enumerate_monomials,
     line_degree_bound,
+    monomial,
     nonzero_draws_by_randint,
     poly_degree_by_terms,
     section_bases,
     square_sigma_prime,
+    var,
 )
 
 M2 = ConstructionParams(2)
@@ -100,16 +108,16 @@ def test_variable_degrees():
 def test_monomial_degree():
     # x0^2 x3 y0 y2^2
     exps = (2, 0, 0, 1, 0, 0, 0, 1, 0, 2)
-    assert poly_degree(cox_ring(M2).monomial(exps), M2) == DivisorClassY(3, -5)
+    assert poly_degree(monomial(cox_ring(M2), exps), M2) == DivisorClassY(3, -5)
 
 
 def test_poly_degree_homogeneous_and_mixed():
     section = _random_section(DivisorClassY(2, -8), seed=5)
     assert poly_degree(section, M2) == DivisorClassY(2, -8)
     ring = cox_ring(M2)
-    zero = ring.constant(0)
+    zero = constant(ring, 0)
     assert poly_degree(zero, M2) is None
-    mixed = ring.var("x0") + ring.var("y0")
+    mixed = var(ring, "x0") + var(ring, "y0")
     with pytest.raises(ValueError):
         poly_degree(mixed, M2)
 
@@ -127,7 +135,7 @@ def _cox_polys(draw):
     else:
         exps = draw(st.lists(_EXPONENTS, max_size=8))
     ring = cox_ring(M2)
-    return sum((ring.monomial(e, draw(coeffs)) for e in exps), ring.zero())
+    return sum((monomial(ring, e, draw(coeffs)) for e in exps), constant(ring, 0))
 
 
 @settings(max_examples=150, deadline=None)
@@ -238,7 +246,7 @@ def test_monomial_exponents_match_oracle(a, b):
     assert len(ours) == count_sections(DivisorClassY(a, b), M2)
     ring = cox_ring(M2)
     for exps in ours:
-        assert poly_degree(ring.monomial(exps), M2) == DivisorClassY(a, b)
+        assert poly_degree(monomial(ring, exps), M2) == DivisorClassY(a, b)
 
 
 def test_monomial_exponents_are_distinct():
@@ -431,21 +439,64 @@ def test_block_draw_matches_the_sorted_basis_draw(m, seed, perturb):
         draw_by_bases(params, seed, perturb=perturb)
     if perturb and seed in (1, 5, 7, 42):
         assert len(matrix.sigma) == (9430 if seed == 42 else 9429)
-    # each block plan evaluates as the plan compiled from the terms, and
-    # gives the line degree bounds of the per-term projection
+    # each block plan evaluates as its terms summed exactly (eval_by_powers)
+    # and, at m = 2, as the plan compiled from the terms at the int and
+    # Fraction points (at m = 3 that route takes seconds an entry); the
+    # entries at one point share the ring's table.  Each plan gives the
+    # line degree bounds of the per-term projection
     if seed >= 104:
         return
+    assert all(poly._plan is not None for poly in entries.values())  # read off the blocks
+    points = _probe_points(params, random.Random(seed))
+    values = {name: [] for name in entries}
+    for point in points:
+        for name, poly in entries.items():
+            values[name].append(poly.eval(point))
+    for name, poly in entries.items():
+        assert values[name] == eval_by_powers(poly, points), name
+        if m == 2:
+            compiled = Poly(poly.ring, poly.terms)
+            assert values[name][:2] == [compiled.eval(point) for point in points[:2]], name
     nx = params.n_x
     supports = [(nx,), (0, nx + 1), tuple(range(nx, nx + 3)),
                 (*range(1, nx), nx + 1, nx + 2), tuple(range(nx + 3))]
-    points = _probe_points(params, random.Random(seed))
-    for name, poly in entries.items():
-        assert poly._plan is not None, name  # read off the blocks
-        compiled = Poly(poly.ring, poly.terms)
-        for point in points:
-            assert poly.eval(point) == compiled.eval(point), name
+    for poly in entries.values():
         for support in supports:
             assert _support_degree(poly, support) == line_degree_bound(poly, support)
+
+
+@pytest.mark.parametrize("m, perturb", [(2, True), (3, False)])
+def test_closed_form_layout_matches_the_sorted_basis(m, perturb):
+    # every class a draw takes at m (perturb is refused at m = 3), and
+    # 2D + 0H from order 0, whose patterns span the x-degrees 0, 2m and 4m
+    params = ConstructionParams(m)
+    ring = cox_ring(params)
+
+    def keys(d):
+        return _key_slice(ring, params.n_x, d)
+
+    classes = set(_section_draws(params, perturb))
+    if m == 2:
+        classes.add((DivisorClassY(2, 0), 0))
+    for cls_, order in classes:
+        assert _basis_layout(cls_, order, params, keys) == \
+            basis_layout_by_sorting(cls_, order, params, keys), (cls_, order)
+
+
+@pytest.mark.parametrize("coeff_range", [1, 127, 128, 10**9])
+def test_draw_leaves_the_generator_where_randint_would(coeff_range):
+    # the draw takes one randint-equivalent per basis monomial, so the
+    # generator ends where the randint draw on the sorted bases leaves it,
+    # and the entries are that draw's
+    for perturb in (False, True):
+        draws = _section_draws(M2, perturb)
+        bases = section_bases(draws, M2)
+        rng, expected = random.Random(11), random.Random(11)
+        matrix = _draw_matrix(M2, rng, coeff_range, perturb)
+        nonzero_draws_by_randint(expected, coeff_range, sum(len(bases[key]) for key in draws))
+        assert rng.getstate() == expected.getstate()
+        assert {name: poly.terms for name, poly in _entries(matrix).items()} == \
+            draw_by_bases(M2, 11, coeff_range, perturb)
 
 
 @pytest.mark.parametrize("m, seed, perturb", _BLOCK_DRAWS)
@@ -499,7 +550,7 @@ def _mixed_polys():
         "two groups": _poly_from_blocks(ring, nx, [((1, 1, 0), 2, [1] * 28),
                                                    ((1, 0, 1), 3, [2] * 84)]),
         "led by y0": led_by_y0,
-        "led by y0, mixed": led_by_y0 + ring.monomial(stray),
+        "led by y0, mixed": led_by_y0 + monomial(ring, stray),
     }
 
 
@@ -546,7 +597,7 @@ def test_sigma_prime_with_a_stray_term_raises(stray):
 
 def test_sigma_prime_squares_like_the_product():
     ring = cox_ring(M2)
-    x0, x6, y0, y1, y2 = (ring.var(name) for name in ("x0", "x6", "y0", "y1", "y2"))
+    x0, x6, y0, y1, y2 = (var(ring, name) for name in ("x0", "x6", "y0", "y1", "y2"))
     # x-exponents up to 127 fit a byte of the packed key, doubled too
     for sigma_prime in (y0, -3 * y0, y1 * x0, y0 + y1 * x0 - 5 * y2 * x6 ** 2,
                         y1 * x0 - y2 * x0, 7 * y2 * x6 + y1 * x6,

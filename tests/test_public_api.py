@@ -14,6 +14,8 @@ import pytest
 import fanoconic
 from fanoconic import chow, cones, conicbundle, coxring, linalg, picard, polynomial, verifier
 
+from .oracles import var
+
 PACKAGE_DIR = os.path.dirname(os.path.abspath(fanoconic.__file__))
 
 # (owner, attribute) of each helper that moved to tests/oracles.py
@@ -176,8 +178,8 @@ def test_value_types_keep_their_arithmetic_and_messages():
     assert str(Z(2, 0, -4)) == "2ξ+0D-4H"
 
     entries = dict(_DRAWN[0].named_entries(), sigma_prime=_DRAWN[0].sigma_prime)
-    y0 = coxring.cox_ring(M2).var("y0")
-    m3_y0 = coxring.cox_ring(picard.ConstructionParams(3)).var("y0")
+    y0 = var(coxring.cox_ring(M2), "y0")
+    m3_y0 = var(coxring.cox_ring(picard.ConstructionParams(3)), "y0")
     assert [_message(make) for make in (
         lambda: picard.ConstructionParams("2"),
         lambda: picard.ConstructionParams(True),
@@ -256,10 +258,11 @@ def test_the_cli_loads_every_module(footprint):
                                           ("cli", "fanoconic.cli")])
 def test_step_loads_no_heavy_standard_module(footprint, step, module):
     # dataclasses loads inspect (with ast, dis and tokenize), and fractions
-    # loads decimal: together most of what a fresh draw used to cost
+    # loads decimal: together most of what a fresh draw used to cost;
+    # numbers only served scalar arithmetic on polynomials
     new = footprint[f"{step}_new"]
     assert module in new
-    assert not {"dataclasses", "inspect", "fractions", "decimal"} & set(new)
+    assert not {"dataclasses", "inspect", "fractions", "decimal", "numbers"} & set(new)
 
 
 def test_star_import_binds_exactly_all(footprint):
@@ -280,11 +283,14 @@ def test_conic_matrix_checks_hold_under_optimized_mode():
     code = """if True:
         from fanoconic import (ConicMatrix, ConstructionParams, check_smooth_at_node,
                                cox_ring, fiber_at, instantiate_sections)
+        from fanoconic.polynomial import Poly
         m2, m3 = ConstructionParams(2), ConstructionParams(3)
         drawn = instantiate_sections(m2, 1)
         entries = dict(drawn.named_entries(), sigma_prime=drawn.sigma_prime)
-        bad = {"degree": dict(entries, lam1=entries["lam1"] + cox_ring(m2).var("y0")),
-               "ring": dict(entries, sigma=cox_ring(m3).var("y0") ** 2)}
+        # lam1 + y0, and y0^2 in the ring of m = 3
+        lam1_y0 = Poly(cox_ring(m2), {**entries["lam1"].terms, (0,) * 7 + (1, 0, 0): 1})
+        bad = {"degree": dict(entries, lam1=lam1_y0),
+               "ring": dict(entries, sigma=Poly(cox_ring(m3), {(0,) * 10 + (2, 0, 0): 1}))}
         for name, given in bad.items():
             try:
                 ConicMatrix(m2, **given)

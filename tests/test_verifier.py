@@ -56,10 +56,12 @@ from fanoconic.verifier import (
 )
 
 from .oracles import (
+    TermPoly,
     boundary_identity_by_calculus,
     boundary_identity_by_form,
     chart_gradient,
     conic_ring,
+    constant,
     direct_restriction,
     enumerate_monomials,
     eval_gradient_terms,
@@ -70,6 +72,7 @@ from .oracles import (
     restrict_line,
     rref_rank,
     subs,
+    var,
 )
 
 M2 = ConstructionParams(2)
@@ -86,12 +89,12 @@ def perturbed_matrix():
 
 
 def _zero_entries():
-    z = cox_ring(M2).zero()
+    z = constant(cox_ring(M2), 0)
     return (z, z, z, z, z, z)
 
 
 # the sigma' of the default shape, for hand-built matrices
-Y0 = cox_ring(M2).var("y0")
+Y0 = var(cox_ring(M2), "y0")
 
 
 # -- points and rings -------------------------------------------------------
@@ -155,7 +158,7 @@ def test_diagnose_accepts_fractions():
 
 def test_matrix_rejects_wrong_entry_degree():
     ring = cox_ring(M2)
-    y0 = ring.var("y0")
+    y0 = var(ring, "y0")
     entries = list(_zero_entries())
     entries[0] = y0 * y0  # (2, 0) in an s-slot wanting (2, -4)
     with pytest.raises(ValueError):
@@ -165,7 +168,7 @@ def test_matrix_rejects_wrong_entry_degree():
 def test_matrix_rejects_mixed_degree_entry():
     ring = cox_ring(M2)
     entries = list(_zero_entries())
-    entries[5] = ring.var("y0") ** 2 + ring.var("y0")
+    entries[5] = var(ring, "y0") ** 2 + var(ring, "y0")
     with pytest.raises(ValueError):
         ConicMatrix(M2, *entries, sigma_prime=Y0)
 
@@ -177,7 +180,7 @@ def test_matrix_rejects_entries_from_another_ring(default_matrix):
                     sigma_prime=default_matrix.sigma_prime)
     # y0^2 of the m = 3 ring has exponent tuples of another length, which
     # the degree check alone would misread
-    y0_m3 = cox_ring(ConstructionParams(3)).var("y0")
+    y0_m3 = var(cox_ring(ConstructionParams(3)), "y0")
     entries = list(_zero_entries())
     entries[5] = y0_m3 * y0_m3
     with pytest.raises(ValueError, match="entry sigma is not in the ring of m = 2"):
@@ -188,7 +191,7 @@ def test_matrix_rejects_entries_from_another_ring(default_matrix):
 
 def test_default_matrix_shape(default_matrix):
     ring = cox_ring(M2)
-    y0, y1, y2 = ring.var("y0"), ring.var("y1"), ring.var("y2")
+    y0, y1, y2 = var(ring, "y0"), var(ring, "y1"), var(ring, "y2")
     assert default_matrix.s1 == y0 * y1
     assert default_matrix.s2 == y0 * y2
     assert default_matrix.s3 == default_matrix.s2
@@ -304,7 +307,7 @@ def test_perturbed_matrix_shares_lambda_draws(default_matrix, perturbed_matrix):
 def test_perturbed_s_block_is_drawn_independently(perturbed_matrix):
     ring = cox_ring(M2)
     iy1, iy2 = ring.names.index("y1"), ring.names.index("y2")
-    base = perturbed_matrix.sigma_prime * ring.var("y2")
+    base = perturbed_matrix.sigma_prime * var(ring, "y2")
     assert perturbed_matrix.s3 != perturbed_matrix.s2
     for entry in (perturbed_matrix.s2, perturbed_matrix.s3):
         correction = entry - base
@@ -332,7 +335,7 @@ def test_form_restricted_to_V_is_sigma_z2_squared(
     matrix = perturbed_matrix if perturb else default_matrix
     ring = conic_ring(M2)
     restricted = subs(quadratic_form(matrix), {"y1": 0, "y2": 0})
-    assert restricted == ring.var("y0") ** 2 * ring.var("z2") ** 2
+    assert restricted == var(ring, "y0") ** 2 * var(ring, "z2") ** 2
 
 
 @pytest.mark.parametrize("perturb", [False, True])
@@ -429,8 +432,8 @@ def test_node_verdict_off_the_y0_chart(default_matrix):
     # hand-built matrices have S = diag(1, 1, 0) at the point, with sigma
     # vanishing to second order there or not
     ring = cox_ring(M2)
-    x0, x1, y1, y2 = (ring.var(v) for v in ("x0", "x1", "y1", "y2"))
-    z = ring.zero()
+    x0, x1, y1, y2 = (var(ring, v) for v in ("x0", "x1", "y1", "y2"))
+    z = constant(ring, 0)
     s1, s3 = x0 ** 4 * y1 * y1, x0 ** 4 * y2 * y2
     cases = [
         (default_matrix, (1, 2, -1, 3, 1, -2, 1) + (0, 1, 2), True),
@@ -450,7 +453,8 @@ def test_node_check_refuses_non_integer_data(default_matrix):
     p = _rank_two_witness(default_matrix)
     with pytest.raises(ValueError, match="integers"):
         check_smooth_at_node(default_matrix, (Fraction(1),) + p[1:])
-    halved = rebuilt_matrix(default_matrix, lam2=default_matrix.lam2 * Fraction(1, 2))
+    halved = rebuilt_matrix(default_matrix,
+                            lam2=constant(cox_ring(M2), Fraction(1, 2)) * default_matrix.lam2)
     with pytest.raises(ValueError, match="lam2 has a non-integer coefficient"):
         check_smooth_at_node(halved, p)
 
@@ -460,8 +464,8 @@ def test_singular_node_is_reported():
     # fiber is the line pair z0^2 + z1^2 with node (0, 0, 1), and the total
     # space is singular there because sigma is identically zero
     ring = cox_ring(M2)
-    y0, y1, y2 = ring.var("y0"), ring.var("y1"), ring.var("y2")
-    z = ring.zero()
+    y0, y1, y2 = var(ring, "y0"), var(ring, "y1"), var(ring, "y2")
+    z = constant(ring, 0)
     matrix = ConicMatrix(M2, y0 * y1, z, y0 * y2, z, z, z, sigma_prime=y0)
     p = (1, 0, 0, 0, 0, 0, 0) + (1, 1, 1)
     assert fiber_at(matrix, p) == (2, (0, 0, 1))
@@ -488,8 +492,8 @@ def test_boundary_identity_perturbed(perturbed_matrix):
 
 def test_boundary_identity_fails_on_broken_shape():
     ring = cox_ring(M2)
-    y0, y1 = ring.var("y0"), ring.var("y1")
-    z = ring.zero()
+    y0, y1 = var(ring, "y0"), var(ring, "y1")
+    z = constant(ring, 0)
     matrix = ConicMatrix(
         M2, y0 * y1, z, z, z, z, y0 * y0, sigma_prime=y0
     )
@@ -502,9 +506,9 @@ def _boundary_variants():
     # can break the identity is a wrong multiple; each variant changes one
     # entry, or sigma', of the default shape
     ring = cox_ring(M2)
-    x0, x1 = ring.var("x0"), ring.var("x1")
-    y0, y1, y2 = ring.var("y0"), ring.var("y1"), ring.var("y2")
-    z = ring.zero()
+    x0, x1 = var(ring, "x0"), var(ring, "x1")
+    y0, y1, y2 = var(ring, "y0"), var(ring, "y1"), var(ring, "y2")
+    z = constant(ring, 0)
     good = dict(s1=y0 * y1, s2=y0 * y2, s3=y0 * y2, lam1=z, lam2=z,
                 sigma=y0 * y0, sigma_prime=y0)
     x4 = x0 ** 4
@@ -602,14 +606,14 @@ def _node_case(rng, monomials, singular):
     singular case k^T S k = q^2 + 2 k2 q r + k2^2 w^2 with q, r and w
     vanishing at the point, so F is singular at the node."""
     ring = cox_ring(M2)
-    x0, y0, y1 = ring.var("x0"), ring.var("y0"), ring.var("y1")
+    x0, y0, y1 = var(ring, "x0"), var(ring, "y0"), var(ring, "y1")
     units = {(2, -4): y0 * y1, (2, -2): x0 ** 2 * y0 * y1, (2, 0): y0 * y0,
              (1, -2): x0 ** 2 * y1, (1, 0): y0}
     coords = (1,) + tuple(rng.randint(-3, 3) for _ in range(6)) \
         + (1, 1, rng.randint(-3, 3))
 
     def section(cls, at_point=None):
-        poly = Poly(ring, {rng.choice(monomials[cls]): rng.choice((-3, -2, -1, 1, 2, 3))
+        poly = TermPoly(ring, {rng.choice(monomials[cls]): rng.choice((-3, -2, -1, 1, 2, 3))
                            for _ in range(3)})
         if at_point is None:
             return poly
@@ -710,7 +714,7 @@ class _OneEntry:
     _entry_sizes = property(ConicMatrix._entry_sizes.func)
 
     def __init__(self, poly):
-        zero, one = poly.ring.zero(), poly.ring.one()
+        zero, one = constant(poly.ring, 0), constant(poly.ring, 1)
         self.entries = (("s1", poly), ("s2", zero), ("s3", one),
                         ("lam1", zero), ("lam2", zero), ("sigma", one))
         self._line_bounds = {}
@@ -819,7 +823,8 @@ def test_line_probe_refuses_non_integer_data(default_matrix, monkeypatch):
         discriminant_on_line(default_matrix, half_point, direction)
     with pytest.raises(ValueError, match="integers"):
         discriminant_on_line(default_matrix, point, whole_direction)
-    halved = rebuilt_matrix(default_matrix, lam2=default_matrix.lam2 * Fraction(1, 2))
+    halved = rebuilt_matrix(default_matrix,
+                            lam2=constant(cox_ring(M2), Fraction(1, 2)) * default_matrix.lam2)
     with pytest.raises(ValueError, match="lam2 has a non-integer coefficient"):
         discriminant_on_line(halved, point, direction)
     assert not evals
@@ -895,7 +900,7 @@ def test_line_probe_matches_direct_restriction(
 
 
 def test_line_probe_matches_direct_restriction_with_zero_slots(default_matrix):
-    zero = cox_ring(M2).zero()
+    zero = constant(cox_ring(M2), 0)
     rng = random.Random(22)
     for slots in (("s2", "lam2"), ("s1", "s3"), ("lam1", "lam2"), _SLOT_NAMES):
         matrix = rebuilt_matrix(default_matrix, **{name: zero for name in slots})
@@ -922,7 +927,7 @@ def test_line_probe_work(perturbed_matrix, monkeypatch, sampler):
     monkeypatch.setattr(Poly, "eval", counting_eval)
     monkeypatch.setattr(verifier, "rank_and_kernel_3x3", counting_rank_and_kernel)
     point, direction = sampler(M2, random.Random(23), 9)
-    matrix = rebuilt_matrix(perturbed_matrix, s2=cox_ring(M2).zero())
+    matrix = rebuilt_matrix(perturbed_matrix, s2=constant(cox_ring(M2), 0))
     discriminant_on_line(matrix, point, direction)
     assert len(evals) == 5
     assert not ranks
@@ -1002,7 +1007,8 @@ def test_chart_lines_with_fixed_y_on_the_square_divisors(default_matrix):
     # stays on either divisor restricts det S to a square times -y1
     x_point, x_direction = (1, 2, -1, 3, 1, -2, 1), (0, 1, 2, -1, 1, 3, -2)
     lam1, lam2 = default_matrix.lam1, default_matrix.lam2
-    for ys, square in (((1, 3, 0), lam2), ((1, 2, 2), lam1 - lam2)):
+    difference = TermPoly(lam1.ring, lam1.terms) - lam2
+    for ys, square in (((1, 3, 0), lam2), ((1, 2, 2), difference)):
         point, direction = x_point + ys, x_direction + (0, 0, 0)
         root = restrict_line(square, point, direction)
         assert direct_restriction(default_matrix, point, direction) == \
@@ -1019,8 +1025,8 @@ def test_line_degree_bound_is_the_largest_support_degree(perturbed_matrix, suppo
         assert _support_degree(poly, support) == largest
         assert _support_degree(Poly(poly.ring, poly.terms), support) == largest
         assert line_degree_bound(poly, support) == largest
-    assert _support_degree(cox_ring(M2).zero(), support) is None
-    assert line_degree_bound(cox_ring(M2).zero(), support) is None
+    assert _support_degree(constant(cox_ring(M2), 0), support) is None
+    assert line_degree_bound(constant(cox_ring(M2), 0), support) is None
 
 
 def test_line_degree_bounds_are_memoized_per_support():
@@ -1157,8 +1163,8 @@ def test_run_instance_reports_line_pairs_and_double_lines(monkeypatch):
     # X because det S vanishes identically; with s3 = 0 as well it is the
     # double line diag(y0 y1, 0, 0), a rank failure
     ring = cox_ring(M2)
-    y0, y1, y2 = ring.var("y0"), ring.var("y1"), ring.var("y2")
-    z = ring.zero()
+    y0, y1, y2 = var(ring, "y0"), var(ring, "y1"), var(ring, "y2")
+    z = constant(ring, 0)
     matrix = ConicMatrix(M2, y0 * y1, z, y0 * y2, z, z, z, sigma_prime=y0)
     monkeypatch.setattr(verifier, "_draw_matrix", lambda *args: matrix)
     report = run_instance(M2, seed=3, n_samples=2)
