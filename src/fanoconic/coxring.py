@@ -41,7 +41,7 @@ from math import comb
 from operator import add
 
 from .picard import ConstructionParams, DivisorClassY, _Record
-from .polynomial import Poly, PolyRing, _group_degrees, _key_slice, _poly_from_blocks
+from .polynomial import Poly, PolyRing, _group_degrees, _key_slice
 
 
 @lru_cache(maxsize=None)
@@ -352,8 +352,8 @@ def _draw_matrix(params, rng, coeff_range, perturb) -> ConicMatrix:
             blocks = dict(blocks)
             for tail, c in other.items():
                 blocks[tail] = list(map(add, blocks[tail], c)) if tail in blocks else c
-        return _poly_from_blocks(ring, nx, [(tail, b + t * (tail[1] + tail[2]), c)
-                                            for tail, c in blocks.items()])
+        return Poly(ring, nx, [(tail, b + t * (tail[1] + tail[2]), c)
+                               for tail, c in blocks.items()])
 
     y1, y2 = ({(k0, k1 + j, k2 + 1 - j): c for (k0, k1, k2), c in sigma_prime.items()}
               for j in (1, 0))

@@ -1,21 +1,21 @@
 """Sparse exact polynomials over the rationals, and univariate helpers.
 
 The drawn sections, conic matrices and line probes run on these
-polynomials, each a dict mapping exponent tuples to nonzero int or
-Fraction coefficients.  All arithmetic is exact, nothing here touches
-floats.  Arithmetic on whole polynomials is left to the tests
-(tests/oracles.py): a drawn entry is assembled from its blocks, and a
-draw loads neither numbers, fractions nor dataclasses.
+polynomials.  All arithmetic is exact, nothing here touches floats.
+Arithmetic on whole polynomials is left to the tests (tests/oracles.py):
+a drawn entry is assembled from its blocks, and a draw loads neither
+numbers, fractions nor dataclasses.
 
+A polynomial is built from blocks and keeps the plan read off them.
 Point evaluation is the hot path of the instance audit, so a polynomial
-evaluates through a plan: one dot product per group of terms that share
-their exponents in the trailing variables, with the complete graded table
-of the leading-variable monomials, which the ring keeps for the next
-polynomial evaluated at the same point.  Only a drawn entry, built from
-blocks of that layout, tabulates its x-block; it keeps only the plan read
-off its blocks, its terms built from the plan on first read.  A
-polynomial built from a term dict evaluates one term per group, with no
-leading block.  Plans also give degrees, sizes and coefficients.
+evaluates through its plan: one dot product per block, the coefficients
+of the monomials of one degree in the leading variables times one
+monomial in the others, with the complete graded table of the
+leading-variable monomials, which the ring keeps for the next polynomial
+evaluated at the same point.  Its terms, a dict mapping exponent tuples
+to nonzero int or Fraction coefficients, are built from the plan on first
+read.  A term dict is the layout with no leading variable and one block
+per term.  Plans also give degrees, sizes and coefficients.
 
 The univariate helpers at the end work on coefficient lists.  Their
 squarefree test is certified modulo one fixed prime first and falls back
@@ -54,27 +54,37 @@ class PolyRing:
 
 
 class Poly:
-    """Immutable sparse polynomial: {exponent tuple: coefficient}.
-
-    Construction normalizes nothing beyond dropping explicit zeros.  The
-    evaluation plan comes from the blocks (_poly_from_blocks), or is one
-    group per term, built on first use (_build_plan).  Equality and hash
-    read the terms.
+    """Immutable sparse polynomial, built from blocks (tail, d, coeffs):
+    coefficients, zeros allowed, of the degree-d monomials in the first
+    lead variables in table order, times the monomial tail in the others.
+    Blocks must not share their tail and degree (ValueError).  It keeps
+    only the plan read off its blocks; its terms {exponent tuple:
+    coefficient} are built from the plan on first read.  A term dict is
+    the layout with lead 0 and one degree-0 block per term.  Equality and
+    hash read the terms.
     """
 
-    __slots__ = ("ring", "_terms", "_plan")
+    __slots__ = ("ring", "_plan", "_terms")
 
-    def __init__(self, ring: PolyRing, terms: dict):
-        self.ring = ring
-        # a plain copy unless there is a zero to drop
-        if 0 in terms.values():
-            terms = {e: c for e, c in terms.items() if c != 0}
-        self._terms = dict(terms)
-        self._plan = None
+    def __init__(self, ring: PolyRing, lead: int, blocks):
+        groups, top, seen = [], 0, set()
+        for tail, d, coeffs in blocks:
+            if (tail, d) in seen:
+                raise ValueError(f"two blocks of degree {d} have the tail {tail}")
+            seen.add((tail, d))
+            idx = range(comb(d - 1 + lead, lead) if d else 0, comb(d + lead, lead))
+            if 0 in coeffs:
+                idx = list(compress(idx, coeffs))
+                coeffs = list(filter(None, coeffs))
+            if coeffs:
+                groups.append((tuple((lead + k, e) for k, e in enumerate(tail) if e),
+                               coeffs, idx))
+                top = max(top, d)
+        self.ring, self._plan, self._terms = ring, (lead, top, tuple(groups)), None
 
     @property
     def terms(self) -> dict:
-        if self._terms is None:  # built from blocks: unpack the keys (_key_slice)
+        if self._terms is None:  # unpack the keys (_key_slice)
             lead, top, groups = self._plan
             keys, self._terms = _key_slice(self.ring, lead, top, 0), {}
             for tail, coeffs, idx in groups:
@@ -87,9 +97,7 @@ class Poly:
     # -- basic structure ---------------------------------------------------
 
     def __len__(self):  # also its truth value
-        if self._terms is None:
-            return sum(len(coeffs) for _, coeffs, _ in self._plan[2])
-        return len(self._terms)
+        return sum(len(coeffs) for _, coeffs, _ in self._plan[2])
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -105,10 +113,8 @@ class Poly:
         """The value at the given values, exact: an int at int values."""
         if len(values) != self.ring.n:
             raise ValueError("wrong number of values")
-        lead, top, groups = self._planned()
-        # without a leading block the ring's table stays a drawn entry's
-        table = _head_table(self.ring, tuple(values[:lead]), top) if lead else (1,)
-        get = table.__getitem__
+        lead, top, groups = self._plan
+        get = _head_table(self.ring, tuple(values[:lead]), top).__getitem__
         total = 0
         for tail, coeffs, idx in groups:
             s = sum(map(mul, coeffs, map(get, idx)))
@@ -117,11 +123,6 @@ class Poly:
                     s *= values[i] ** e
                 total += s
         return total
-
-    def _planned(self) -> tuple:
-        if self._plan is None:
-            self._plan = _build_plan(self.terms)
-        return self._plan
 
 
 # -- evaluation plans --------------------------------------------------------
@@ -146,14 +147,6 @@ def _extend_table(table: list, head, done: int, top: int, op) -> None:
             table.extend(map(op, table[end - size:end], repeat(v)))
 
 
-def _build_plan(terms: dict) -> tuple:
-    """The evaluation plan (0, 0, groups) of a term dict: no leading block,
-    and one group (tail, [c], [0]) per term, tail its nonzero (variable,
-    exponent) pairs."""
-    return 0, 0, tuple((tuple((i, e) for i, e in enumerate(exps) if e), [c], [0])
-                       for exps, c in terms.items())
-
-
 def _key_slice(ring: PolyRing, lead: int, top: int, low=None) -> list:
     """The keys of the monomials of degrees low (default top) to top in
     the first lead variables, in table order: their exponents packed into
@@ -163,33 +156,10 @@ def _key_slice(ring: PolyRing, lead: int, top: int, low=None) -> list:
     return keys[comb(low - 1 + lead, lead) if low else 0:comb(top + lead, lead)]
 
 
-def _poly_from_blocks(ring: PolyRing, lead: int, blocks) -> Poly:
-    """The polynomial of the blocks (tail, d, coeffs): coefficients, zeros
-    allowed, of the degree-d monomials in the first lead variables in table
-    order, times those in tail.  It keeps only the plan read off the
-    blocks.  ValueError when two blocks share their tail and degree."""
-    groups, top, seen = [], 0, set()
-    for tail, d, coeffs in blocks:
-        if (tail, d) in seen:
-            raise ValueError(f"two blocks of degree {d} have the tail {tail}")
-        seen.add((tail, d))
-        idx = range(comb(d - 1 + lead, lead), comb(d + lead, lead))
-        if 0 in coeffs:
-            idx = list(compress(idx, coeffs))
-            coeffs = list(filter(None, coeffs))
-        if coeffs:
-            groups.append((tuple((lead + k, e) for k, e in enumerate(tail) if e),
-                           coeffs, idx))
-            top = max(top, d)
-    poly = Poly(ring, {})
-    poly._terms, poly._plan = None, (lead, top, tuple(groups))
-    return poly
-
-
 def _group_degrees(poly: Poly):
     """(tail, coeffs, d) per group of the plan, d the degree of its leading
     monomials: a group is one block of the draw, or one term (degree 0)."""
-    lead, top, groups = poly._planned()
+    lead, top, groups = poly._plan
     ends = [comb(d + lead, lead) for d in range(top + 1)]
     for tail, coeffs, idx in groups:
         yield tail, coeffs, bisect_right(ends, idx[0])
@@ -199,7 +169,7 @@ def _coefficient(poly: Poly, exps):
     """The coefficient of the monomial exps, read off the plan; index 0
     leads the group of its tail.  ValueError when exps has a leading
     variable."""
-    lead, _, groups = poly._planned()
+    lead, _, groups = poly._plan
     if any(exps[:lead]):
         raise ValueError("the monomial has a leading variable of the plan")
     tail = tuple((i, e) for i, e in enumerate(exps) if e)
@@ -212,7 +182,7 @@ def _support_degree(poly: Poly, support) -> int | None:
     then a max per group."""
     if not poly:
         return None
-    lead, top, groups = poly._planned()
+    lead, top, groups = poly._plan
     degrees = [0]
     _extend_table(degrees, [int(i in support) for i in range(lead)], 0, top, add)
     return max(max(map(degrees.__getitem__, idx)) + sum(e for i, e in tail if i in support)
@@ -222,8 +192,11 @@ def _support_degree(poly: Poly, support) -> int | None:
 def _head_table(ring: PolyRing, head: tuple, top: int, op=mul) -> list:
     """The table of the monomials in head up to degree top, products by
     op (mul; add for keys).  The ring keeps the last one with its op,
-    head values and their types, and extends it."""
-    key = (op, head, tuple(map(type, head)))
+    head values and their types, and extends it; an empty head, of a
+    polynomial built from terms, leaves it to the drawn entries."""
+    if not head:
+        return [1 if op is mul else 0]
+    key =(op, head, tuple(map(type, head)))
     if ring._table is None or ring._table[0] != key:
         ring._table = [key, [1 if op is mul else 0], 0]
     _, table, done = ring._table

@@ -28,10 +28,11 @@ package's earlier algorithms, kept as references for the draw in
 key-table blocks, its closed-form layout and the bounds read off the
 plans.
 
-The term-by-term arithmetic and display of polynomials (TermPoly, with
-the factories var, constant and monomial) and the polynomial helpers at
-the end (differentiation, substitution, generators, lifting,
-serialization) exist only for the tests.
+A Poly is built from blocks only; poly_from_terms builds one from a term
+dict, a block per term.  The term-by-term arithmetic and display of
+polynomials (TermPoly, with the factories var, constant and monomial)
+and the polynomial helpers at the end (differentiation, substitution,
+generators, lifting, serialization) exist only for the tests.
 """
 
 from __future__ import annotations
@@ -368,13 +369,33 @@ def base_locus_by_hitting_sets(a: int, b: int, twist: int) -> dict:
 # -- polynomial arithmetic and evaluation -----------------------------------
 
 
+def poly_from_terms(ring, terms: dict) -> Poly:
+    """The Poly of a term dict {exponent tuple: coefficient}, zeros
+    dropped: no leading variable and one degree-0 block per term, so
+    each term's exponents lie in its tail."""
+    return Poly(ring, 0, [(exps, 0, [c]) for exps, c in terms.items()])
+
+
 class TermPoly(Poly):
     """A Poly with the arithmetic and display that only the tests use: +,
     - and * with a Poly of the same ring (on either side) or an int or
     Fraction scalar, ** and unary minus, all term by term; equality with
-    scalars, str and repr."""
+    scalars, str and repr.  It keeps the term dict it is given, zeros
+    dropped, and builds its plan (poly_from_terms) on first use: most
+    are intermediate results that are never evaluated."""
 
-    __slots__ = ()
+    __slots__ = ("_term_plan",)
+
+    def __init__(self, ring, terms: dict):
+        if 0 in terms.values():
+            terms = {e: c for e, c in terms.items() if c != 0}
+        self.ring, self._terms, self._term_plan = ring, dict(terms), None
+
+    @property
+    def _plan(self):
+        if self._term_plan is None:
+            self._term_plan = poly_from_terms(self.ring, self._terms)._plan
+        return self._term_plan
 
     def _operand(self, other) -> TermPoly:
         if isinstance(other, (int, Fraction)):

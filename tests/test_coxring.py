@@ -27,7 +27,7 @@ from fanoconic.coxring import (
     y_patterns,
 )
 from fanoconic.picard import ConstructionParams, DivisorClassY
-from fanoconic.polynomial import Poly, _key_slice, _poly_from_blocks, _support_degree
+from fanoconic.polynomial import Poly, _key_slice, _support_degree
 from fanoconic.verifier import _v_coefficients
 
 from .oracles import (
@@ -45,6 +45,7 @@ from .oracles import (
     monomial,
     nonzero_draws_by_randint,
     poly_degree_by_terms,
+    poly_from_terms,
     section_bases,
     square_sigma_prime,
     var,
@@ -440,9 +441,9 @@ def test_block_draw_matches_the_sorted_basis_draw(m, seed, perturb):
     if perturb and seed in (1, 5, 7, 42):
         assert len(matrix.sigma) == (9430 if seed == 42 else 9429)
     # each block plan evaluates as its terms summed exactly (eval_by_powers)
-    # and, at m = 2, as the plan compiled from the terms at the int and
-    # Fraction points (at m = 3 that route takes seconds an entry); the
-    # entries at one point share the ring's table.  Each plan gives the
+    # and, at m = 2, as the plan of a block per term (poly_from_terms) at
+    # the int and Fraction points (at m = 3 that route takes seconds an
+    # entry); the entries at one point share the ring's table.  Each plan gives the
     # line degree bounds of the per-term projection
     if seed >= 104:
         return
@@ -455,8 +456,8 @@ def test_block_draw_matches_the_sorted_basis_draw(m, seed, perturb):
     for name, poly in entries.items():
         assert values[name] == eval_by_powers(poly, points), name
         if m == 2:
-            compiled = Poly(poly.ring, poly.terms)
-            assert values[name][:2] == [compiled.eval(point) for point in points[:2]], name
+            rebuilt = poly_from_terms(poly.ring, poly.terms)
+            assert values[name][:2] == [rebuilt.eval(point) for point in points[:2]], name
     nx = params.n_x
     supports = [(nx,), (0, nx + 1), tuple(range(nx, nx + 3)),
                 (*range(1, nx), nx + 1, nx + 2), tuple(range(nx + 3))]
@@ -526,7 +527,7 @@ def test_unbuilt_block_poly_equals_and_hashes_like_its_terms():
     built, equal, hashed = (_entries(instantiate_sections(M2, 42, perturb=True))
                             for _ in range(3))
     for name, poly in built.items():
-        expected = Poly(poly.ring, poly.terms)
+        expected = poly_from_terms(poly.ring, poly.terms)
         assert equal[name]._terms is None and equal[name] == expected, name
         assert hashed[name]._terms is None and hash(hashed[name]) == hash(expected), name
 
@@ -540,15 +541,16 @@ def _mixed_polys():
     stray = (3,) + (0,) * (nx - 1) + (1, 1, 0)  # x0^3 y0 y1, beside x-degree 2
     led_by_y0 = _random_section(DivisorClassY(5, -16), seed=3)
     return {
-        "one group": Poly(ring, {**instantiate_sections(M2, 1).lam1.terms, stray: 1}),
-        "lone group": Poly(ring, {alpha + (1, 1, 0): 1
-                                  for alpha in product(range(4), repeat=nx) if sum(alpha) <= 3}),
+        "one group": poly_from_terms(ring, {**instantiate_sections(M2, 1).lam1.terms,
+                                            stray: 1}),
+        "lone group": poly_from_terms(ring, {alpha + (1, 1, 0): 1
+                                             for alpha in product(range(4), repeat=nx)
+                                             if sum(alpha) <= 3}),
         # x-degree 1 only in the term x0 y0 y1, beside x-degrees 0 and 2
-        "middle degree": Poly(ring, {alpha + (0,) * 3 + (1, 1, 0): 1
-                                     for alpha in product(range(3), repeat=4)
-                                     if sum(alpha) in (0, 2) or alpha == (1, 0, 0, 0)}),
-        "two groups": _poly_from_blocks(ring, nx, [((1, 1, 0), 2, [1] * 28),
-                                                   ((1, 0, 1), 3, [2] * 84)]),
+        "middle degree": poly_from_terms(ring, {alpha + (0,) * 3 + (1, 1, 0): 1
+                                                for alpha in product(range(3), repeat=4)
+                                                if sum(alpha) in (0, 2) or alpha == (1, 0, 0, 0)}),
+        "two groups": Poly(ring, nx, [((1, 1, 0), 2, [1] * 28), ((1, 0, 1), 3, [2] * 84)]),
         "led by y0": led_by_y0,
         "led by y0, mixed": led_by_y0 + monomial(ring, stray),
     }
@@ -557,7 +559,7 @@ def _mixed_polys():
 @pytest.mark.parametrize("case", list(_mixed_polys()))
 def test_poly_degree_of_mixed_and_y_led_plans_matches_the_oracle(case):
     poly = _mixed_polys()[case]
-    assert poly._planned()[0] == (M2.n_x if case == "two groups" else 0)
+    assert poly._plan[0] == (M2.n_x if case == "two groups" else 0)
     try:
         expected = poly_degree_by_terms(poly, M2)
     except ValueError as exc:
@@ -602,7 +604,7 @@ def test_sigma_prime_squares_like_the_product():
     for sigma_prime in (y0, -3 * y0, y1 * x0, y0 + y1 * x0 - 5 * y2 * x6 ** 2,
                         y1 * x0 - y2 * x0, 7 * y2 * x6 + y1 * x6,
                         y0 + y1 * x0 ** 127 + y2 * x0 * x6 ** 126):
-        square = Poly(ring, square_sigma_prime(sigma_prime.terms, M2.n_x))
+        square = poly_from_terms(ring, square_sigma_prime(sigma_prime.terms, M2.n_x))
         assert square == sigma_prime * sigma_prime
     with pytest.raises(ValueError, match="above 127"):
         square_sigma_prime((y0 + y2 * x6 ** 128).terms, M2.n_x)

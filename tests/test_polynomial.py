@@ -24,7 +24,6 @@ from fanoconic.polynomial import (
     u_mul,
     u_trim,
     _coefficient,
-    _poly_from_blocks,
 )
 
 from .oracles import (
@@ -37,6 +36,7 @@ from .oracles import (
     gens,
     lift,
     monomial,
+    poly_from_terms,
     restrict_line,
     squarefree_by_gcd,
     subs,
@@ -185,7 +185,7 @@ small_poly = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
     st.integers(-9, 9),
     max_size=5,
-).map(lambda d: Poly(R3, d))
+).map(lambda d: poly_from_terms(R3, d))
 
 
 R5 = PolyRing(["a", "b", "c", "d", "e"])
@@ -200,13 +200,15 @@ wide_poly = st.dictionaries(
     st.tuples(*[st.integers(0, 3)] * 5),
     scalar,
     max_size=14,
-).map(lambda d: Poly(R5, d))
+).map(lambda d: poly_from_terms(R5, d))
 
 point5 = st.tuples(*[st.one_of(st.just(0), scalar)] * 5)
 
 
 @settings(max_examples=150, deadline=None)
 @given(wide_poly, point5)
+@example(poly_from_terms(R5, {}), (1, 2, 0, 3, 1))
+@example(poly_from_terms(R5, {(0,) * 5: Fraction(-2, 3)}), (Fraction(1, 2), 3, 0, 0, 2))
 def test_eval_matches_term_oracle(p, pt):
     assert p.eval(pt) == eval_terms(p, pt) == eval_by_powers(p, [pt])[0]
     # the cached plan gives the same answers on a second point
@@ -216,10 +218,12 @@ def test_eval_matches_term_oracle(p, pt):
 
 @settings(max_examples=150, deadline=None)
 @given(wide_poly)
+@example(poly_from_terms(R5, {}))
+@example(poly_from_terms(R5, {(0,) * 5: 7}))
 def test_coefficients_read_off_the_plan_match_the_terms(p):
     # a polynomial built from terms has one group per term and no leading
     # block: every term, and monomials that are not terms
-    assert p._planned()[:2] == (0, 0) and len(p._planned()[2]) == len(p)
+    assert p._plan[:2] == (0, 0) and len(p._plan[2]) == len(p)
     for exps in [*p.terms, *{e[:4] + (e[4] + 1,) for e in p.terms}, (0,) * 5]:
         assert _coefficient(p, exps) == p.terms.get(exps, 0)
 
@@ -228,7 +232,7 @@ def test_block_built_poly_keeps_its_plan_until_its_terms_are_read():
     # leading block x0..x2: the zero coefficients leave no term, and (2, 0)
     # has no term of leading degree 0
     blocks = [((1, 0), 0, [0]), ((0, 2), 0, [5]), ((2, 0), 1, [0, 3, 0])]
-    p = _poly_from_blocks(R5, 3, blocks)
+    p = Poly(R5, 3, blocks)
     assert (len(p), bool(p), p._terms) == (2, True, None)
     free = [(0, 0, 0, 1, 0), (0, 0, 0, 0, 2), (0, 0, 0, 2, 0)]
     assert [_coefficient(p, e) for e in free] == [0, 5, 0]
@@ -237,7 +241,7 @@ def test_block_built_poly_keeps_its_plan_until_its_terms_are_read():
         _coefficient(p, (0, 1, 0, 2, 0))
     assert p._terms is None
     assert list(p.terms.items()) == [((0, 0, 0, 0, 2), 5), ((0, 1, 0, 2, 0), 3)]
-    empty = _poly_from_blocks(R5, 3, [((1, 0), 2, [0] * 6)])
+    empty = Poly(R5, 3, [((1, 0), 2, [0] * 6)])
     assert (len(empty), bool(empty), empty.terms) == (0, False, {})
 
 
@@ -258,9 +262,9 @@ def test_blocks_sharing_tail_and_degree_are_refused(blocks, pt):
     keys = [(tail, d) for tail, d, _ in blocks]
     if len(set(keys)) < len(keys):
         with pytest.raises(ValueError, match="have the tail"):
-            _poly_from_blocks(R5, 3, blocks)
+            Poly(R5, 3, blocks)
     else:
-        p = _poly_from_blocks(R5, 3, blocks)
+        p = Poly(R5, 3, blocks)
         assert p.eval(pt) == eval_terms(p, pt)
 
 
@@ -277,8 +281,7 @@ block_poly = st.dictionaries(
     st.integers(0, 3).flatmap(lambda d: st.tuples(st.just(d), st.lists(
         st.one_of(st.just(0), scalar), min_size=comb(d + 2, 2), max_size=comb(d + 2, 2)))),
     max_size=4,
-).map(lambda blocks: _poly_from_blocks(R5, 3, [(tail, d, c)
-                                               for tail, (d, c) in blocks.items()]))
+).map(lambda blocks: Poly(R5, 3, [(tail, d, c) for tail, (d, c) in blocks.items()]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -286,7 +289,7 @@ block_poly = st.dictionaries(
        st.lists(values5, min_size=1, max_size=3),
        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=8))
 # six powers of a, led by a: its table at a = Fraction(2) must not serve a = 2
-@example([_poly_from_blocks(R5, 1, [((0, 0, 0, 0), i, [1]) for i in range(6)])],
+@example([Poly(R5, 1, [((0, 0, 0, 0), i, [1]) for i in range(6)])],
          [(2, 1, 1, 1, 1)], [(0, 0)])
 def test_shared_tables_match_term_oracle(polys, points, calls):
     # block-built polynomials of one ring share the last table of leading
@@ -308,8 +311,8 @@ def test_sparse_high_degree_polynomial_evaluates_term_by_term():
     # of every leading monomial up to their degree would not fit in memory
     ring = cox_ring(ConstructionParams(2))
     rng = random.Random(5)
-    p = Poly(ring, {tuple(rng.randint(0, 300) for _ in range(ring.n)): rng.randint(-9, 9) or 1
-                    for _ in range(20)})
+    p = poly_from_terms(ring, {tuple(rng.randint(0, 300) for _ in range(ring.n)):
+                               rng.randint(-9, 9) or 1 for _ in range(20)})
     pt = tuple(rng.choice((-3, -1, 2, 5, Fraction(1, 3))) for _ in range(ring.n))
     start = time.perf_counter()
     value = p.eval(pt)

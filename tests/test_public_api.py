@@ -284,13 +284,17 @@ def test_conic_matrix_checks_hold_under_optimized_mode():
         from fanoconic import (ConicMatrix, ConstructionParams, check_smooth_at_node,
                                cox_ring, fiber_at, instantiate_sections)
         from fanoconic.polynomial import Poly
+
+        def from_terms(ring, terms):  # a block per term, as oracles.poly_from_terms
+            return Poly(ring, 0, [(exps, 0, [c]) for exps, c in terms.items()])
+
         m2, m3 = ConstructionParams(2), ConstructionParams(3)
         drawn = instantiate_sections(m2, 1)
         entries = dict(drawn.named_entries(), sigma_prime=drawn.sigma_prime)
         # lam1 + y0, and y0^2 in the ring of m = 3
-        lam1_y0 = Poly(cox_ring(m2), {**entries["lam1"].terms, (0,) * 7 + (1, 0, 0): 1})
-        bad = {"degree": dict(entries, lam1=lam1_y0),
-               "ring": dict(entries, sigma=Poly(cox_ring(m3), {(0,) * 10 + (2, 0, 0): 1}))}
+        lam1_y0 = from_terms(cox_ring(m2), {**entries["lam1"].terms, (0,) * 7 + (1, 0, 0): 1})
+        y0_squared = from_terms(cox_ring(m3), {(0,) * 10 + (2, 0, 0): 1})
+        bad = {"degree": dict(entries, lam1=lam1_y0), "ring": dict(entries, sigma=y0_squared)}
         for name, given in bad.items():
             try:
                 ConicMatrix(m2, **given)

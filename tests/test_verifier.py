@@ -67,6 +67,7 @@ from .oracles import (
     eval_gradient_terms,
     eval_terms,
     line_degree_bound,
+    poly_from_terms,
     quadratic_form,
     rebuilt_matrix,
     restrict_line,
@@ -268,29 +269,23 @@ def test_each_basis_is_enumerated_once_per_draw(monkeypatch, perturb, enumeratio
 def test_the_audit_builds_no_entry_terms(monkeypatch, m, perturb, sigma_prime_terms):
     # the audit reads the class, sizes, V coefficients and length of each
     # entry and of sigma' off its block plan: no polynomial has its terms
-    # read, and no plan is compiled from a term dict
-    read, compiled, drawn = [], [], []
-    terms, build_plan, draw = polynomial.Poly.terms.fget, polynomial._build_plan, \
-        verifier._draw_matrix
+    # read
+    read, drawn = [], []
+    terms, draw = polynomial.Poly.terms.fget, verifier._draw_matrix
 
     def counting_terms(poly):
         read.append(poly)
         return terms(poly)
-
-    def counting_build_plan(poly_terms):
-        compiled.append(poly_terms)
-        return build_plan(poly_terms)
 
     def keeping_draw(*args):
         drawn.append(draw(*args))
         return drawn[-1]
 
     monkeypatch.setattr(polynomial.Poly, "terms", property(counting_terms))
-    monkeypatch.setattr(polynomial, "_build_plan", counting_build_plan)
     monkeypatch.setattr(verifier, "_draw_matrix", keeping_draw)
     params = ConstructionParams(m)
     assert run_instance(params, seed=1, n_samples=3, perturb=perturb)["passed"]
-    assert (read, compiled) == ([], [])
+    assert read == []
     (matrix,) = drawn
     assert len(matrix.sigma_prime) == sigma_prime_terms
     assert all(poly._terms is None
@@ -732,17 +727,17 @@ line_poly = st.dictionaries(
     st.tuples(*[st.integers(0, 4)] * 4),
     st.one_of(st.integers(-9, 9), st.integers(-10**12, 10**12)),
     max_size=12,
-).map(lambda terms: Poly(RING4, terms))
+).map(lambda terms: poly_from_terms(RING4, terms))
 line_coords = st.tuples(*[st.one_of(st.just(0), st.integers(-6, 6))] * 4)
 
 
 @settings(max_examples=300, deadline=None)
 @given(line_poly, line_coords, line_coords)
 # a zero polynomial, and a restriction t^3 with zero lower coefficients
-@example(Poly(RING4, {}), (1, 2, 0, 0), (0, 1, 1, 0))
-@example(Poly(RING4, {(3, 0, 0, 0): 5}), (0, 1, 1, 1), (2, 0, 0, 1))
+@example(poly_from_terms(RING4, {}), (1, 2, 0, 0), (0, 1, 1, 0))
+@example(poly_from_terms(RING4, {(3, 0, 0, 0): 5}), (0, 1, 1, 1), (2, 0, 0, 1))
 # a^2 - b^2 on a = b: bound 2, restriction of degree 0
-@example(Poly(RING4, {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1, (0, 0, 0, 0): 3}),
+@example(poly_from_terms(RING4, {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1, (0, 0, 0, 0): 3}),
          (1, 1, 0, 0), (1, 1, 0, 0))
 def test_entry_restriction_matches_binomial_oracle(poly, point, direction):
     if not any(direction):
@@ -752,9 +747,12 @@ def test_entry_restriction_matches_binomial_oracle(poly, point, direction):
 
 @settings(max_examples=200, deadline=None)
 @given(line_poly)
+@example(poly_from_terms(RING4, {}))
+@example(poly_from_terms(RING4, {(0, 0, 0, 0): -4}))
 # the total degree 3 in one term only
-@example(Poly(RING4, {(0, 0, 0, 0): 1, (3, 0, 0, 0): 1, (0, 0, 0, 1): 1, (0, 0, 1, 0): 1,
-                      (0, 1, 0, 0): 1, (0, 0, 1, 1): 1, (0, 0, 0, 2): 1, (0, 0, 2, 0): 1}))
+@example(poly_from_terms(RING4, {(0, 0, 0, 0): 1, (3, 0, 0, 0): 1, (0, 0, 0, 1): 1,
+                                 (0, 0, 1, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 1): 1,
+                                 (0, 0, 0, 2): 1, (0, 0, 2, 0): 1}))
 def test_entry_sizes_read_off_any_plan_match_the_terms(poly):
     # read off the plan of one group per term
     assert _OneEntry(poly)._entry_sizes["s1"] == \
@@ -766,7 +764,7 @@ def test_entry_restriction_at_the_coefficient_bound(sign):
     # a and b start at 0 and move by 1, c sits at 1, so M = 1 and the
     # restriction is 127 t^2: its top coefficient is B = ||f||_1 * M^3,
     # and B = 2^7 - 1 is the largest coefficient the chosen K = 8 admits
-    poly = Poly(RING4, {(2, 0, 1, 0): 100 * sign, (1, 1, 1, 0): 27 * sign})
+    poly = poly_from_terms(RING4, {(2, 0, 1, 0): 100 * sign, (1, 1, 1, 0): 27 * sign})
     point, direction = (0, 0, 1, 0), (1, 1, 0, 0)
     assert _OneEntry(poly)._entry_sizes["s1"] == (127, 3)
     assert _restrict(poly, point, direction) == [0, 0, 127 * sign] \
@@ -774,7 +772,7 @@ def test_entry_restriction_at_the_coefficient_bound(sign):
 
 
 def test_entry_restriction_rejects_a_low_bound():
-    stand_in = _OneEntry(Poly(RING4, {(2, 0, 0, 0): 1}))
+    stand_in = _OneEntry(poly_from_terms(RING4, {(2, 0, 0, 0): 1}))
     stand_in._line_bounds[(0,)] = {"s1": 1, "s2": None, "s3": 0,
                                    "lam1": None, "lam2": None, "sigma": 0}
     with pytest.raises(AssertionError, match="line degree bound"):
@@ -1019,11 +1017,11 @@ def test_chart_lines_with_fixed_y_on_the_square_divisors(default_matrix):
 @pytest.mark.parametrize("support", [(8,), (0,), (7, 8, 9), tuple(range(10))])
 def test_line_degree_bound_is_the_largest_support_degree(perturbed_matrix, support):
     # drawn entries read the bound off their block plans, a rebuilt copy
-    # off the plan _build_plan compiles
+    # off the plan of one group per term
     for _, poly in perturbed_matrix.named_entries():
         largest = max(sum(exps[i] for i in support) for exps in poly.terms)
         assert _support_degree(poly, support) == largest
-        assert _support_degree(Poly(poly.ring, poly.terms), support) == largest
+        assert _support_degree(poly_from_terms(poly.ring, poly.terms), support) == largest
         assert line_degree_bound(poly, support) == largest
     assert _support_degree(constant(cox_ring(M2), 0), support) is None
     assert line_degree_bound(constant(cox_ring(M2), 0), support) is None
